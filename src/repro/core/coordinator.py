@@ -810,6 +810,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             verdicts, quarantined, violating, explored, started,
             crashed=crashed, crash_reason=crash_reason, finals=finals,
             parent_pruned=parent_pruned,
+            commit_point=next_index if done else None,
         )
 
     # ------------------------------------------------------------- finish
@@ -853,6 +854,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         crash_reason: Optional[str],
         finals: Dict[int, Dict[str, Any]],
         parent_pruned: int = 0,
+        commit_point: Optional[int] = None,
     ) -> ExplorationResult:
         journal = self.journal
         if journal is not None:
@@ -865,7 +867,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             )
             journal.close()
         canonical = self._canonical_flush(finals)
-        pruning_stats = dict(canonical["pruning_stats"]) if canonical else {}
+        pruning_stats = self._pruning_stats_at(finals, commit_point)
         if parent_pruned:
             pruning_stats["state_memo"] = (
                 pruning_stats.get("state_memo", 0) + parent_pruned

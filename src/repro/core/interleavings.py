@@ -202,15 +202,18 @@ def lehmer_rank(perm: Sequence[int]) -> int:
     A bijection onto ``0..n!-1``: remembering a permutation costs one int
     instead of an n-tuple, which is what keeps the ``seen`` bookkeeping of
     :func:`relocation_permutations` compact.
+
+    Each digit counts the smaller values still unused, as the popcount of
+    a mask of unused values below the current one: O(n) big-int ops
+    instead of an O(n^2) compare loop.
     """
     n = len(perm)
+    remaining = (1 << n) - 1
     rank = 0
-    for index in range(n):
-        smaller_later = 0
-        for later in range(index + 1, n):
-            if perm[later] < perm[index]:
-                smaller_later += 1
-        rank = rank * (n - index) + smaller_later
+    for index, value in enumerate(perm):
+        bit = 1 << value
+        rank = rank * (n - index) + (remaining & (bit - 1)).bit_count()
+        remaining ^= bit
     return rank
 
 

@@ -62,7 +62,10 @@ stream is a superset of every other worker's, and of the committed run),
 replay-side counters are summed across workers, the parent counts
 replayed/quarantined itself at commit time, and ``discarded`` is defined as
 ``furthest_yields - committed`` (non-negative because the owner of the last
-committed candidate enumerated at least that far).
+committed candidate enumerated at least that far).  Per-pruner prune counts
+are read at the commit point instead: each worker ships its counts at every
+stream position where they changed, so a hunt that stops on a violation
+reports the prunes a serial hunt made, not those of the furthest worker.
 
 Worker-local prefix caches stay sound for the same reason one engine's
 cache is: the cache is only active when every replica of that worker's own
@@ -514,6 +517,14 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
     # schedule independently, so frames carry small ints instead of strings.
     eidx = {event.event_id: pos for pos, event in enumerate(explorer.events)}
     batcher = AdaptiveBatcher(config.batch_size, idle_flush_s=config.idle_flush_s)
+    # Per-pruner prune counts as of each stream position, stored flat as
+    # (yields, count, count, ...) runs and only when a count changed: the
+    # parent reads them at its commit point, so prunes this worker made
+    # past that point never reach the result.
+    pipeline = getattr(explorer, "pipeline", None)
+    pruners = pipeline.pruners if pipeline is not None else ()
+    prune_points = array("q")
+    last_counts: Tuple[int, ...] = (0,) * len(pruners)
     yields = 0
     materialized = 0
     ipc_bytes = 0
@@ -559,6 +570,12 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                 break
             index = yields
             yields += 1
+            if pruners:
+                counts = tuple([pruner.stats.pruned for pruner in pruners])
+                if counts != last_counts:
+                    prune_points.append(yields)
+                    prune_points.extend(counts)
+                    last_counts = counts
             if interleaving is None:
                 # Foreign shard: the position is consumed (indices stay
                 # aligned across workers) but nothing was materialised.
@@ -629,13 +646,15 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
         ship(grow=False)
         conn.send(("final", widx, _worker_flush(
             runtime, config, yields, crash_reason, stopped_on_own_violation,
-            materialized, ipc_bytes,
+            materialized, ipc_bytes, [pruner.name for pruner in pruners],
+            prune_points,
         )))
 
 
 def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
                   crash_reason: Optional[str], stopped: bool,
-                  materialized: int, ipc_bytes: int) -> Dict[str, Any]:
+                  materialized: int, ipc_bytes: int, pruner_names: List[str],
+                  prune_points: array) -> Dict[str, Any]:
     explorer = runtime.explorer
     engine = runtime.engine
     flush: Dict[str, Any] = {
@@ -645,6 +664,8 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
         "crash_reason": crash_reason,
         "stopped_on_violation": stopped,
         "pruning_stats": explorer._pruning_stats(),
+        "pruner_names": pruner_names,
+        "prune_points": prune_points,
         "fault_events": sum(1 for event in explorer.events if event.is_fault),
         "meter": dict(explorer.meter.by_category),
         "stream": None,
@@ -1043,6 +1064,11 @@ class ProcessParallelExplorer:
             self.base._finish_observation(engine, root, explored, mode=self.mode)
             if metrics.enabled:
                 self._merge_cache_gauges(metrics, finals)
+        # A hunt that stopped early reports the prune counts at its commit
+        # point; one that drained every worker's stream, the final counts.
+        pruning_stats = self._pruning_stats_at(
+            finals, next_index if done or crashed else None
+        )
         self._merge_sanitizer(finals)
         if violating is None and not crashed:
             # A generation-side budget crash aborts a serial run too; any
@@ -1056,7 +1082,6 @@ class ProcessParallelExplorer:
             crashed = False
             crash_reason = None
         canonical = self._canonical_flush(finals)
-        pruning_stats = dict(canonical["pruning_stats"]) if canonical else {}
         if parent_pruned:
             pruning_stats["state_memo"] = (
                 pruning_stats.get("state_memo", 0) + parent_pruned
@@ -1270,6 +1295,36 @@ class ProcessParallelExplorer:
             return None
         widx = min(finals, key=lambda w: (-finals[w]["yields"], w))
         return finals[widx]
+
+    @classmethod
+    def _pruning_stats_at(
+        cls, finals: Dict[int, Dict[str, Any]], committed: Optional[int]
+    ) -> Dict[str, int]:
+        """Per-pruner prune counts as a serial hunt would report them.
+
+        ``committed`` is the commit point of a hunt that stopped before its
+        stream ended: the counts are the canonical worker's after it handed
+        out that many stream positions, so prunes it made further on are
+        left out.  ``None`` means every worker ran its stream to the end,
+        where their final counts agree.
+        """
+        canonical = cls._canonical_flush(finals)
+        if canonical is None:
+            return {}
+        stats = dict(canonical["pruning_stats"])
+        names = canonical["pruner_names"]
+        if committed is None or not names or canonical["yields"] < committed:
+            return stats
+        points = canonical["prune_points"]
+        width = len(names) + 1
+        counts = [0] * len(names)
+        for start in range(0, len(points), width):
+            if points[start] > committed:
+                break
+            counts = points[start + 1:start + width]
+        for name, count in zip(names, counts):
+            stats[name] = count
+        return stats
 
     def _merge_metrics(self, metrics, finals, committed: int) -> None:
         canonical = self._canonical_flush(finals)

@@ -18,12 +18,13 @@ and declared constraints.  This module prunes on what replays actually
 
 * :class:`DPORPruner` skips permutations that only reorder independent
   events, using a conservative read/write footprint model over replicas
-  and sync channels (sleep-set-style reduction via the canonical trace
-  normal form: the lexicographically minimal linear extension of the
-  candidate's happens-before order).  The replay engine's digest-capture
-  path reports each event's *observed* write set back through
-  :meth:`DPORPruner.observe_write_set`; an observation outside the static
-  model disables the pruner (sound-or-off).
+  and sync channels.  Its class key records, for every event, which
+  conflicting events precede it, as interned bitmasks; that partitions
+  candidates exactly as the trace normal form (the lexicographically
+  minimal linear extension of the happens-before order) does.  The replay
+  engine's digest-capture path reports each event's *observed* write set
+  back through :meth:`DPORPruner.observe_write_set`; an observation
+  outside the static model disables the pruner (sound-or-off).
 
 Both pruners are sound-or-off like the prefix cache: they bind to an
 engine only when replay is a pure function of the event sequence
@@ -38,7 +39,7 @@ other pruner's.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.events import Event, EventKind
 from repro.core.interleavings import Interleaving
@@ -107,11 +108,7 @@ def footprints_conflict(left: Footprint, right: Footprint) -> bool:
     return False
 
 
-def trace_normal_form(
-    interleaving: Sequence[Event],
-    footprints: Optional[Dict[str, Footprint]] = None,
-    conflicts: Optional[Dict[Tuple[str, str], bool]] = None,
-) -> Tuple[str, ...]:
+def trace_normal_form(interleaving: Sequence[Event]) -> Tuple[str, ...]:
     """The canonical representative of the interleaving's Mazurkiewicz trace.
 
     Builds the happens-before order induced by footprint conflicts between
@@ -120,35 +117,18 @@ def trace_normal_form(
     interleavings that differ only by swapping adjacent independent events
     have equal normal forms.
 
-    ``conflicts`` is an optional memo of pairwise conflict decisions keyed
-    by ``(earlier_event_id, later_event_id)``: footprints are static per
-    event id, so a caller evaluating many interleavings over the same
-    event universe (the DPOR pruner) pays each pairwise check once.
+    This is the readable reference for :class:`DPORPruner`, whose O(n)
+    predecessor-mask key partitions interleavings exactly as this
+    O(n^2) normal form does (the tests compare the two).
     """
     events = list(interleaving)
     count = len(events)
-    fps: List[Footprint] = []
-    for event in events:
-        if footprints is not None:
-            fp = footprints.get(event.event_id)
-            if fp is None:
-                fp = event_footprint(event)
-        else:
-            fp = event_footprint(event)
-        fps.append(fp)
+    fps = [event_footprint(event) for event in events]
     indegree = [0] * count
     successors: List[List[int]] = [[] for _ in range(count)]
     for later in range(count):
         for earlier in range(later):
-            if conflicts is None:
-                conflict = footprints_conflict(fps[earlier], fps[later])
-            else:
-                pair = (events[earlier].event_id, events[later].event_id)
-                conflict = conflicts.get(pair)
-                if conflict is None:
-                    conflict = footprints_conflict(fps[earlier], fps[later])
-                    conflicts[pair] = conflict
-            if conflict:
+            if footprints_conflict(fps[earlier], fps[later]):
                 successors[earlier].append(later)
                 indegree[later] += 1
     ready = sorted(
@@ -172,7 +152,15 @@ def trace_normal_form(
 
 
 class DPORPruner(Pruner):
-    """Canonical key: the trace normal form under the footprint model.
+    """Canonical key: each event's set of conflicting predecessors.
+
+    Two orders of the same events are trace-equivalent exactly when they
+    order every conflicting pair alike, i.e. when every event is preceded
+    by the same conflicting events.  Event ids are interned on first sight
+    to a bit position together with a static conflict mask (from
+    :func:`event_footprint` / :func:`footprints_conflict`), so the key is
+    one O(n) pass of mask operations packed into a single int.  It
+    partitions interleavings exactly as :func:`trace_normal_form` does.
 
     Sound-or-off: :meth:`bind` only arms the pruner when every bound engine
     supports semantic reduction (pure deterministic replay), and an
@@ -192,11 +180,12 @@ class DPORPruner(Pruner):
         super().__init__()
         self.enabled = False
         self.disabled_reason: Optional[str] = "not bound to an engine"
-        #: Event-id -> static footprint for the bound event universe.
-        self._model: Dict[str, Footprint] = {}
-        #: Pairwise conflict memo shared across key() calls (footprints are
-        #: static per event id, so decisions never go stale).
-        self._conflicts: Dict[Tuple[str, str], bool] = {}
+        #: Event id -> bit position, assigned in first-sight order.
+        self._bits: Dict[str, int] = {}
+        #: Per bit: the mask of interned events it conflicts with, and its
+        #: static footprint.
+        self._masks: List[int] = []
+        self._footprints: List[Footprint] = []
         #: ``"a|b|c"`` keys of pruned interleavings, for Datalog export.
         self.prune_log: List[str] = []
 
@@ -221,10 +210,8 @@ class DPORPruner(Pruner):
         """Validate one event's observed writes against the static model."""
         if not self.enabled:
             return
-        fp = self._model.get(event.event_id)
-        if fp is None:
-            fp = event_footprint(event)
-            self._model[event.event_id] = fp
+        bit = self._bits.get(event.event_id)
+        fp = event_footprint(event) if bit is None else self._footprints[bit]
         allowed = {
             loc[len("replica:"):] for loc, mode in fp if loc.startswith("replica:")
         }
@@ -237,8 +224,44 @@ class DPORPruner(Pruner):
                 )
                 return
 
+    def _intern(self, event: Event) -> int:
+        """Give ``event`` the next bit and link its conflicts both ways."""
+        bit = len(self._masks)
+        fp = event_footprint(event)
+        mask = 0
+        for other, other_fp in enumerate(self._footprints):
+            if footprints_conflict(other_fp, fp):
+                mask |= 1 << other
+                self._masks[other] |= 1 << bit
+        self._bits[event.event_id] = bit
+        self._masks.append(mask)
+        self._footprints.append(fp)
+        return bit
+
     def key(self, interleaving: Interleaving) -> Hashable:
-        return ("dpor", trace_normal_form(interleaving, self._model, self._conflicts))
+        """``seen`` plus every event's conflicting-predecessor mask.
+
+        With ``w = seen.bit_length()``, the mask of the event at bit ``b``
+        sits at bit offset ``w * (b + 1)`` and a marker bit at
+        ``w * (w + 1)`` fixes ``w``, so distinct (event set, masks) pairs
+        never share a key.
+        """
+        bits = self._bits
+        masks = self._masks
+        seen = 0
+        fields = []
+        for event in interleaving:
+            bit = bits.get(event.event_id)
+            if bit is None:
+                bit = self._intern(event)
+            fields.append((bit, masks[bit] & seen))
+            seen |= 1 << bit
+        width = seen.bit_length()
+        key = seen | 1 << (width * (width + 1))
+        for bit, preds in fields:
+            if preds:
+                key |= preds << (width * (bit + 1))
+        return key
 
     def is_redundant(self, interleaving: Interleaving) -> bool:
         if not self.enabled:
@@ -252,8 +275,9 @@ class DPORPruner(Pruner):
 
     def reset(self) -> None:
         super().reset()
-        self._model.clear()
-        self._conflicts.clear()
+        self._bits.clear()
+        self._masks.clear()
+        self._footprints.clear()
         self.prune_log = []
 
 

@@ -12,6 +12,7 @@ from repro.core.interleavings import (
     flatten,
     group_events,
     interleaving_stream,
+    lehmer_rank,
     lexicographic_permutations,
     permutation_count,
     relocation_permutations,
@@ -165,6 +166,41 @@ def test_all_orders_enumerate_exactly_n_factorial(n):
     assert len(set(lexicographic_permutations(units))) == expected
     assert len(set(sjt_permutations(units))) == expected
     assert len(set(relocation_permutations(units))) == expected
+
+
+def reference_lehmer_rank(perm):
+    """The original O(n^2) compare loop, kept as the reference."""
+    n = len(perm)
+    rank = 0
+    for index in range(n):
+        smaller_later = 0
+        for later in range(index + 1, n):
+            if perm[later] < perm[index]:
+                smaller_later += 1
+        rank = rank * (n - index) + smaller_later
+    return rank
+
+
+class TestLehmerRank:
+    """The popcount rank must equal the compare loop exactly: the relocation
+    stream's dedup set, its meter charges and the point where it falls back
+    to SJT order all key off these ranks."""
+
+    def test_matches_reference_exhaustively_up_to_seven(self):
+        for n in range(8):
+            ranks = set()
+            for perm in permutations(range(n)):
+                rank = lehmer_rank(perm)
+                assert rank == reference_lehmer_rank(perm)
+                ranks.add(rank)
+            assert ranks == set(range(math.factorial(n)))
+
+    @given(st.integers(min_value=8, max_value=14).flatmap(
+        lambda n: st.permutations(range(n))
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_larger_permutations(self, perm):
+        assert lehmer_rank(perm) == reference_lehmer_rank(perm)
 
 
 class TestRelocationSeenSetMetering:

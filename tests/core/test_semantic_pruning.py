@@ -9,11 +9,24 @@ tests pin the digest algebra, the stitching rules, the gating, and the
 end-to-end bug-finding behaviour across serial/thread/process backends.
 """
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import hunt, record_scenario
-from repro.bugs.registry import scenario
-from repro.core.events import Event, EventKind
+from repro.bugs.registry import fault_scenario_names, scenario, scenario_names
+from repro.core.events import (
+    Event,
+    EventKind,
+    make_crash,
+    make_partition,
+    make_read,
+    make_sync_pair,
+    make_update,
+)
+from repro.core.explorers import ERPiExplorer
 from repro.core.pruning import (
     DPORPruner,
     StateMemoPruner,
@@ -167,6 +180,193 @@ class TestDPORPruner:
     def test_key_is_deterministic_across_instances(self):
         il = (local("e1", "A"), local("e2", "B"), local("e3", "A"))
         assert DPORPruner().key(il) == DPORPruner().key(il)
+
+
+# ------------------------------------------- DPOR key vs the normal form
+
+
+def candidate_stream(name, fixed, limit):
+    """The first ``limit`` valid candidates of a hunt's stream, unpruned.
+
+    Crash-recovery scenarios get their fault plan compiled, exactly as
+    ``hunt(faults=True)`` does."""
+    sc = scenario(name)
+    recorded = record_scenario(sc, fixed=fixed)
+    events = recorded.events
+    constraints = ()
+    if name in CR_SCENARIOS:
+        compiled = sc.fault_plan().compile(recorded.events)
+        events = compiled.events
+        constraints = compiled.order_constraints
+    explorer = ERPiExplorer(events, spec_groups=sc.spec_groups())
+    explorer.order_constraints = constraints
+    return list(itertools.islice(explorer.candidates(), limit))
+
+
+def assert_same_partition(pruner, candidates):
+    """The pruner's keys and the trace normal forms induce one partition."""
+    by_key = {}
+    by_form = {}
+    for interleaving in candidates:
+        key = pruner.key(interleaving)
+        form = trace_normal_form(interleaving)
+        assert by_key.setdefault(key, form) == form
+        assert by_form.setdefault(form, key) == key
+
+
+class TestDPORKeyMatchesNormalForm:
+    """The bitmask key must split candidates into exactly the classes the
+    lexicographic normal form does: same prunes, same replays."""
+
+    @pytest.mark.parametrize("name", scenario_names() + fault_scenario_names())
+    def test_registered_scenarios(self, name):
+        for fixed in (False, True):
+            candidates = candidate_stream(name, fixed, 1000)
+            assert candidates
+            assert_same_partition(DPORPruner(), candidates)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_schedules(self, data):
+        replicas = ("A", "B", "C")[: data.draw(st.integers(2, 3))]
+        replica = st.sampled_from(replicas)
+        events = []
+        for shape in data.draw(
+            st.lists(st.sampled_from(("update", "read", "sync", "crash",
+                                      "partition")), min_size=1, max_size=5)
+        ):
+            eid = f"e{len(events) + 1}"
+            if shape == "update":
+                events.append(make_update(eid, data.draw(replica), "set_add"))
+            elif shape == "read":
+                events.append(make_read(eid, data.draw(replica), "set_value"))
+            elif shape == "sync":
+                src, dst = data.draw(st.permutations(replicas))[:2]
+                events += make_sync_pair(eid, eid + "s", src, dst)
+            elif shape == "crash":
+                events.append(make_crash(eid, data.draw(replica)))
+            else:
+                src, dst = data.draw(st.permutations(replicas))[:2]
+                events.append(make_partition(eid, src, dst))
+        orders = data.draw(
+            st.lists(st.permutations(events), min_size=2, max_size=8)
+        )
+        assert_same_partition(DPORPruner(), [tuple(o) for o in orders])
+
+    def test_interning_order_does_not_change_prunes(self):
+        recorded = record_scenario(scenario("OrbitDB-4"))
+        candidates = candidate_stream("OrbitDB-4", False, 1500)
+        forward, backward = DPORPruner(), DPORPruner()
+        for pruner in (forward, backward):
+            pruner.bind((recorded.engine,), ())
+        # Intern the events back to front before the stream starts.
+        backward.key(tuple(reversed(candidates[-1])))
+        pruned = [
+            [i for i, il in enumerate(candidates) if pruner.is_redundant(il)]
+            for pruner in (forward, backward)
+        ]
+        assert pruned[0] and pruned[0] == pruned[1]
+
+    def test_feed_order_does_not_change_classes(self):
+        candidates = candidate_stream("ReplicaDB-2", False, 1500)
+        shuffled = list(candidates)
+        random.Random(7).shuffle(shuffled)
+
+        def classes(stream):
+            pruner = DPORPruner()
+            members = {}
+            for il in stream:
+                members.setdefault(pruner.key(il), set()).add(
+                    tuple(e.event_id for e in il)
+                )
+            return {frozenset(group) for group in members.values()}
+
+        assert classes(candidates) == classes(shuffled)
+
+
+#: The benchmark's ``dpor`` hunts as the normal-form key ran them: replays,
+#: DPOR prunes and the witness each hunt stops on.  The bitmask key must
+#: reproduce all three.
+DPOR_HUNTS = {
+    "OrbitDB-4": (866, 2946, "e12|e1|e2|e3|e4|e5|e6|e7|e9|e8|e10|e11|e13"
+                  "|e14|e15|e16|e17|e18"),
+    "ReplicaDB-2": (1632, 1131, "e1|e2|e3|e4|e5|e8|e6|e7|e9|e11|e12|e10"
+                    "|e13|e14"),
+    "OrbitDB-5": (36, 50, "e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e13|e11|e12|e14"
+                  "|e15|e16|e17|e18|e19|e20|e21|e22|e23|e24"),
+    "Yorkie-1": (46, 6, "e1|e2|e3|e4|e5|e6|e7|e8|e10|e11|e9|e12|e13|e14"
+                 "|e15|e16|e17"),
+    "Yorkie-2": (24, 22, "e1|e2|e3|e4|e5|e7|e8|e9|e10|e11|e12|e13|e14|e15"
+                 "|e16|e6|e17|e18|e19|e20|e21|e22"),
+}
+
+
+def witness_ids(result):
+    return "|".join(event.event_id for event in result.violating.interleaving)
+
+
+@pytest.mark.parametrize("name", sorted(DPOR_HUNTS))
+def test_dpor_hunt_keeps_replays_prunes_and_witness(name):
+    replayed, pruned, witness = DPOR_HUNTS[name]
+    result = hunt(record_scenario(scenario(name)), "erpi", dpor=True)
+    assert result.found
+    assert result.explored == replayed
+    assert result.pruning_stats["dpor"] == pruned
+    assert witness_ids(result) == witness
+
+
+def serial_hunt_with_verdicts(name, **options):
+    """A serial hunt plus the verdict map serial explorers do not report."""
+    recorded = record_scenario(scenario(name))
+    replay = recorded.engine.replay
+    verdicts = {}
+
+    def recording_replay(interleaving, assertions=()):
+        outcome = replay(interleaving, assertions)
+        key = "|".join(event.event_id for event in interleaving)
+        verdicts[key] = "violation" if outcome.violated else "ok"
+        return outcome
+
+    recorded.engine.replay = recording_replay
+    return hunt(recorded, "erpi", **options), verdicts
+
+
+class TestProcessPruningStats:
+    """Regression: process hunts reported the prunes of the worker that
+    enumerated furthest, past the commit point (OrbitDB-4: 4,345 DPOR
+    prunes against 2,946 serial)."""
+
+    @pytest.mark.parametrize("name", ("OrbitDB-4", "ReplicaDB-2"))
+    def test_stopped_hunt_matches_serial(self, name):
+        serial, verdicts = serial_hunt_with_verdicts(name, dpor=True)
+        pooled = hunt(
+            record_scenario(scenario(name)), "erpi", dpor=True,
+            workers=2, parallel_backend="process",
+        )
+        assert pooled.pruning_stats == serial.pruning_stats
+        assert pooled.verdicts == verdicts
+        assert pooled.explored == serial.explored
+        assert witness_ids(pooled) == witness_ids(serial)
+
+    def test_coordinated_hunt_matches_serial(self, tmp_path):
+        serial, verdicts = serial_hunt_with_verdicts("OrbitDB-4", dpor=True)
+        coordinated = hunt(
+            record_scenario(scenario("OrbitDB-4")), "erpi", dpor=True,
+            workers=2, journal=str(tmp_path / "hunt.jsonl"),
+        )
+        assert coordinated.coordination is not None
+        assert coordinated.pruning_stats == serial.pruning_stats
+        assert coordinated.verdicts == verdicts
+
+    def test_drained_sweep_matches_serial(self):
+        options = dict(dpor=True, cap=300, stop_on_violation=False)
+        serial, verdicts = serial_hunt_with_verdicts("ReplicaDB-2", **options)
+        pooled = hunt(
+            record_scenario(scenario("ReplicaDB-2")), "erpi",
+            workers=2, parallel_backend="process", **options,
+        )
+        assert pooled.pruning_stats == serial.pruning_stats
+        assert pooled.verdicts == verdicts
 
 
 # ------------------------------------------------------------ state memo
