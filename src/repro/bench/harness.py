@@ -18,7 +18,6 @@ from repro.core.explorers import (
     ERPiExplorer,
     Explorer,
     ExplorationResult,
-    ParallelExplorer,
     RandomExplorer,
 )
 from repro.core.pruning import (
@@ -27,7 +26,6 @@ from repro.core.pruning import (
     FailedOpsPruner,
     Pruner,
     ReplicaSpecificPruner,
-    StateMemoPruner,
 )
 from repro.core.replay import ReplayEngine, SequentialExecutor
 from repro.core.resources import ResourceMeter
@@ -52,14 +50,6 @@ class RecordedScenario:
     @property
     def event_count(self) -> int:
         return len(self.events)
-
-    def cluster_factory(self) -> Cluster:
-        """A fresh cluster in checkpoint state (for parallel workers).
-
-        ``record_scenario`` checkpoints *before* running the workload, so a
-        newly built cluster is exactly the checkpoint state.
-        """
-        return self.scenario.build_cluster(fixed=self.fixed)
 
 
 def record_scenario(scenario: BugScenario, fixed: bool = False) -> RecordedScenario:
@@ -100,19 +90,12 @@ def make_explorer(
     seed: int = 0,
     meter: Optional[ResourceMeter] = None,
     events: Optional[Sequence[Event]] = None,
-    memo: bool = False,
     dpor: bool = False,
-    memo_in_stream: bool = True,
 ) -> Explorer:
     """Build the exploration stack for one recorded scenario.
 
-    ``memo`` / ``dpor`` add the semantic pruners (ER-pi mode only — the
-    other modes have no pruner pipeline).  ``memo_in_stream=False`` attaches
-    the :class:`StateMemoPruner` as ``explorer.replay_memo`` instead of
-    putting it in the candidate pipeline: process-pool workers consult it at
-    replay time on shard-owned candidates, because a stream-time prune
-    driven by a worker-local memo table would desynchronise the candidate
-    indices the commit protocol relies on.
+    ``dpor`` adds the DPOR pruner (ER-pi mode only — the other modes have
+    no pruner pipeline).
     """
     scenario = recorded.scenario
     schedule = tuple(events) if events is not None else recorded.events
@@ -120,22 +103,14 @@ def make_explorer(
         pruners = scenario_pruners(scenario)
         if dpor:
             pruners.append(DPORPruner())
-        memo_pruner = StateMemoPruner() if memo else None
-        if memo_pruner is not None and memo_in_stream:
-            pruners.append(memo_pruner)
-        explorer = ERPiExplorer(
+        return ERPiExplorer(
             schedule,
             meter=meter,
             spec_groups=scenario.spec_groups(),
             pruners=pruners,
         )
-        if memo_pruner is not None and not memo_in_stream:
-            explorer.replay_memo = memo_pruner
-        return explorer
-    if memo or dpor:
-        raise ValueError(
-            f"--memo/--dpor require the erpi mode, not {mode!r}"
-        )
+    if dpor:
+        raise ValueError(f"--dpor requires the erpi mode, not {mode!r}")
     if mode == "dfs":
         return DFSExplorer(schedule, meter=meter)
     if mode == "rand":
@@ -153,15 +128,15 @@ def _coordination_journal(
     cap: int,
     workers: int,
     faults: bool,
-    prefix_cache: bool,
-    memo: bool,
     dpor: bool,
 ):
     """Create a fresh hunt journal, or load + validate one for resumption.
 
     The header pins the hunt's identity; resuming under a different
     scenario/mode/seed/cap would silently change what the committed prefix
-    means, so any mismatch refuses instead of continuing.
+    means, so any mismatch refuses instead of continuing.  Journals written
+    with the state memo on carry commits this build cannot honour, so they
+    are refused too.
     """
     import uuid
 
@@ -177,8 +152,6 @@ def _coordination_journal(
         "workers": workers,
         "faults": faults,
         "fixed": recorded.fixed,
-        "prefix_cache": prefix_cache,
-        "memo": memo,
         "dpor": dpor,
     }
     if resume is not None:
@@ -188,6 +161,11 @@ def _coordination_journal(
                 f"{resume}: journal is final (hunt completed); nothing to resume"
             )
         saved = loaded.header.get("hunt", {})
+        if saved.get("memo"):
+            raise JournalError(
+                f"{resume}: journal was written with memo: true; this build "
+                "has no state memo and cannot resume its pruned commits"
+            )
         mismatched = {
             key: (saved.get(key), value)
             for key, value in config.items()
@@ -214,10 +192,8 @@ def hunt(
     meter: Optional[ResourceMeter] = None,
     workers: int = 1,
     parallel_backend: str = "process",
-    prefix_cache: bool = False,
-    memo: bool = False,
     dpor: bool = False,
-    sanitize: Optional[float] = None,
+    sanitize: bool = False,
     sanitize_sample_k: int = 2,
     faults: bool = False,
     replay_timeout_s: Optional[float] = None,
@@ -237,20 +213,15 @@ def hunt(
 ) -> ExplorationResult:
     """Explore until the scenario's invariant breaks (bug reproduced).
 
-    ``prefix_cache=True`` enables incremental prefix-reuse replay;
-    ``workers > 1`` shards candidates across parallel worker engines while
-    keeping the reported first violation identical to a serial hunt.
-    ``parallel_backend`` picks the pool flavour: ``"process"`` (default)
-    runs shared-nothing ``multiprocessing`` workers with prefix-shard
-    scheduling (true multicore scaling on pure-CPU subjects), ``"thread"``
-    keeps the in-process thread pool (worth it only when replays block on
-    I/O or locks; also the only backend that feeds per-replay spans into a
-    shared tracer).
+    ``workers > 1`` shards candidates across shared-nothing worker
+    processes with prefix-shard scheduling, keeping the reported first
+    violation identical to a serial hunt.  ``parallel_backend`` only
+    accepts ``"process"``, the one multi-worker backend.
+    ``dpor`` adds the DPOR pruner (see :func:`make_explorer`).
     ``sanitize`` runs the differential soundness sanitizer alongside the
-    hunt: a ``sanitize`` fraction of cache-accelerated replays are
-    shadow-replayed from scratch, and every pruner's equivalence classes
-    are sampled and differentially replayed afterwards.  The report lands
-    on ``result.sanitizer``.
+    hunt: every pruner's equivalence classes are sampled and
+    differentially replayed afterwards.  The report lands on
+    ``result.sanitizer``.
 
     ``faults=True`` compiles the scenario's :meth:`BugScenario.fault_plan`
     into the schedule: the crash/recover (and partition/heal) events are
@@ -279,6 +250,10 @@ def hunt(
     ``steal_margin`` sets how far a coordinated worker may trail the lead
     before its shard suffix is stolen (``None`` disables stealing).
     """
+    if parallel_backend != "process":
+        raise ValueError(
+            f"unknown parallel backend {parallel_backend!r}; expected 'process'"
+        )
     observed_tracer = tracer if tracer is not None else NULL_TRACER
     observed_metrics = metrics if metrics is not None else NULL_METRICS
     schedule: Optional[Sequence[Event]] = None
@@ -301,14 +276,8 @@ def hunt(
         order_constraints = compiled.order_constraints
     if replay_timeout_s is not None:
         recorded.engine.executor = SequentialExecutor(timeout_s=replay_timeout_s)
-    coordinated = journal is not None or resume is not None
-    use_process = (workers > 1 or coordinated) and parallel_backend == "process"
     explorer = make_explorer(
-        recorded, mode, seed=seed, meter=meter, events=schedule,
-        memo=memo, dpor=dpor,
-        # Process workers consult the memo at replay time, so the parent's
-        # pipeline must match theirs (the sanitizer zips pruner lists).
-        memo_in_stream=not use_process,
+        recorded, mode, seed=seed, meter=meter, events=schedule, dpor=dpor,
     )
     explorer.order_constraints = order_constraints
     explorer.tracer = observed_tracer
@@ -320,17 +289,15 @@ def hunt(
         explorer.fault_plan_description = fault_plan.describe()
     assertions = recorded.scenario.make_assertions()
     sanitizer: Optional[Sanitizer] = None
-    if sanitize is not None:
-        sanitizer = Sanitizer(rate=sanitize, sample_k=sanitize_sample_k, seed=seed)
-        sanitizer.watch_engine(recorded.engine)
+    if sanitize:
+        sanitizer = Sanitizer(sample_k=sanitize_sample_k, seed=seed)
         if isinstance(explorer, ERPiExplorer):
             sanitizer.watch_pruners(explorer.pipeline.pruners)
             explorer.audit_pruners.append(
                 sanitizer.grouping_auditor(recorded.events, explorer.spec_groups)
             )
-    if coordinated and parallel_backend != "process":
-        raise ValueError("journal/resume requires the process backend")
-    if use_process:
+    coordinated = journal is not None or resume is not None
+    if workers > 1 or coordinated:
         from repro.core.procpool import ProcessParallelExplorer, ScenarioWorkerTask
 
         task = ScenarioWorkerTask(
@@ -340,12 +307,10 @@ def hunt(
             fixed=recorded.fixed,
             faults=faults,
             replay_timeout_s=replay_timeout_s,
-            memo=memo,
             dpor=dpor,
         )
         pool_kwargs = dict(
             workers=workers,
-            prefix_cache=prefix_cache,
             sanitize=sanitize,
             sanitize_sample_k=sanitize_sample_k,
             seed=seed,
@@ -357,8 +322,7 @@ def hunt(
 
             hunt_journal = _coordination_journal(
                 journal, resume, recorded, mode=mode, seed=seed, cap=cap,
-                workers=workers, faults=faults, prefix_cache=prefix_cache,
-                memo=memo, dpor=dpor,
+                workers=workers, faults=faults, dpor=dpor,
             )
             parallel = CoordinatedHuntExplorer(
                 explorer,
@@ -377,25 +341,7 @@ def hunt(
         result = parallel.explore(
             recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation
         )
-    elif workers > 1:
-        if parallel_backend != "thread":
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                "expected 'process' or 'thread'"
-            )
-        parallel = ParallelExplorer(
-            explorer,
-            workers=workers,
-            cluster_factory=recorded.cluster_factory,
-            assertions_factory=recorded.scenario.make_assertions,
-            prefix_cache=prefix_cache,
-        )
-        result = parallel.explore(
-            recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation
-        )
     else:
-        if prefix_cache and recorded.engine.prefix_cache is None:
-            recorded.engine.enable_prefix_cache(meter=meter)
         result = explorer.explore(
             recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation
         )

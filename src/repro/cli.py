@@ -45,15 +45,11 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     recorded = record_scenario(sc)
     extras = []
     if args.workers > 1:
-        extras.append(f"{args.workers} {args.parallel_backend} workers")
-    if args.prefix_cache:
-        extras.append("prefix cache")
-    if args.memo:
-        extras.append("state memo")
+        extras.append(f"{args.workers} process workers")
     if args.dpor:
         extras.append("dpor")
-    if args.sanitize is not None:
-        extras.append(f"sanitize {args.sanitize:g}")
+    if args.sanitize:
+        extras.append("sanitize")
     if args.faults:
         plan = sc.fault_plan()
         extras.append(
@@ -90,9 +86,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         cap=args.cap,
         seed=args.seed,
         workers=args.workers,
-        parallel_backend=args.parallel_backend,
-        prefix_cache=args.prefix_cache,
-        memo=args.memo,
         dpor=args.dpor,
         sanitize=args.sanitize,
         faults=args.faults,
@@ -117,15 +110,10 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         )
     if metrics is not None:
         print(metrics.summary())
-    if args.memo or args.dpor:
-        semantic = {
-            name: result.pruning_stats.get(name, 0)
-            for name, wanted in (("state_memo", args.memo), ("dpor", args.dpor))
-            if wanted
-        }
+    if args.dpor:
         print(
-            "semantic pruning: "
-            + ", ".join(f"{name} skipped {count:,}" for name, count in semantic.items())
+            "semantic pruning: dpor skipped "
+            f"{result.pruning_stats.get('dpor', 0):,}"
         )
     coordination = getattr(result, "coordination", None)
     if coordination is not None:
@@ -291,7 +279,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
     sc = scenario(args.bug)
     cluster = sc.build_cluster()
-    erpi = ErPi(cluster, persist=True, memo=args.memo, dpor=args.dpor)
+    erpi = ErPi(cluster, persist=True, dpor=args.dpor)
     erpi.start()
     sc.workload(cluster)
     for pair in sc.spec_groups():
@@ -328,8 +316,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             "erpi",
             cap=args.cap,
             seed=args.seed,
-            prefix_cache=args.prefix_cache and not with_faults,
-            sanitize=args.rate,
+            sanitize=True,
             sanitize_sample_k=args.sample_k,
             faults=with_faults,
             stop_on_violation=not with_faults,
@@ -342,21 +329,20 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 result.explored,
                 report.classes_checked,
                 report.members_checked,
-                report.shadow_checks,
                 len(report.divergences),
                 "OK" if report.ok else "DIVERGED",
             ]
         )
     print(
         format_table(
-            ["Bug", "Replays", "Classes", "Members", "Shadow", "Div", "Verdict"],
+            ["Bug", "Replays", "Classes", "Members", "Div", "Verdict"],
             rows,
         )
     )
     if total_divergences:
-        print(f"\n{total_divergences} divergence(s): pruning or cache is UNSOUND")
+        print(f"\n{total_divergences} divergence(s): pruning is UNSOUND")
         return 1
-    print("\nall equivalence classes and shadow replays agree")
+    print("\nall equivalence classes agree")
     return 0
 
 
@@ -373,7 +359,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             args.mode,
             cap=args.cap,
             seed=args.seed,
-            memo=args.memo,
             dpor=args.dpor,
             faults=True,
             replay_timeout_s=args.replay_timeout,
@@ -408,9 +393,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     sc = scenario(args.bug)
     cluster = sc.build_cluster()
-    profiler = ResourceProfiler(
-        cluster, spec_groups=sc.spec_groups(), use_prefix_cache=args.prefix_cache
-    )
+    profiler = ResourceProfiler(cluster, spec_groups=sc.spec_groups())
     profiler.start()
     sc.workload(cluster)
     report = profiler.end(cap=args.cap)
@@ -444,29 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="shard candidate replays across N worker engines (deterministic)",
-    )
-    hunt.add_argument(
-        "--parallel-backend",
-        choices=("thread", "process"),
-        default="process",
-        help="pool flavour for --workers > 1: 'process' (default) runs "
-        "shared-nothing multiprocessing workers with prefix-shard "
-        "scheduling; 'thread' keeps the in-process pool (only worth it "
-        "when replays block on I/O or locks)",
-    )
-    hunt.add_argument(
-        "--prefix-cache",
-        action="store_true",
-        help="reuse cached event-prefix snapshots between replays",
-    )
-    hunt.add_argument(
-        "--memo",
-        action="store_true",
-        help="memoize canonical state digests and skip replays whose suffix "
-        "outcome is already known from an equal intermediate state "
-        "(sound-or-off: auto-disabled for subjects without "
-        "canonical_state(), and never applied across fault events)",
+        help="shard candidate replays across N shared-nothing worker "
+        "processes (deterministic)",
     )
     hunt.add_argument(
         "--dpor",
@@ -476,13 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hunt.add_argument(
         "--sanitize",
-        nargs="?",
-        const=1.0,
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="differentially check pruning classes and (at RATE, default 1.0)"
-        " shadow-replay cache-accelerated results; exit 2 on divergence",
+        action="store_true",
+        help="differentially replay sampled pruning classes; exit 2 on "
+        "divergence",
     )
     hunt.add_argument(
         "--faults",
@@ -512,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         action="store_true",
         help="count interleavings generated/pruned/replayed/quarantined, "
-        "cache hits, messages and replay latency; print the totals",
+        "messages and replay latency; print the totals",
     )
     durability = hunt.add_mutually_exclusive_group()
     durability.add_argument(
@@ -607,11 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile", help="resource-profile a bug workload")
     profile.add_argument("bug")
     profile.add_argument("--cap", type=int, default=300)
-    profile.add_argument(
-        "--prefix-cache",
-        action="store_true",
-        help="reuse cached event-prefix snapshots between replays",
-    )
 
     export = sub.add_parser(
         "export", help="export a bug workload's session as a Datalog program"
@@ -619,11 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("bug")
     export.add_argument("output")
     export.add_argument("--cap", type=int, default=200)
-    export.add_argument(
-        "--memo",
-        action="store_true",
-        help="arm the state-digest memo; prunes land as memo(digest, il) facts",
-    )
     export.add_argument(
         "--dpor",
         action="store_true",
@@ -633,18 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sanitize = sub.add_parser(
         "sanitize",
-        help="differential soundness sweep: sample every pruner class and "
-        "shadow-replay cached results across all bug scenarios",
+        help="differential soundness sweep: sample every pruner class "
+        "across all bug scenarios",
     )
     sanitize.add_argument("--cap", type=int, default=200)
     sanitize.add_argument("--seed", type=int, default=0)
-    sanitize.add_argument("--rate", type=float, default=1.0)
     sanitize.add_argument("--sample-k", type=int, default=2)
-    sanitize.add_argument(
-        "--prefix-cache",
-        action="store_true",
-        help="also exercise (and shadow-check) prefix-cache replay",
-    )
     sanitize.add_argument(
         "--faults",
         action="store_true",
@@ -659,13 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--mode", choices=("erpi", "dfs", "rand"), default="erpi")
     faults.add_argument("--cap", type=int, default=10_000)
     faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument(
-        "--memo",
-        action="store_true",
-        help="enable the state-digest memo pruner (inert on fault-bearing "
-        "candidates, which is every candidate here — exercises the "
-        "fault-boundary gating)",
-    )
     faults.add_argument(
         "--dpor",
         action="store_true",

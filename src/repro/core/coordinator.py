@@ -485,8 +485,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         explorer, engine, assertions, _audit = self.task.build()
         # The owner stream must make byte-identical pruning decisions to the
         # workers' streams, so its pruners are bound the same way (the DPOR
-        # pruner is a deterministic function of the schedule; the replay
-        # memo never participates in stream-time pruning).
+        # pruner is a deterministic function of the schedule).
         explorer.bind_semantic((engine,), assertions)
         if self.base.metrics.enabled:
             self._owner_metrics = MetricsRegistry()
@@ -542,7 +541,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         violating: Optional[InterleavingOutcome] = None
         violation_messages: List[str] = []
         explored = 0
-        parent_pruned = 0  # replay-time memo hits committed as prunes
         next_index = 0
 
         # ---- replay the journal's committed prefix (resume) -------------
@@ -550,15 +548,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             verdict = record["verdict"]
             il_key = record["il"]
             next_index += 1
-            if verdict == "pruned":
-                # A memo hit committed by the previous incarnation: it
-                # consumed a candidate index but was never explored.
-                parent_pruned += 1
-                if metrics.enabled:
-                    metrics.inc("coordinator.commits.resumed")
-                    metrics.inc("interleavings.pruned")
-                    metrics.inc("pruned.state_memo")
-                continue
             verdicts[il_key] = verdict
             explored += 1
             if metrics.enabled:
@@ -593,7 +582,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             return self._finish(
                 verdicts, quarantined, violating, explored, started,
                 crashed=False, crash_reason=None, finals={},
-                parent_pruned=parent_pruned,
             )
 
         if not self._started:
@@ -649,32 +637,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                         crash_reason = payload
                         done = True
                         break
-                    if kind == "pruned":
-                        # Replay-time memo hit (see procpool): journaled so a
-                        # resumed hunt keeps candidate indices aligned, but
-                        # not explored and absent from the verdict map,
-                        # matching a serial hunt's stream-time prune.
-                        parent_pruned += 1
-                        commits_since_checkpoint += 1
-                        il_key = "|".join(payload)
-                        if journal is not None:
-                            journal.commit(
-                                index=next_index - 1,
-                                verdict="pruned",
-                                il_key=il_key,
-                            )
-                        if metrics.enabled:
-                            metrics.inc("interleavings.pruned")
-                            metrics.inc("pruned.state_memo")
-                        if progress is not None:
-                            progress.tick(metrics)
-                        if (
-                            journal is not None
-                            and commits_since_checkpoint >= self.checkpoint_every
-                        ):
-                            self._checkpoint(next_index)
-                            commits_since_checkpoint = 0
-                        continue
                     explored += 1
                     commits_since_checkpoint += 1
                     if kind == "quarantine":
@@ -792,10 +754,8 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             if self._lease_table is not None:
                 self._lease_table.release_all()
             if metrics.enabled:
-                self._merge_metrics(metrics, finals, explored + parent_pruned)
-            self.base._finish_observation(engine, root, explored, mode=self.mode)
-            if metrics.enabled:
-                self._merge_cache_gauges(metrics, finals)
+                self._merge_metrics(metrics, finals, explored)
+            self.base._finish_observation(root, explored, mode=self.mode)
         self._merge_sanitizer(finals)
         if violating is None and not crashed:
             for flush in finals.values():
@@ -809,7 +769,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         return self._finish(
             verdicts, quarantined, violating, explored, started,
             crashed=crashed, crash_reason=crash_reason, finals=finals,
-            parent_pruned=parent_pruned,
             commit_point=next_index if done else None,
         )
 
@@ -853,12 +812,11 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         crashed: bool,
         crash_reason: Optional[str],
         finals: Dict[int, Dict[str, Any]],
-        parent_pruned: int = 0,
         commit_point: Optional[int] = None,
     ) -> ExplorationResult:
         journal = self.journal
         if journal is not None:
-            self._checkpoint(explored + parent_pruned)  # compact the tail
+            self._checkpoint(explored)  # compact the tail
             journal.final(
                 found=violating is not None,
                 explored=explored,
@@ -868,10 +826,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             journal.close()
         canonical = self._canonical_flush(finals)
         pruning_stats = self._pruning_stats_at(finals, commit_point)
-        if parent_pruned:
-            pruning_stats["state_memo"] = (
-                pruning_stats.get("state_memo", 0) + parent_pruned
-            )
         elapsed = time.perf_counter() - started
         result = ExplorationResult(
             mode=self.mode,

@@ -6,7 +6,7 @@ committed verdict is journaled *before* the hunt moves past it.  The journal
 is JSONL, one record per line:
 
 * ``header``  — the hunt's identity and configuration (scenario, mode, seed,
-  cap, workers, fault/cache flags).  Always the first line; ``--resume``
+  cap, workers, fault flags).  Always the first line; ``--resume``
   rebuilds the whole hunt stack from it.
 * ``commit``  — one committed verdict, in global candidate order: index,
   verdict (``ok`` / ``violation`` / ``quarantine``), the interleaving key,

@@ -1,14 +1,11 @@
 """Shared-nothing multiprocess exploration with prefix-shard scheduling.
 
-:class:`~repro.core.explorers.ParallelExplorer` fans replays out over a
-``ThreadPoolExecutor``, which the GIL serialises on pure-CPU subjects (the
-``parallel4`` bench arm runs *slower* than the serial prefix-cache arm).
-:class:`ProcessParallelExplorer` replaces the pool with ``multiprocessing``
+:class:`ProcessParallelExplorer` fans replays out over ``multiprocessing``
 workers that share **nothing**: each worker rebuilds its own cluster,
-:class:`~repro.core.replay.ReplayEngine`, delta-trie prefix cache, pruner
-pipeline and per-worker metrics registries from a picklable
-:class:`WorkerTask` spec, so replays proceed on separate cores with zero
-cross-process synchronisation on the hot path.
+:class:`~repro.core.replay.ReplayEngine`, pruner pipeline and per-worker
+metrics registries from a picklable :class:`WorkerTask` spec, so replays
+proceed on separate cores with zero cross-process synchronisation on the
+hot path (a thread pool would serialise pure-CPU replays on the GIL).
 
 Determinism is preserved without shipping candidates at all:
 
@@ -28,8 +25,7 @@ Determinism is preserved without shipping candidates at all:
   :class:`PrefixShardRouter` assigns keys to workers round-robin in order
   of first appearance (a deterministic rule — unlike ``hash()``, which is
   randomised per process).  Minimal-change orders (SJT) mutate the prefix
-  slowly, so consecutive candidates usually land on the same worker and its
-  prefix cache keeps its high hit rate;
+  slowly, so consecutive candidates usually land on the same worker;
 * verdicts stream back as **columnar frames** (:class:`AdaptiveBatcher`):
   event ids are interned as positions into the shared schedule — both
   sides derive the identical table independently — verdict records are
@@ -66,12 +62,6 @@ committed candidate enumerated at least that far).  Per-pruner prune counts
 are read at the commit point instead: each worker ships its counts at every
 stream position where they changed, so a hunt that stops on a violation
 reports the prunes a serial hunt made, not those of the furthest worker.
-
-Worker-local prefix caches stay sound for the same reason one engine's
-cache is: the cache is only active when every replica of that worker's own
-cluster supports state views (the sound-or-off rule enforced by
-``ReplayEngine.prefix_cache_active()``), and no snapshot ever crosses a
-process boundary.
 """
 
 from __future__ import annotations
@@ -135,7 +125,7 @@ class PrefixShardRouter:
 
 
 def auto_prefix_len(stream_width: int, workers: int) -> int:
-    """Shard-key length balancing granularity against cache locality.
+    """Shard-key length balancing granularity against prefix locality.
 
     One leading unit gives ``stream_width`` shards; when that is not at
     least twice the worker count the shards are too coarse to balance, so
@@ -181,7 +171,6 @@ class ScenarioWorkerTask(WorkerTask):
     fixed: bool = False
     faults: bool = False
     replay_timeout_s: Optional[float] = None
-    memo: bool = False
     dpor: bool = False
 
     def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion], tuple]:
@@ -210,12 +199,7 @@ class ScenarioWorkerTask(WorkerTask):
                 timeout_s=self.replay_timeout_s
             )
         explorer = make_explorer(
-            recorded, self.mode, seed=self.seed, events=schedule,
-            memo=self.memo, dpor=self.dpor,
-            # A stream-time memo prune driven by a worker-local table would
-            # desynchronise candidate indices across workers; the memo is
-            # consulted at replay time instead (see _run_worker).
-            memo_in_stream=False,
+            recorded, self.mode, seed=self.seed, events=schedule, dpor=self.dpor,
         )
         explorer.order_constraints = order_constraints
         if fault_plan is not None:
@@ -244,10 +228,9 @@ class CallableWorkerTask(WorkerTask):
 #: are fully described by (index, kind, event positions); codes at or above
 #: it carry exactly one entry in the frame's ``other`` list.
 _KIND_OK = 0
-_KIND_PRUNED = 1
-_KIND_VIOLATION = 2
-_KIND_QUARANTINE = 3
-_KIND_CRASHED = 4
+_KIND_VIOLATION = 1
+_KIND_QUARANTINE = 2
+_KIND_CRASHED = 3
 
 #: Distinguishes "stream exhausted" from "foreign-shard position" in the
 #: sharded candidate stream, where ``None`` is a legitimate yield.
@@ -362,11 +345,10 @@ class _WorkerConfig:
     workers: int
     cap: int
     stop_on_violation: bool
-    prefix_cache: bool
     collect_metrics: bool
     batch_size: int
     prefix_len: Optional[int]
-    sanitize: Optional[float]
+    sanitize: bool
     sanitize_sample_k: int
     seed: int
     #: How many candidates between checks of the shared stop flag (each
@@ -430,10 +412,10 @@ def _worker_main(task, config, conn, stop_event, go_event) -> None:
 
 class _WorkerRuntime:
     __slots__ = ("explorer", "engine", "assertions", "sanitizer", "router",
-                 "stream_metrics", "replay_metrics", "memo")
+                 "stream_metrics", "replay_metrics")
 
     def __init__(self, explorer, engine, assertions, sanitizer, router,
-                 stream_metrics, replay_metrics, memo=None) -> None:
+                 stream_metrics, replay_metrics) -> None:
         self.explorer = explorer
         self.engine = engine
         self.assertions = assertions
@@ -441,7 +423,6 @@ class _WorkerRuntime:
         self.router = router
         self.stream_metrics = stream_metrics
         self.replay_metrics = replay_metrics
-        self.memo = memo
 
 
 def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
@@ -453,27 +434,18 @@ def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
     if config.collect_metrics:
         # Two shards per worker: the explorer writes stream-side counters
         # (generated / pruned / invalid), the engine writes replay-side ones
-        # (cache hits, messages, durations).  The parent merges them under
+        # (messages, durations).  The parent merges them under
         # different rules — see ProcessParallelExplorer._merge_metrics.
         stream_metrics = MetricsRegistry()
         replay_metrics = MetricsRegistry()
         explorer.metrics = stream_metrics
         engine.metrics = replay_metrics
-    if config.prefix_cache and engine.prefix_cache is None:
-        # Charge retained snapshots to the meter only when a budget is
-        # actually armed: the deep footprint walk roughly doubles the cost
-        # of a cached replay, and the default unlimited meter enforces
-        # nothing the walk could trip.
-        meter = explorer.meter if explorer.meter.budget_bytes is not None else None
-        engine.enable_prefix_cache(meter=meter)
     sanitizer = None
-    if config.sanitize is not None:
+    if config.sanitize:
         sanitizer = Sanitizer(
-            rate=config.sanitize,
             sample_k=config.sanitize_sample_k,
             seed=config.seed,
         )
-        sanitizer.watch_engine(engine)
         if isinstance(explorer, ERPiExplorer):
             sanitizer.watch_pruners(explorer.pipeline.pruners)
             explorer.audit_pruners.append(
@@ -482,23 +454,13 @@ def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
     # Bind the semantic pruners exactly as a serial explore() would (the
     # worker loop pulls candidates() directly, bypassing explore()).
     explorer.bind_semantic((engine,), assertions)
-    memo = getattr(explorer, "replay_memo", None)
-    if memo is not None:
-        memo.bind((engine,), assertions, meter=explorer.meter)
-        if not memo.enabled:
-            memo = None
-    # Runtime write-set validation can disable the DPOR pruner, and a
-    # disable observed by one worker but not another would desynchronise
-    # the candidate streams.  The static footprint model is conservative on
-    # its own; the validation hook stays a serial-path defence.
-    engine.footprint_observer = None
     prefix_len = config.prefix_len or auto_prefix_len(
         _stream_width(explorer), config.workers
     )
     router = PrefixShardRouter(config.workers, prefix_len)
     return _WorkerRuntime(
         explorer, engine, assertions, sanitizer, router,
-        stream_metrics, replay_metrics, memo=memo,
+        stream_metrics, replay_metrics,
     )
 
 
@@ -586,14 +548,6 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                 # of this hunt; re-replaying it would only produce a result
                 # the parent will deduplicate away.
                 continue
-            if runtime.memo is not None and runtime.memo.is_redundant(interleaving):
-                # Replay-time memo hit on an owned candidate: the stitched
-                # outcome was clean, so ship a "pruned" verdict instead of
-                # re-replaying.  (Stream-time pruning would shift candidate
-                # indices, which must stay identical across workers.)
-                record(index, _KIND_PRUNED,
-                       [eidx[event.event_id] for event in interleaving])
-                continue
             if throttle_s is not None:
                 time.sleep(throttle_s)
             try:
@@ -609,11 +563,10 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
             else:
                 positions = [eidx[event.event_id] for event in interleaving]
                 if outcome.violated:
-                    # Forcing .states happens inside __getstate__ at pickle
-                    # time; shipping the whole outcome keeps the parent's
-                    # result identical to a serial run's.  It rides the
-                    # frame as pickle bytes the parent defers deserialising
-                    # until (unless) this index actually commits.
+                    # Shipping the whole outcome keeps the parent's result
+                    # identical to a serial run's.  It rides the frame as
+                    # pickle bytes the parent defers deserialising until
+                    # (unless) this index actually commits.
                     record(index, _KIND_VIOLATION, positions,
                            other=pickle.dumps(
                                outcome, protocol=pickle.HIGHEST_PROTOCOL))
@@ -656,7 +609,6 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
                   materialized: int, ipc_bytes: int, pruner_names: List[str],
                   prune_points: array) -> Dict[str, Any]:
     explorer = runtime.explorer
-    engine = runtime.engine
     flush: Dict[str, Any] = {
         "yields": yields,
         "materialized": materialized,
@@ -670,8 +622,7 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
         "meter": dict(explorer.meter.by_category),
         "stream": None,
         "replay": None,
-        "cache": None,
-        "sanitizer": None,
+        "samplers": None,
     }
     if runtime.stream_metrics is not None:
         widx = config.worker_index
@@ -681,22 +632,9 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
         flush["replay"] = runtime.replay_metrics.to_payload(
             epoch=("replay", widx, config.attempt)
         )
-    cache = engine.prefix_cache
-    if cache is not None:
-        flush["cache"] = {
-            "entries": cache.stats.entries,
-            "retained_bytes": cache.stats.retained_bytes,
-            "hits": cache.stats.hits,
-            "replays": cache.stats.replays,
-        }
     sanitizer = runtime.sanitizer
     if sanitizer is not None:
-        flush["sanitizer"] = {
-            "samplers": [pruner.sampler for pruner in sanitizer.watched_pruners],
-            "divergences": sanitizer.log.divergences,
-            "checks": sanitizer.checker.checks,
-            "overhead_s": sanitizer.checker.overhead_s,
-        }
+        flush["samplers"] = [pruner.sampler for pruner in sanitizer.watched_pruners]
     return flush
 
 
@@ -740,12 +678,11 @@ class QuietWorkerDetector:
 class ProcessParallelExplorer:
     """Drive a pool of shared-nothing exploration workers.
 
-    Construction mirrors :class:`~repro.core.explorers.ParallelExplorer`
-    (``base`` supplies the mode label and the observability objects), plus a
-    :class:`WorkerTask` that each worker uses to rebuild the whole stack in
-    its own process.  ``explore`` matches the serial ``Explorer.explore``
-    signature and return type, and its committed results are bit-for-bit
-    those of a serial run.
+    ``base`` (the parent's explorer) supplies the mode label, the schedule
+    and the observability objects; the :class:`WorkerTask` is what each
+    worker uses to rebuild the whole stack in its own process.  ``explore``
+    matches the serial ``Explorer.explore`` signature and return type, and
+    its committed results are bit-for-bit those of a serial run.
 
     ``prestart()`` optionally spawns and bootstraps the pool up front (the
     bench uses it to keep worker startup out of the timed region); otherwise
@@ -760,8 +697,7 @@ class ProcessParallelExplorer:
         base: Explorer,
         task: WorkerTask,
         workers: int = 4,
-        prefix_cache: bool = False,
-        sanitize: Optional[float] = None,
+        sanitize: bool = False,
         sanitize_sample_k: int = 2,
         seed: int = 0,
         batch_size: int = 64,
@@ -781,7 +717,6 @@ class ProcessParallelExplorer:
         self.base = base
         self.task = task
         self.workers = workers
-        self.prefix_cache = prefix_cache
         self.sanitize = sanitize
         self.sanitize_sample_k = sanitize_sample_k
         self.seed = seed
@@ -881,7 +816,6 @@ class ProcessParallelExplorer:
             workers=self.workers,
             cap=self._cap,
             stop_on_violation=self._stop_on_violation,
-            prefix_cache=self.prefix_cache,
             collect_metrics=self.base.metrics.enabled,
             batch_size=self.batch_size,
             prefix_len=self.prefix_len,
@@ -962,7 +896,6 @@ class ProcessParallelExplorer:
         quarantined: List[QuarantinedReplay] = []
         next_index = 0
         explored = 0
-        parent_pruned = 0  # replay-time memo hits committed as prunes
         violating: Optional[InterleavingOutcome] = None
         crashed = False
         crash_reason: Optional[str] = None
@@ -988,18 +921,6 @@ class ProcessParallelExplorer:
                         crash_reason = payload
                         done = True
                         break
-                    if kind == "pruned":
-                        # A worker's replay-time memo hit: counted exactly
-                        # like a stream-time prune (not explored, no verdict
-                        # entry — matching a serial hunt, where the pipeline
-                        # drops the candidate before it is ever yielded).
-                        parent_pruned += 1
-                        if metrics.enabled:
-                            metrics.inc("interleavings.pruned")
-                            metrics.inc("pruned.state_memo")
-                        if progress is not None:
-                            progress.tick(metrics)
-                        continue
                     explored += 1
                     if kind == "quarantine":
                         quarantined.append(payload)
@@ -1058,12 +979,8 @@ class ProcessParallelExplorer:
         finally:
             self._shutdown(drain_finals=finals)
             if metrics.enabled:
-                # Committed = explored + parent-side prunes: both consume a
-                # candidate index, so both come out of the discard residue.
-                self._merge_metrics(metrics, finals, explored + parent_pruned)
-            self.base._finish_observation(engine, root, explored, mode=self.mode)
-            if metrics.enabled:
-                self._merge_cache_gauges(metrics, finals)
+                self._merge_metrics(metrics, finals, explored)
+            self.base._finish_observation(root, explored, mode=self.mode)
         # A hunt that stopped early reports the prune counts at its commit
         # point; one that drained every worker's stream, the final counts.
         pruning_stats = self._pruning_stats_at(
@@ -1082,10 +999,6 @@ class ProcessParallelExplorer:
             crashed = False
             crash_reason = None
         canonical = self._canonical_flush(finals)
-        if parent_pruned:
-            pruning_stats["state_memo"] = (
-                pruning_stats.get("state_memo", 0) + parent_pruned
-            )
         elapsed = time.perf_counter() - started
         return ExplorationResult(
             mode=self.mode,
@@ -1188,8 +1101,6 @@ class ProcessParallelExplorer:
             pos += count
             if kind == _KIND_OK:
                 records.append((index, "ok", il_ids))
-            elif kind == _KIND_PRUNED:
-                records.append((index, "pruned", il_ids))
             elif kind == _KIND_VIOLATION:
                 records.append((index, "violation", (il_ids, other[oidx])))
                 oidx += 1
@@ -1341,45 +1252,19 @@ class ProcessParallelExplorer:
         for category, nbytes in canonical["meter"].items():
             metrics.set_gauge("resource.bytes." + category, nbytes)
 
-    @staticmethod
-    def _merge_cache_gauges(metrics, finals) -> None:
-        entries = 0
-        retained = 0
-        any_cache = False
-        for flush in finals.values():
-            cache = flush["cache"]
-            if cache is not None:
-                any_cache = True
-                entries += cache["entries"]
-                retained += cache["retained_bytes"]
-        if any_cache:
-            metrics.set_gauge("cache.entries", entries)
-            metrics.set_gauge("cache.retained_bytes", retained)
-
     def _merge_sanitizer(self, finals) -> None:
-        """Adopt worker sanitizer state into the parent's sanitizer.
+        """Adopt the canonical worker's class samplers into the parent's
+        sanitizer.
 
-        Class samplers come from the canonical worker only (its stream is
-        the longest, so its classes subsume every other worker's); shadow
-        divergences and check counts are summed across workers (each worker
-        shadow-checks only the replays its shard owns, so they are
-        disjoint).  The caller then runs ``Sanitizer.finish`` against the
+        Its stream is the longest, so its classes subsume every other
+        worker's.  The caller then runs ``Sanitizer.finish`` against the
         parent's reference engine exactly as a serial hunt would.
         """
         parent = self.parent_sanitizer
         if parent is None:
             return
         canonical = self._canonical_flush(finals)
-        if canonical is None or canonical["sanitizer"] is None:
+        if canonical is None or canonical["samplers"] is None:
             return
-        watched = parent.watched_pruners
-        for pruner, sampler in zip(watched, canonical["sanitizer"]["samplers"]):
+        for pruner, sampler in zip(parent.watched_pruners, canonical["samplers"]):
             pruner.adopt_sampler(sampler)
-        for flush in finals.values():
-            data = flush["sanitizer"]
-            if data is None:
-                continue
-            for divergence in data["divergences"]:
-                parent.log.record(divergence)
-            parent.checker.checks += data["checks"]
-            parent.checker.overhead_s += data["overhead_s"]

@@ -141,14 +141,11 @@ class ResourceProfiler:
         cluster: Cluster,
         pruners: Optional[Sequence[Pruner]] = None,
         spec_groups: Optional[Sequence[Tuple[str, str]]] = None,
-        use_prefix_cache: bool = False,
     ) -> None:
         self.cluster = cluster
         self.pruners = list(pruners or [])
         self.spec_groups = list(spec_groups or [])
         self._engine = ReplayEngine(cluster)
-        if use_prefix_cache:
-            self._engine.enable_prefix_cache()
         self._recorder: Optional[EventRecorder] = None
 
     def start(self) -> None:

@@ -11,7 +11,6 @@ from repro.core.pruning.replica_specific import (
 )
 from repro.core.pruning.semantic import (
     DPORPruner,
-    StateMemoPruner,
     event_footprint,
     trace_normal_form,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "PrunerPipeline",
     "ReadScopedPruner",
     "ReplicaSpecificPruner",
-    "StateMemoPruner",
     "default_interference",
     "event_footprint",
     "observation_signature",

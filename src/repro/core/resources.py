@@ -75,48 +75,16 @@ def interleaving_footprint(event_count: int) -> int:
 
 
 def state_footprint(value: Any) -> int:
-    """A rough, deterministic byte estimate of an observable state.
-
-    Used both by the profiler (state-size distributions) and by the prefix
-    snapshot cache (charging retained snapshots to the meter).
-    """
-    return _footprint(value, None)
-
-
-def deep_footprint(value: Any) -> int:
-    """Like :func:`state_footprint` but also descends into arbitrary object
-    attributes (``__dict__``/``__slots__``), so CRDT-bearing snapshots are
-    charged for their real contents, not a shallow ``sys.getsizeof``."""
-    return _footprint(value, set())
-
-
-def _footprint(value: Any, seen: Optional[set]) -> int:
+    """A rough, deterministic byte estimate of an observable state (the
+    profiler's state-size distributions)."""
     if isinstance(value, dict):
         return 32 + sum(
-            _footprint(k, seen) + _footprint(v, seen) for k, v in value.items()
+            state_footprint(k) + state_footprint(v) for k, v in value.items()
         )
     if isinstance(value, (list, tuple, set, frozenset)):
-        return 24 + sum(_footprint(item, seen) for item in value)
+        return 24 + sum(state_footprint(item) for item in value)
     if isinstance(value, str):
         return 40 + len(value)
     if isinstance(value, (int, float, bool)) or value is None:
         return 24
-    if seen is not None:
-        oid = id(value)
-        if oid in seen:
-            return 8
-        seen.add(oid)
-        total = sys.getsizeof(value)
-        attrs = getattr(value, "__dict__", None)
-        if attrs:
-            total += sum(
-                _footprint(k, seen) + _footprint(v, seen) for k, v in attrs.items()
-            )
-        for klass in type(value).__mro__:
-            for slot in klass.__dict__.get("__slots__", ()):
-                if slot in ("__dict__", "__weakref__"):
-                    continue
-                if hasattr(value, slot):
-                    total += _footprint(getattr(value, slot), seen)
-        return total
     return sys.getsizeof(value)

@@ -34,7 +34,6 @@ def _run_hunt(journal_path: str, resume: bool = False):
         "erpi",
         cap=CAP,
         workers=2,
-        prefix_cache=True,
         stop_on_violation=False,
         checkpoint_every=16,
         journal=None if resume else journal_path,

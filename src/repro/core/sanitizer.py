@@ -1,15 +1,12 @@
-"""Differential soundness sanitizer for pruning and cached replay.
+"""Differential soundness sanitizer for pruning.
 
 ER-pi's headline guarantee — every interleaving it *skips* is equivalent to
-one it replayed — rests on two mechanisms that are sound by construction on
-paper but not self-checking in code:
+one it replayed — rests on its pruning algorithms (``repro.core.pruning``),
+which merge interleavings into equivalence classes and replay one
+representative per class.  They are sound by construction on paper but not
+self-checking in code.
 
-* the four pruning algorithms (``repro.core.pruning``) merge interleavings
-  into equivalence classes and replay one representative per class;
-* prefix-cache-accelerated replay (``repro.core.replay``) restores cached
-  event-prefix snapshots instead of re-executing the prefix.
-
-This module cross-validates both against ground truth (a from-scratch
+This module cross-validates them against ground truth (a from-scratch
 replay), in the spirit of MET's model-checked oracle and Replication-Aware
 Linearizability's "skipped member ≡ replayed representative" obligation:
 
@@ -19,9 +16,6 @@ Linearizability's "skipped member ≡ replayed representative" obligation:
   replays representative and members fresh and asserts the observables the
   class key promises to preserve are byte-identical (compared via
   :func:`~repro.core.assertions._freeze` digests of the observable states);
-* **shadow replay** — an online mode where a configurable fraction of
-  cache-accelerated replays are immediately re-replayed from scratch and
-  diffed field by field (:class:`ShadowReplayChecker`);
 * **Datalog facts** — every divergence is recorded as
   ``divergence(class_key, rep_id, member_id, field)`` in an
   :class:`~repro.datalog.store.InterleavingStore`, so violations are
@@ -32,13 +26,13 @@ promises a different equivalence:
 
 * replica-specific — the scoped replica's final state, reads and failed ops;
 * read-scoped — the scoped replica's observations up to its last READ;
-* independence / failed-ops / grouping — every replica's final state, every
-  READ result, and the set of failed event ids (global equivalence).
+* independence / failed-ops / grouping / DPOR — every replica's final
+  state, every READ result, and the set of failed event ids (global
+  equivalence).
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,7 +46,6 @@ from repro.core.pruning import (
     Pruner,
     ReadScopedPruner,
     ReplicaSpecificPruner,
-    StateMemoPruner,
 )
 from repro.core.replay import InterleavingOutcome, ReplayEngine
 
@@ -94,15 +87,6 @@ def scoped_observables(
         return _read_scoped_observables(pruner.replica_id, outcome)
     if isinstance(pruner, ReplicaSpecificPruner):
         return _replica_observables(pruner.replica_id, outcome)
-    if isinstance(pruner, StateMemoPruner):
-        # A memo class shares the post-prefix state and the suffix, but its
-        # members reach that state along *different* prefixes, so prefix
-        # READ results legitimately differ.  The digest equivalence itself
-        # promises exactly the final states; compare those.
-        return {
-            f"state[{rid}]": _freeze(state)
-            for rid, state in outcome.states.items()
-        }
     return outcome_observables(outcome)
 
 
@@ -182,10 +166,10 @@ _MISSING = _Missing()
 
 @dataclass(frozen=True)
 class Divergence:
-    """One broken equivalence: a skipped member (or cached replay) whose
-    observables differ from its representative (or fresh replay)."""
+    """One broken equivalence: a skipped member whose observables differ
+    from its representative's."""
 
-    source: str  # pruner name, or "prefix_cache"
+    source: str  # pruner name
     class_key: str
     rep_id: str
     member_id: str
@@ -241,7 +225,6 @@ class SanitizerReport:
     classes_checked: int = 0
     members_checked: int = 0
     fresh_replays: int = 0
-    shadow_checks: int = 0
     overhead_s: float = 0.0
 
     @property
@@ -254,7 +237,6 @@ class SanitizerReport:
             + ("OK" if self.ok else f"{len(self.divergences)} DIVERGENCE(S)"),
             f"  classes sampled: {self.classes_checked} "
             f"({self.members_checked} skipped members replayed)",
-            f"  shadow replays of cached results: {self.shadow_checks}",
             f"  fresh replays: {self.fresh_replays}, "
             f"overhead: {self.overhead_s * 1e3:.1f} ms",
         ]
@@ -265,92 +247,15 @@ class SanitizerReport:
         return "\n".join(lines)
 
 
-# ------------------------------------------------------- online shadow check
-
-
-class ShadowReplayChecker:
-    """Cross-check a fraction of cache-accelerated replays against scratch.
-
-    Attached to a :class:`~repro.core.replay.ReplayEngine` (its
-    ``sanitizer`` slot), which calls :meth:`maybe_check` after every replay
-    that actually went through the prefix cache.  With probability ``rate``
-    the checker forces the cached outcome's lazy state views, replays the
-    same interleaving from scratch, and records a divergence per observable
-    field that disagrees.  Thread-safe: parallel worker engines may share
-    one checker.
-    """
-
-    SOURCE = "prefix_cache"
-
-    def __init__(
-        self,
-        rate: float = 0.1,
-        seed: int = 0,
-        log: Optional[DivergenceLog] = None,
-    ) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("shadow-replay rate must be a probability")
-        self.rate = rate
-        self.log = log or DivergenceLog()
-        self._rng = random.Random(f"{seed}:shadow-replay")
-        self._lock = threading.Lock()
-        self.checks = 0
-        self.overhead_s = 0.0
-
-    def maybe_check(
-        self,
-        engine: ReplayEngine,
-        interleaving: Interleaving,
-        outcome: InterleavingOutcome,
-    ) -> bool:
-        """Shadow-replay ``interleaving`` with probability ``rate``.
-
-        Returns True when a check ran (regardless of verdict).
-        """
-        if self.rate <= 0.0:
-            return False
-        with self._lock:
-            roll = self._rng.random()
-        if roll >= self.rate:
-            return False
-        started = time.perf_counter()
-        # Force the cached outcome's lazy state thunk *before* the shadow
-        # replay mutates the cluster, then diff against ground truth.
-        cached = outcome_observables(outcome)
-        fresh = engine.replay_fresh(interleaving)
-        truth = outcome_observables(fresh)
-        il_id = interleaving_id(interleaving)
-        for name in diff_observables(truth, cached):
-            self.log.record(
-                Divergence(
-                    source=self.SOURCE,
-                    class_key=f"{self.SOURCE}#{il_id}",
-                    rep_id="fresh",
-                    member_id="cached",
-                    field=name,
-                    detail=(
-                        f"cached={cached.get(name, _MISSING)!r} "
-                        f"fresh={truth.get(name, _MISSING)!r}"
-                    ),
-                )
-            )
-        elapsed = time.perf_counter() - started
-        with self._lock:
-            self.checks += 1
-            self.overhead_s += elapsed
-        return True
-
-
 # ------------------------------------------------------------- orchestration
 
 
 class Sanitizer:
-    """Owns one run's divergence log, shadow checker and class sampling.
+    """Owns one run's divergence log and class sampling.
 
     Usage (what :class:`~repro.core.session.ErPi` and the bench harness do)::
 
-        sanitizer = Sanitizer(rate=0.25, sample_k=2)
-        sanitizer.watch_engine(engine)          # online shadow replays
+        sanitizer = Sanitizer(sample_k=2)
         sanitizer.watch_pruners(pipeline.pruners)  # class sampling
         ... explore ...
         report = sanitizer.finish(engine)       # differential class replay
@@ -358,7 +263,6 @@ class Sanitizer:
 
     def __init__(
         self,
-        rate: float = 0.1,
         sample_k: int = 2,
         seed: int = 0,
         store: Optional[Any] = None,
@@ -366,14 +270,9 @@ class Sanitizer:
         self.sample_k = sample_k
         self.seed = seed
         self.log = DivergenceLog(store=store)
-        self.checker = ShadowReplayChecker(rate=rate, seed=seed, log=self.log)
         self._watched: List[Pruner] = []
 
     # ------------------------------------------------------------- wiring
-
-    def watch_engine(self, engine: ReplayEngine) -> None:
-        """Attach the online shadow checker to ``engine``."""
-        engine.sanitizer = self.checker
 
     def watch_pruners(self, pruners: Iterable[Pruner]) -> None:
         """Enable class sampling on ``pruners`` and audit them at finish."""
@@ -473,8 +372,7 @@ class Sanitizer:
             classes_checked=classes_checked,
             members_checked=members_checked,
             fresh_replays=fresh_replays,
-            shadow_checks=self.checker.checks,
-            overhead_s=self.checker.overhead_s + elapsed,
+            overhead_s=elapsed,
         )
         if engine.metrics.enabled:
             engine.metrics.set_gauge("sanitizer.divergences", len(report.divergences))
@@ -516,7 +414,7 @@ def sanitize_pruning(
     reflecting this stream.  Pass freshly constructed pruners.
     """
     grouping = group_events(tuple(events), tuple(spec_groups))
-    sanitizer = Sanitizer(rate=0.0, sample_k=sample_k, seed=seed, store=store)
+    sanitizer = Sanitizer(sample_k=sample_k, seed=seed, store=store)
     sanitizer.watch_pruners(pruners)
     if include_grouping:
         sanitizer.grouping_auditor(events, spec_groups)

@@ -38,7 +38,6 @@ from repro.core.pruning import (
     Pruner,
     ReadScopedPruner,
     ReplicaSpecificPruner,
-    StateMemoPruner,
     event_footprint,
 )
 from repro.core.replay import (
@@ -173,10 +172,8 @@ class ErPi:
         persist: bool = False,
         lock_stepped: bool = False,
         read_methods: Optional[Sequence[str]] = None,
-        prefix_cache: bool = False,
-        memo: bool = False,
         dpor: bool = False,
-        sanitize: Optional[float] = None,
+        sanitize: bool = False,
         sanitize_sample_k: int = 2,
         sanitize_seed: int = 0,
         faults: Optional[FaultPlan] = None,
@@ -194,29 +191,18 @@ class ErPi:
         ``read_methods`` extends the recorder's READ classification with the
         custom library's query methods (defaults cover the built-in
         subjects).
-        ``prefix_cache`` enables incremental prefix-reuse replay: each
-        replay restores the longest already-executed event-id prefix and
-        re-executes only the suffix.  Results are identical either way; the
-        engine falls back to fresh full replays whenever reuse would be
-        unsound (lock-stepped executor, nondeterministic network, or a
-        subject without copy-on-write state views).
-        ``memo`` enables canonical state-hash memoization
-        (:class:`~repro.core.pruning.semantic.StateMemoPruner`): replays
-        whose stitched outcome is already known from an equal intermediate
-        digest are pruned.  ``dpor`` enables sleep-set pruning
+        ``dpor`` enables sleep-set pruning
         (:class:`~repro.core.pruning.semantic.DPORPruner`): permutations
-        that only reorder independent events are skipped.  Both are
-        sound-or-off — they stay disabled (and say why in
-        ``disabled_reason``) when a subject lacks ``canonical_state()`` or
-        the executor is not deterministic, and with ``persist=True`` their
-        prunes land as ``memo``/``footprint`` Datalog facts.
-        ``sanitize`` enables the differential soundness sanitizer: it is the
-        probability (0..1) that a cache-accelerated replay is shadow-replayed
-        from scratch and diffed; independently, every pruner's equivalence
-        classes are sampled (``sanitize_sample_k`` skipped members each) and
-        differentially replayed at :meth:`end`.  Divergences land in the
-        report (and, with ``persist=True``, as ``divergence`` Datalog
-        facts).
+        that only reorder independent events are skipped.  It is
+        sound-or-off — it stays disabled (and says why in
+        ``disabled_reason``) when the executor or the network is not
+        deterministic, and with ``persist=True`` its prunes land as
+        ``footprint`` Datalog facts.
+        ``sanitize`` enables the differential soundness sanitizer: every
+        pruner's equivalence classes are sampled (``sanitize_sample_k``
+        skipped members each) and differentially replayed at :meth:`end`.
+        Divergences land in the report (and, with ``persist=True``, as
+        ``divergence`` Datalog facts).
         ``faults`` attaches a :class:`~repro.faults.plan.FaultPlan`: its
         crash/recover (and partition/heal) events are compiled against the
         recorded events at :meth:`end` and interleaved exhaustively with
@@ -256,21 +242,15 @@ class ErPi:
         self._engine = ReplayEngine(cluster, executor)
         self._engine.tracer = self.tracer
         self._engine.metrics = self.metrics
-        if prefix_cache:
-            self._engine.enable_prefix_cache()
-        self.memo = memo
         self.dpor = dpor
-        self._memo_pruner: Optional[StateMemoPruner] = None
         self._dpor_pruner: Optional[DPORPruner] = None
         self._sanitizer: Optional[Sanitizer] = None
-        if sanitize is not None:
+        if sanitize:
             self._sanitizer = Sanitizer(
-                rate=sanitize,
                 sample_k=sanitize_sample_k,
                 seed=sanitize_seed,
                 store=self.store,
             )
-            self._sanitizer.watch_engine(self._engine)
         self._extra_constraints: List[Constraint] = []
 
     # ------------------------------------------------------------- markers
@@ -362,11 +342,8 @@ class ErPi:
                 pruners.append(ReplicaSpecificPruner(self.replica_scope))
         pruners.extend(pruners_from(constraints))
         self._dpor_pruner = DPORPruner() if self.dpor else None
-        self._memo_pruner = StateMemoPruner() if self.memo else None
         if self._dpor_pruner is not None:
             pruners.append(self._dpor_pruner)
-        if self._memo_pruner is not None:
-            pruners.append(self._memo_pruner)
 
         explorer = ERPiExplorer(
             schedule_events,
@@ -385,14 +362,10 @@ class ErPi:
             explorer.audit_pruners.append(
                 self._sanitizer.grouping_auditor(schedule_events, explorer.spec_groups)
             )
-        # Arm the semantic pruners (sound-or-off: bind refuses and records
-        # why when the engine or a subject cannot support them).
+        # Arm the semantic pruner (sound-or-off: bind refuses and records
+        # why when the engine cannot support it).
         if self._dpor_pruner is not None:
             self._dpor_pruner.bind((self._engine,), assertions)
-        if self._memo_pruner is not None:
-            self._memo_pruner.bind(
-                (self._engine,), assertions, meter=explorer.meter
-            )
 
         outcomes: List[InterleavingOutcome] = []
         violations: List[Tuple[int, str]] = []
@@ -496,14 +469,8 @@ class ErPi:
                 )
             for first_id, second_id in explorer.grouping.grouped_pairs:
                 self.store.persist_sync_pair(first_id, second_id)
-            # Semantic-pruning audit trail: each memo prune carries the
-            # digest that justified it, each DPOR prune the footprint-model
-            # entries behind the independence claim.
-            if self._memo_pruner is not None:
-                for digest, il_key in self._memo_pruner.memo_log:
-                    il_id = self.store.persist_interleaving(il_key.split("|"))
-                    self.store.mark_pruned(il_id, "state_memo")
-                    self.store.persist_memo(digest, il_id)
+            # Semantic-pruning audit trail: each DPOR prune carries the
+            # footprint-model entries behind the independence claim.
             if self._dpor_pruner is not None:
                 by_id = {event.event_id: event for event in schedule_events}
                 for il_key in self._dpor_pruner.prune_log:

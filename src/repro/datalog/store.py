@@ -10,7 +10,7 @@ Schema (all facts):
 * ``explored(il_id, verdict)`` — replay bookkeeping ("ok" / "violation").
 * ``divergence(class_key, rep_id, member_id, field)`` — soundness sanitizer
   findings: an equivalence-class member whose observables differ from its
-  representative (or a cached replay differing from a fresh one).
+  representative.
 * ``fault(event_id, replica_id, kind)`` — injected fault events
   (crash/recover/partition/heal) compiled from a session's FaultPlan.
 * ``quarantined(il_id, error_type)`` — replays captured by the quarantine
@@ -25,9 +25,6 @@ Schema (all facts):
   from a coordinated hunt (:mod:`repro.core.coordinator`).
 * ``degraded(component, reason)`` — the coordinator fell down its
   degradation ladder (e.g. lock farm lost quorum, leases moved in-process).
-* ``memo(digest, il_id)`` — a state-memo prune: the canonical cluster
-  digest whose memoized suffix outcome short-circuited interleaving
-  ``il_id`` (:class:`~repro.core.pruning.semantic.StateMemoPruner`).
 * ``footprint(il_id, event_id, mode, key)`` — the static read/write
   footprint model entry that justified pruning ``il_id`` as a reordering
   of independent events (:class:`~repro.core.pruning.semantic.DPORPruner`;
@@ -205,13 +202,6 @@ class InterleavingStore:
         return sorted(self.db.rows("degraded"))
 
     # ---------------------------------------------------- semantic pruning
-
-    def persist_memo(self, digest: str, il_id: int) -> None:
-        """Record one state-memo prune as a queryable fact."""
-        self.db.add("memo", digest, il_id)
-
-    def memos(self) -> List[Tuple[str, int]]:
-        return sorted(self.db.rows("memo"))
 
     def persist_footprint(
         self, il_id: int, event_id: str, mode: str, key: str

@@ -23,17 +23,13 @@ deepcopy.  The one deliberate difference: dictionary keys and set members
 are assumed to be effectively immutable (they must be hashable), so atomic
 keys are shared rather than copied.
 
-:func:`copy_state` is the switchable entry point the replay/sync machinery
-calls.  It defaults to :func:`fast_copy`; the :func:`legacy_deepcopy`
-context manager reverts it to ``copy.deepcopy`` so benchmarks can measure
-the seed engine's exact behaviour side by side.
+:func:`copy_state` is the entry point the replay/sync machinery calls.
 """
 
 from __future__ import annotations
 
 import copy as _stdlib_copy
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 _MISSING = object()
 
@@ -196,39 +192,6 @@ def _copy_plain_object(obj: Any, cls: type, memo: Dict[int, Any]) -> Any:
     return new
 
 
-#: When True (the default), ``copy_state`` uses ``fast_copy``; the
-#: ``legacy_deepcopy`` context manager flips it to ``copy.deepcopy``.
-_USE_FAST = True
-
-
 def copy_state(obj: Any) -> Any:
-    """Copy replica/transport state: fast by default, deepcopy in legacy mode."""
-    if _USE_FAST:
-        return fast_copy(obj)
-    return _stdlib_copy.deepcopy(obj)
-
-
-def fast_mode() -> bool:
-    """True when :func:`copy_state` routes through :func:`fast_copy`.
-
-    Hand-rolled snapshot paths (e.g. ``CRDTLibrary.checkpoint``) consult
-    this so :func:`legacy_deepcopy` reverts *every* copy specialisation,
-    keeping the benchmark's seed-engine arm faithful."""
-    return _USE_FAST
-
-
-@contextmanager
-def legacy_deepcopy() -> Iterator[None]:
-    """Temporarily route :func:`copy_state` through ``copy.deepcopy``.
-
-    Used by the throughput benchmark to measure the seed engine (which
-    deep-copied every snapshot and payload) against the structured-copy
-    path on identical workloads.
-    """
-    global _USE_FAST
-    previous = _USE_FAST
-    _USE_FAST = False
-    try:
-        yield
-    finally:
-        _USE_FAST = previous
+    """Copy replica/transport state."""
+    return fast_copy(obj)

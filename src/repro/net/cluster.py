@@ -20,7 +20,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.net.conditions import NetworkConditions
 from repro.net.replica import ReplicaHost
 from repro.net.transport import Transport, TransportError
-from repro.statehash import combine_digests, state_digest
 
 
 class ClusterError(Exception):
@@ -55,15 +54,6 @@ class Cluster:
         #: :meth:`restore` — fault-window scenarios assert on these instead
         #: of having partition losses silently swallowed.
         self.suppressed_sends: List[SuppressedSend] = []
-        #: Incremental-digest switch.  Off by default: code that mutates RDL
-        #: objects directly (tests, ad-hoc drivers) bypasses the cluster's
-        #: invalidation hooks, so digests are only cached once a replay
-        #: engine — whose every mutation flows through :meth:`send_sync` /
-        #: :meth:`execute_sync` / the fault methods — opts in.
-        self.digest_cache_enabled = False
-        self.digest_hits = 0
-        self.digest_misses = 0
-        self._transport_digest_cache: Optional[str] = None
 
     # ------------------------------------------------------------- topology
 
@@ -100,17 +90,12 @@ class Cluster:
         source = self.host(sender)
         source.require_up()
         payload = source.rdl.sync_payload(receiver)
-        # Invalidate unconditionally: a push-mutating subject
-        # (``mutates_on_push``) changes sender state inside ``sync_payload``,
-        # and the footprint model already treats SYNC_REQ as a sender write.
-        source.invalidate_digest()
         message = self.transport.send(sender, receiver, payload)
         if message is None:
             reason = self.transport.last_send_outcome or "drop"
             self.suppressed_sends.append(SuppressedSend(sender, receiver, reason))
             return False
         source.sent_syncs += 1
-        self._transport_digest_cache = None
         return True
 
     def execute_sync(self, sender: str, receiver: str) -> bool:
@@ -127,11 +112,9 @@ class Cluster:
         # The message is consumed before the liveness check: a payload that
         # reaches a dead node is lost, not left queued for a later execute
         # (which would silently re-pair sync requests with wrong executes).
-        self._transport_digest_cache = None
         target.require_up()
         target.rdl.apply_sync(message.payload, sender)
         target.applied_syncs += 1
-        target.invalidate_digest()
         return True
 
     def sync(self, sender: str, receiver: str) -> bool:
@@ -179,11 +162,9 @@ class Cluster:
 
     def partition(self, replica_a: str, replica_b: str) -> None:
         self.transport.conditions.partition(replica_a, replica_b)
-        self._transport_digest_cache = None
 
     def heal(self, replica_a: Optional[str] = None, replica_b: Optional[str] = None) -> None:
         self.transport.conditions.heal(replica_a, replica_b)
-        self._transport_digest_cache = None
 
     # ------------------------------------------------------------ lifecycle
 
@@ -197,118 +178,9 @@ class Cluster:
             self.host(rid).restore(snapshot)
         self.transport.reset()
         self.suppressed_sends.clear()
-        self._transport_digest_cache = None
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Fast full-cluster snapshot: every host plus the transport.
-
-        Unlike :meth:`checkpoint`, this may be taken mid-interleaving —
-        in-flight messages and sync counters are captured too, so the replay
-        engine can rewind to any event boundary, not just quiescent points.
-        """
-        return {
-            "replicas": {rid: host.snapshot() for rid, host in self._hosts.items()},
-            "transport": self.transport.snapshot(),
-        }
-
-    def restore_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Rewind to a :meth:`snapshot`; the snapshot stays reusable."""
-        for rid, host_snapshot in snapshot["replicas"].items():
-            self.host(rid).restore_snapshot(host_snapshot)
-        self.transport.restore_snapshot(snapshot["transport"])
-        self._transport_digest_cache = None
-
-    def snapshot_replica(self, replica_id: str) -> Any:
-        """Snapshot a single host (the prefix cache snapshots only the
-        replica each event touched)."""
-        return self.host(replica_id).snapshot()
-
-    def restore_replica(self, replica_id: str, snapshot: Any) -> None:
-        self.host(replica_id).restore_snapshot(snapshot)
 
     def states(self) -> Dict[str, Any]:
         return {rid: host.state() for rid, host in self._hosts.items()}
-
-    # ------------------------------------------------------- canonical hash
-
-    def enable_digest_cache(self) -> None:
-        """Opt in to per-replica digest caching (replay-engine use only).
-
-        All cached digests are dropped first so mutations that happened
-        before the opt-in can never surface as stale hits.
-        """
-        self.invalidate_digests()
-        self.digest_cache_enabled = True
-
-    def invalidate_digests(self) -> None:
-        """Drop every cached digest (per-replica and transport)."""
-        for host in self._hosts.values():
-            host.digest_cache = None
-        self._transport_digest_cache = None
-
-    def replica_state_digest(self, replica_id: str) -> Optional[str]:
-        """Canonical digest of one replica's full semantic state.
-
-        ``None`` when the subject does not implement ``canonical_state``
-        (semantic pruning is then auto-disabled for this cluster).  The
-        host's liveness flag is folded in so a crashed replica never hashes
-        equal to a live one with the same data.
-        """
-        host = self.host(replica_id)
-        if self.digest_cache_enabled:
-            cached = host.digest_cache
-            if cached is not None:
-                self.digest_hits += 1
-                return cached
-        state = host.rdl.canonical_state()
-        if state is None:
-            return None
-        digest = state_digest((host.up, state))
-        if self.digest_cache_enabled:
-            self.digest_misses += 1
-            host.digest_cache = digest
-        return digest
-
-    def transport_digest(self) -> str:
-        """Canonical digest of the transport: in-flight payloads + topology.
-
-        Only semantic content is hashed — queued payloads per channel in
-        FIFO order, plus the partition set.  Message ids, ticks and the
-        monotonic counters are excluded: they differ between two replays
-        that reach the same semantic state, and (under the deterministic
-        conditions semantic pruning requires) they never influence future
-        behaviour.
-        """
-        if self.digest_cache_enabled and self._transport_digest_cache is not None:
-            self.digest_hits += 1
-            return self._transport_digest_cache
-        queues = {
-            channel: [message.payload for message in queue]
-            for channel, queue in self.transport._queues.items()
-            if queue
-        }
-        partitions = self.transport.conditions.partitions
-        digest = state_digest((queues, sorted(map(sorted, partitions))))
-        if self.digest_cache_enabled:
-            self.digest_misses += 1
-            self._transport_digest_cache = digest
-        return digest
-
-    def state_digest(self) -> Optional[str]:
-        """One canonical digest of the whole cluster (the memo pruner's key).
-
-        Order-independent over replicas (a hash DAG: per-replica digests
-        combined under sorted labels, plus the transport digest), or
-        ``None`` when any subject lacks ``canonical_state``.
-        """
-        parts = []
-        for rid in self.replica_ids():
-            digest = self.replica_state_digest(rid)
-            if digest is None:
-                return None
-            parts.append((rid, digest))
-        parts.append(("#transport", self.transport_digest()))
-        return combine_digests(parts)
 
     def converged(self) -> bool:
         """True iff all replicas report the same observable value."""

@@ -14,7 +14,7 @@ Every simulated subject in :mod:`repro.rdl` implements this protocol.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.faults.errors import FaultError, ReplicaDownError
 
@@ -42,15 +42,6 @@ class ReplicaHost:
         self.sent_syncs = 0
         self.up = True
         self._durable: Any = None
-        #: Cached canonical digest of ``(up, canonical_state())``.  Consulted
-        #: only when the owning cluster has opted in (replay-time digesting);
-        #: the invalidation hooks below fire unconditionally — they are cheap
-        #: and keep the cache safe to enable at any point.
-        self.digest_cache: Optional[str] = None
-
-    def invalidate_digest(self) -> None:
-        """Drop the cached canonical digest (state or liveness changed)."""
-        self.digest_cache = None
 
     # ---------------------------------------------------------- crash/recover
 
@@ -61,7 +52,6 @@ class ReplicaHost:
         durable = getattr(self.rdl, "durable_snapshot", None)
         self._durable = durable() if callable(durable) else self.rdl.checkpoint()
         self.up = False
-        self.invalidate_digest()
 
     def recover(self) -> None:
         """Restart the node from the durable snapshot captured at crash."""
@@ -74,7 +64,6 @@ class ReplicaHost:
             self.rdl.restore(self._durable)
         self.up = True
         self._durable = None
-        self.invalidate_digest()
 
     def require_up(self) -> None:
         if not self.up:
@@ -84,7 +73,6 @@ class ReplicaHost:
         """Reset fault state without a recovery (replay-boundary reset)."""
         self.up = True
         self._durable = None
-        self.invalidate_digest()
 
     def state(self) -> Any:
         return self.rdl.value()
@@ -102,7 +90,7 @@ class ReplicaHost:
         """Full host snapshot: RDL state plus the host's sync counters.
 
         Unlike :meth:`checkpoint` (RDL state only), this captures everything
-        the replay engine needs to rewind the host mid-interleaving.
+        needed to rewind the host mid-interleaving, liveness included.
         """
         return {
             "rdl": self.rdl.checkpoint(),
@@ -119,7 +107,6 @@ class ReplicaHost:
         self.sent_syncs = snapshot["sent_syncs"]
         self.up = snapshot.get("up", True)
         self._durable = snapshot.get("durable")
-        self.invalidate_digest()
 
     def __repr__(self) -> str:
         return f"ReplicaHost({self.replica_id!r}, rdl={type(self.rdl).__name__})"

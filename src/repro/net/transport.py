@@ -153,52 +153,6 @@ class Transport:
         self.last_send_outcome = None
         self.conditions.reseed(self.conditions.seed)
 
-    # ----------------------------------------------------------- snapshots
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Capture queues, tick and counters for mid-interleaving rewind.
-
-        :class:`Message` is frozen and sync payloads obey a ship-and-forget
-        contract — senders build a fresh payload per ``sync_payload`` call and
-        receivers adopt sub-objects only by copying (or by reference to
-        write-once data) — so the snapshot shares the queued ``Message``
-        objects instead of deep-copying their payloads.  Message ids stay
-        monotonic (``_ids`` is *not* captured), matching the counter
-        convention: ids never repeat across restores.
-
-        Note: the delivery RNG inside ``conditions`` is not captured, so a
-        snapshot only rewinds faithfully under deterministic conditions
-        (FIFO, no drops/duplicates) — the prefix cache checks this before
-        relying on snapshots.
-        """
-        return {
-            "queues": {
-                channel: tuple(queue)
-                for channel, queue in self._queues.items()
-                if queue
-            },
-            "tick": self._tick,
-            "counters": (
-                self.sent_count,
-                self.dropped_count,
-                self.delivered_count,
-                self.duplicated_count,
-            ),
-        }
-
-    def restore_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Rewind to a :meth:`snapshot`; the snapshot stays reusable."""
-        self._queues.clear()
-        for channel, queue in snapshot["queues"].items():
-            self._queues[channel] = list(queue)
-        self._tick = snapshot["tick"]
-        (
-            self.sent_count,
-            self.dropped_count,
-            self.delivered_count,
-            self.duplicated_count,
-        ) = snapshot["counters"]
-
     def stats(self) -> Tuple[int, int, int, int]:
         """(sent, dropped, delivered, duplicated) — monotonic counters."""
         return (

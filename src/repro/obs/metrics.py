@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` is the quantitative side of ``repro.obs``: the
 explorers count interleavings generated / pruned-per-algorithm / replayed /
-quarantined / discarded, the replay engine counts cache hits and messages
-sent / dropped / suppressed and observes per-replay durations, and the
-resource meter's per-category byte totals land as gauges.
+quarantined / discarded, the replay engine counts messages sent / dropped /
+suppressed and observes per-replay durations, and the resource meter's
+per-category byte totals land as gauges.
 
 The canonical metric names (asserted by the trace-smoke check and queried
 in the docs) are:
@@ -12,11 +12,9 @@ in the docs) are:
 * counters — ``interleavings.generated``, ``interleavings.invalid``,
   ``interleavings.pruned``, ``pruned.<algorithm>``,
   ``interleavings.replayed``, ``interleavings.quarantined``,
-  ``interleavings.discarded``, ``replay.cache_hits``,
-  ``replay.cache_misses``, ``replay.fresh``, ``messages.sent``,
-  ``messages.dropped``, ``messages.suppressed``;
-* gauges — ``resource.bytes.<category>``, ``cache.entries``,
-  ``cache.retained_bytes``, ``sanitizer.divergences``;
+  ``interleavings.discarded``, ``messages.sent``, ``messages.dropped``,
+  ``messages.suppressed``;
+* gauges — ``resource.bytes.<category>``, ``sanitizer.divergences``;
 * histograms — ``replay.duration_us``.
 
 The exploration identity every run must satisfy (the trace-smoke job's
@@ -29,11 +27,9 @@ dispatched to a parallel worker) but never committed because the run
 stopped first.
 
 Concurrency model: one registry instance is **not** locked on the hot
-``inc``/``observe`` path — each writer thread owns its own registry.
-:class:`~repro.core.explorers.ParallelExplorer` gives every worker engine a
-:meth:`shard` and :meth:`merge`\\ s the shards back into the main registry
-when the run commits; ``merge`` itself is locked, so late worker writes
-cannot corrupt the totals.
+``inc``/``observe`` path — each writer owns its own registry.  Process
+workers ship theirs as :meth:`MetricsRegistry.to_payload` snapshots, which
+the parent folds in with :meth:`MetricsRegistry.merge_payload`.
 """
 
 from __future__ import annotations
@@ -184,22 +180,6 @@ class MetricsRegistry:
 
     # -------------------------------------------------------------- sharding
 
-    def shard(self) -> "MetricsRegistry":
-        """A fresh registry for one worker thread; merge it back later."""
-        return MetricsRegistry()
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold a worker shard's totals into this registry (thread-safe)."""
-        with self._merge_lock:
-            for name, value in other.counters.items():
-                self.counters[name] = self.counters.get(name, 0) + value
-            self.gauges.update(other.gauges)
-            for name, histogram in other.histograms.items():
-                mine = self.histograms.get(name)
-                if mine is None:
-                    mine = self.histograms[name] = Histogram()
-                mine.merge(histogram)
-
     # A registry itself is not picklable (it owns a lock), so process-backed
     # exploration ships shards across the IPC boundary as plain dicts.
 
@@ -210,7 +190,7 @@ class MetricsRegistry:
         procpool uses ``(slot, attempt)`` so a *cumulative* snapshot can be
         re-sent (e.g. a dead worker's last partial batch followed by the
         replacement's full totals for the same shard attempt) and merged at
-        most once.  Untagged payloads always sum, matching :meth:`merge`.
+        most once.  Untagged payloads always sum.
         """
         payload: Dict[str, Any] = {
             "counters": dict(self.counters),
@@ -337,12 +317,6 @@ class NullMetrics:
 
     def consistent(self) -> bool:
         return True
-
-    def shard(self) -> "NullMetrics":
-        return self
-
-    def merge(self, other) -> None:
-        pass
 
     def to_payload(self, epoch: Any = None) -> Dict[str, Any]:
         return {}

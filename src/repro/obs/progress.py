@@ -1,8 +1,8 @@
 """A live single-line progress renderer for interactive hunts.
 
 Repaints one ``\\r``-terminated status line from the run's
-:class:`~repro.obs.metrics.MetricsRegistry` — replayed / pruned / cache
-hits / quarantined — rate-limited so a 10k-replay hunt repaints a few
+:class:`~repro.obs.metrics.MetricsRegistry` — replayed / pruned /
+quarantined — rate-limited so a 10k-replay hunt repaints a few
 times a second, not once per replay.  The CLI attaches one when stderr is
 a terminal; non-interactive runs (tests, CI, pipes) never see it.
 """
@@ -41,9 +41,6 @@ class ProgressLine:
         pruned = counter("interleavings.pruned")
         if pruned:
             parts.append(f"pruned {pruned:,}")
-        hits = counter("replay.cache_hits")
-        if hits:
-            parts.append(f"cache hits {hits:,}")
         quarantined = counter("interleavings.quarantined")
         if quarantined:
             parts.append(f"quarantined {quarantined:,}")

@@ -14,8 +14,8 @@ layer's own contracts:
 * every span nests under a known parent and carries a non-negative
   duration;
 * the metric totals are self-consistent: ``interleavings.generated ==
-  pruned + replayed + quarantined + discarded``, and the replay-path
-  counters account for every committed replay.
+  pruned + replayed + quarantined + discarded``, and the replay-latency
+  histogram observed every committed replay.
 """
 
 from __future__ import annotations
@@ -64,20 +64,7 @@ def _check_metrics(name: str, metrics: MetricsRegistry, errors: List[str]) -> No
             f"quarantined={metrics.counter('interleavings.quarantined')} + "
             f"discarded={metrics.counter('interleavings.discarded')}"
         )
-    # Every committed replay went down exactly one engine path.  Sanitizer
-    # ground-truth replays add to the fresh counter without being committed,
-    # so the path total can only exceed the committed count.
     committed = metrics.counter("interleavings.replayed")
-    paths = (
-        metrics.counter("replay.cache_hits")
-        + metrics.counter("replay.cache_misses")
-        + metrics.counter("replay.fresh")
-    )
-    if paths < committed:
-        errors.append(
-            f"{name}: {committed} replays committed but only {paths} "
-            "accounted for by cache_hits + cache_misses + fresh"
-        )
     histogram = metrics.histogram("replay.duration_us")
     if committed and (histogram is None or histogram.count < committed):
         errors.append(f"{name}: replay.duration_us histogram undercounts replays")
@@ -95,8 +82,7 @@ def _run_one(
         record_scenario(scenario),
         "erpi",
         cap=2_000 if faults else 600,
-        prefix_cache=not faults,
-        sanitize=1.0 if sanitize else None,
+        sanitize=sanitize,
         faults=faults,
         replay_timeout_s=10.0 if faults else None,
         tracer=tracer,

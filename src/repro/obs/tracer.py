@@ -8,9 +8,7 @@ and ``replay:fresh`` (one interleaving executed against the cluster),
 ``sanitize`` (the differential class sweep), ``quarantine`` (capturing a
 blown-up replay) and ``fault-compile`` (compiling a FaultPlan into the
 schedule).  Spans nest through a per-thread stack, so a ``replay`` emitted
-inside an ``explore`` records that parent automatically — including from
-:class:`~repro.core.explorers.ParallelExplorer` worker threads, which each
-get their own stack.
+inside an ``explore`` records that parent automatically.
 
 Zero dependencies, and cheap enough to leave on: the hot path is
 :meth:`Tracer.begin` / :meth:`Tracer.end` (no generator-based context

@@ -57,12 +57,9 @@ class RDLReplica(abc.ABC):
     def sync_payload(self, target_replica_id: str) -> Any:
         """The payload this replica would ship to ``target_replica_id``.
 
-        Contract: building a payload must not mutate the sender's state, and
-        the returned payload must be ship-and-forget — a fresh object per
-        call, never mutated afterwards by sender or receiver.  The replay
-        engine's prefix cache relies on both properties (it shares the
-        sender's state snapshot across a ``SYNC_REQ`` and shares queued
-        payloads between transport snapshots).
+        Contract: the returned payload must be ship-and-forget — a fresh
+        object per call, never mutated afterwards by sender or receiver,
+        because the transport queues it by reference.
         """
 
     @abc.abstractmethod
@@ -83,18 +80,16 @@ class RDLReplica(abc.ABC):
     def canonical_state(self) -> Any:
         """The replica's full semantic state, for canonical hashing.
 
-        The semantic memo pruner (:mod:`repro.core.pruning.semantic`)
-        digests this value (via :func:`repro.statehash.state_digest`) to
-        decide whether a replay prefix reached an already-seen cluster
-        state.  The contract: two replicas with equal ``canonical_state``
-        must behave identically under every future event sequence —
+        :func:`repro.statehash.state_digest` turns this value into a
+        digest that identifies the replica's state.  The contract: two
+        replicas with equal ``canonical_state`` must behave identically
+        under every future event sequence —
         include *everything* that influences behaviour (volatile and
         durable data, clocks, arrival orders), and nothing that does not
         (caches that are recomputed, debug counters).
 
-        The default returns ``None``, which disables semantic pruning for
-        clusters containing this subject — sound-or-off, like the prefix
-        cache's ``supports_state_view`` gate.
+        The default returns ``None``: the subject declares no canonical
+        state.
         """
         return None
 
@@ -109,11 +104,6 @@ class RDLReplica(abc.ABC):
     # library whose whole state is durable; subjects with genuinely
     # volatile state override both.
 
-    #: True when shipping a sync payload advances durable state (e.g. a
-    #: push that records a durable watermark).  The prefix-reuse engine
-    #: must materialise the sender before a SYNC_REQ when this is set.
-    mutates_on_push = False
-
     def durable_snapshot(self) -> Any:
         """The state that survives a crash of this replica's process."""
         return self.checkpoint()
@@ -121,31 +111,6 @@ class RDLReplica(abc.ABC):
     def recover(self, snapshot: Any) -> None:
         """Rebuild this replica from a ``durable_snapshot`` after a crash."""
         self.restore(snapshot)
-
-    # --- copy-on-write snapshot protocol (engine-internal) ---------------
-    #
-    # The prefix-reuse replay engine avoids paying a deep copy on every
-    # restore *and* every snapshot: it installs cached state by reference
-    # (``adopt``) and snapshots live state by reference (``state_view``),
-    # then calls ``restore`` to materialise a private copy only right
-    # before the next mutation.  Both are only sound while the engine is
-    # the replica's sole writer and it materialises before every mutation.
-
-    #: Whether ``state_view``/``adopt`` capture this replica's full state.
-    #: True for replicas whose state lives entirely in ``__dict__`` (the
-    #: base ``checkpoint``/``restore`` shape).  Subjects that keep state in
-    #: external resources or use a custom snapshot format must set this
-    #: False — the replay engine then skips prefix reuse for their cluster.
-    supports_state_view = True
-
-    def adopt(self, snapshot: Any) -> None:
-        """Install ``snapshot`` WITHOUT copying; read-only until restore."""
-        self.__dict__.clear()
-        self.__dict__.update(snapshot)
-
-    def state_view(self) -> Any:
-        """An outer-shallow state snapshot sharing all inner containers."""
-        return dict(self.__dict__)
 
     def __repr__(self) -> str:
         flags = f", defects={sorted(self.defects)}" if self.defects else ""

@@ -17,11 +17,10 @@ Defect/configuration flags:
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.crdt.base import StateCRDT, rehome
-from repro.fastcopy import copy_state, fast_mode
+from repro.fastcopy import copy_state
 from repro.crdt.counters import GCounter, PNCounter
 from repro.crdt.lwwset import LWWElementSet
 from repro.crdt.clock import LamportClock, Stamp
@@ -224,10 +223,6 @@ class CRDTLibrary(RDLReplica):
         replayed event, so the known-hot fields are copied directly instead
         of through the generic walker.  Unknown extra attributes (there are
         none today) would be shared, not deep-copied.
-
-        In legacy mode (:func:`repro.fastcopy.legacy_deepcopy`) the callers
-        below revert to the generic deepcopy paths the seed engine used, so
-        benchmarks comparing against the seed measure its true cost.
         """
         out = dict(state)
         out["defects"] = set(state["defects"])
@@ -246,23 +241,13 @@ class CRDTLibrary(RDLReplica):
         return self.__dict__
 
     def checkpoint(self) -> Any:
-        if not fast_mode():
-            return RDLReplica.checkpoint(self)
         return self._copy_state_dict(self.__dict__)
 
     def restore(self, snapshot: Any) -> None:
-        if not fast_mode():
-            RDLReplica.restore(self, snapshot)
-            return
         self.__dict__.clear()
         self.__dict__.update(self._copy_state_dict(snapshot))
 
     def sync_payload(self, target_replica_id: str) -> Dict[str, Any]:
-        if not fast_mode():
-            return {
-                "structures": copy.deepcopy(self._structures),
-                "arrival": copy.deepcopy(self._list_arrival),
-            }
         return {
             "structures": {
                 name: crdt.copy() for name, crdt in self._structures.items()

@@ -232,11 +232,6 @@ class RoshiReplica(RDLReplica):
 
     # ------------------------------------------------------------ lifecycle
 
-    # State lives in the shared redisim farm, not in ``__dict__``: the
-    # engine's copy-on-write view protocol cannot capture it, so replays of
-    # Roshi clusters always run fresh from the checkpoint.
-    supports_state_view = False
-
     def checkpoint(self) -> Any:
         return {
             "farm": self.farm.snapshot(),

@@ -50,10 +50,6 @@ class YorkieDocument(RDLReplica):
         {"nonconvergent_move", "shallow_set", "last_sync_wins", "durable_seen_cache"}
     )
 
-    #: Shipping a change pack advances the durable push watermark, so the
-    #: replay engine must materialise the sender before a SYNC_REQ.
-    mutates_on_push = True
-
     def __init__(
         self,
         replica_id: str,
@@ -138,8 +134,7 @@ class YorkieDocument(RDLReplica):
         """A change pack: full document state plus the move log.
 
         Pushing makes everything shipped durable (the server holds it), so
-        the push watermark advances here — the one sender mutation the
-        replay engine is told about via ``mutates_on_push``.
+        the push watermark advances here.
         """
         payload = {
             "doc_key": self.doc_key,

@@ -1,13 +1,13 @@
-"""Canonical, deterministic hashing of RDL state (the memo pruner's digest).
+"""Canonical, deterministic hashing of RDL state.
 
-The semantic pruning layer (:mod:`repro.core.pruning.semantic`) memoizes
-replay results by the *state* a prefix reaches, so it needs a digest that is
+Comparing replica states across replays (and across processes) needs a
+digest of a subject's ``canonical_state()`` that is
 
 * **canonical** — two structurally equal states hash identically regardless
   of dict insertion order, set iteration order, or object identity;
 * **deterministic** — stable across processes (no ``id()``, no ``hash()``
-  randomisation), so worker-local memo tables in the multiprocess backend
-  agree with the serial engine;
+  randomisation), so digests taken in worker processes agree with the
+  serial engine's;
 * **total** — every value a subject's ``canonical_state()`` can return is
   hashable, including plain objects (CRDT structures, Lamport clocks),
   which are canonicalised through ``__dict__``/``__slots__``.
@@ -25,7 +25,7 @@ from typing import Any, List
 
 __all__ = ["canonical_repr", "state_digest", "combine_digests"]
 
-#: Digest length in hex chars — 64 bits, plenty for memo-table keys while
+#: Digest length in hex chars — 64 bits, plenty for state keys while
 #: keeping Datalog facts and journal lines readable.
 DIGEST_LEN = 16
 

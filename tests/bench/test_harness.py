@@ -51,6 +51,13 @@ class TestHarness:
     def test_modes_constant(self):
         assert MODES == ("erpi", "dfs", "rand")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_the_process_backend_is_accepted(self, workers):
+        recorded = record_scenario(scenario("Roshi-1"))
+        with pytest.raises(ValueError, match="parallel backend"):
+            hunt(recorded, "erpi", cap=20, workers=workers,
+                 parallel_backend="thread")
+
 
 class TestWorkloadGenerators:
     def test_set_workload_event_shape(self):

@@ -17,7 +17,6 @@ import pytest
 from repro.core.procpool import (
     _KIND_CRASHED,
     _KIND_OK,
-    _KIND_PRUNED,
     _KIND_QUARANTINE,
     _KIND_VIOLATION,
     AdaptiveBatcher,
@@ -126,14 +125,14 @@ class TestColumnarRoundTrip:
         batcher = AdaptiveBatcher(cap=64, clock=FakeClock())
         violation = pickle.dumps({"verdict": "violation"})
         batcher.add(3, _KIND_OK, (0, 2, 1))
-        batcher.add(4, _KIND_PRUNED, (1, 0))
+        batcher.add(4, _KIND_OK, (1, 0))
         batcher.add(7, _KIND_VIOLATION, (2, 0, 1), violation)
         batcher.add(9, _KIND_QUARANTINE, None, "quarantine-payload")
         batcher.add(11, _KIND_CRASHED, None, "replay crashed")
         records = decode(batcher.flush(grow=True))
         assert records == [
             (3, "ok", ("e1", "e3", "e2")),
-            (4, "pruned", ("e2", "e1")),
+            (4, "ok", ("e2", "e1")),
             (7, "violation", (("e3", "e1", "e2"), violation)),
             (9, "quarantine", "quarantine-payload"),
             (11, "crashed", "replay crashed"),
@@ -155,7 +154,7 @@ class TestColumnarRoundTrip:
         batcher = AdaptiveBatcher(cap=8, clock=FakeClock())
         batcher.add(0, _KIND_OK, (0, 1))
         frame = batcher.flush()
-        batcher.add(1, _KIND_PRUNED, (2,))
+        batcher.add(1, _KIND_OK, (2,))
         indices, kinds, ev, ev_lens, other = frame
         assert list(indices) == [0]
         assert bytes(kinds) == bytes([_KIND_OK])

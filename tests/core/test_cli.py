@@ -87,23 +87,37 @@ class TestCommands:
 class TestSanitizeCli:
     def test_hunt_sanitize_flag_defaults(self):
         args = build_parser().parse_args(["hunt", "Roshi-2"])
-        assert args.sanitize is None
+        assert args.sanitize is False
         args = build_parser().parse_args(["hunt", "Roshi-2", "--sanitize"])
-        assert args.sanitize == 1.0
-        args = build_parser().parse_args(["hunt", "Roshi-2", "--sanitize", "0.25"])
-        assert args.sanitize == 0.25
+        assert args.sanitize is True
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["hunt", "Roshi-2", "--sanitize", "0.25"])
 
     def test_hunt_with_sanitize_prints_report(self, capsys):
-        assert main(["hunt", "Roshi-2", "--sanitize", "--prefix-cache"]) == 0
+        assert main(["hunt", "Roshi-2", "--sanitize", "--dpor"]) == 0
         out = capsys.readouterr().out
         assert "sanitizer: OK" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["hunt", "Roshi-2", "--parallel-backend", "process"],
+        ["hunt", "Roshi-2", "--prefix-cache"],
+        ["hunt", "Roshi-2", "--memo"],
+        ["profile", "Roshi-2", "--prefix-cache"],
+        ["export", "Roshi-2", "out.dl", "--memo"],
+        ["sanitize", "--rate", "0.5"],
+        ["sanitize", "--prefix-cache"],
+        ["faults", "--memo"],
+    ])
+    def test_removed_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_sanitize_sweep_is_clean(self, capsys):
         assert main(["sanitize", "--cap", "10"]) == 0
         out = capsys.readouterr().out
         assert "Verdict" in out
         assert "DIVERGED" not in out
-        assert "all equivalence classes and shadow replays agree" in out
+        assert "all equivalence classes agree" in out
 
 
 class TestObservabilityCli:

@@ -85,8 +85,7 @@ def baseline():
     recorded = record_scenario(scenario(NAME))
     explorer = make_explorer(recorded, "erpi")
     pool = ProcessParallelExplorer(
-        explorer, CallableWorkerTask(plain_stack), workers=1,
-        prefix_cache=True, seed=0,
+        explorer, CallableWorkerTask(plain_stack), workers=1, seed=0,
     )
     return pool.explore(
         recorded.engine, recorded.scenario.make_assertions(),
@@ -102,7 +101,7 @@ def coordinated(task, journal=None, farm=None, metrics=None, **kwargs):
         recorded.engine.metrics = metrics
     pool = CoordinatedHuntExplorer(
         explorer, task, workers=2, journal=journal, farm=farm,
-        prefix_cache=True, seed=0, **kwargs,
+        seed=0, **kwargs,
     )
     result = pool.explore(
         recorded.engine, recorded.scenario.make_assertions(),
@@ -125,6 +124,17 @@ def truncate_journal(path, keep_commits):
         for record in keep:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         handle.write('{"type": "commit", "index": %d, "verd' % keep_commits)
+
+
+def rewrite_hunt_header(path, **fields):
+    """Set ``fields`` in the journal header's hunt config, leaving every
+    other line (torn tail included) byte-for-byte as it was."""
+    with open(path) as handle:
+        first, rest = handle.read().split("\n", 1)
+    header = json.loads(first)
+    header["hunt"].update(fields)
+    with open(path, "w") as handle:
+        handle.write(json.dumps(header, sort_keys=True) + "\n" + rest)
 
 
 class TestHappyPath:
@@ -319,6 +329,40 @@ class TestResume:
                 record_scenario(scenario(NAME)), "erpi", cap=CAP + 1,
                 workers=2, resume=path,
             )
+
+    def test_harness_refuses_a_memo_journal(self, tmp_path):
+        """A journal written with the state memo on may hold ``pruned``
+        commits this build has no verdict for: resuming it must refuse."""
+        path = str(tmp_path / "memo.jsonl")
+        hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+            journal=path, stop_on_violation=False,
+        )
+        truncate_journal(path, keep_commits=5)
+        rewrite_hunt_header(path, memo=True, prefix_cache=False)
+        with pytest.raises(JournalError, match="memo"):
+            hunt(
+                record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+                resume=path, stop_on_violation=False,
+            )
+
+    def test_harness_resumes_a_prefix_cache_journal(self, tmp_path):
+        """The prefix cache never changed a verdict, so a journal written
+        with it resumes to the uninterrupted run's verdict map."""
+        path = str(tmp_path / "cached.jsonl")
+        full = hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+            journal=path, stop_on_violation=False, checkpoint_every=16,
+        )
+        truncate_journal(path, keep_commits=20)
+        rewrite_hunt_header(path, prefix_cache=True, memo=False)
+        resumed = hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+            resume=path, stop_on_violation=False,
+        )
+        assert resumed.coordination["resumed_commits"] == 20
+        assert resumed.verdicts == full.verdicts
+        assert resumed.explored == full.explored
 
     def test_harness_refuses_resuming_a_final_journal(self, tmp_path):
         path = str(tmp_path / "final.jsonl")

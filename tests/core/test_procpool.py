@@ -38,7 +38,6 @@ def run_process_hunt(name, workers, cap=60, metrics=None, start_method=None):
         explorer,
         ScenarioWorkerTask(scenario_name=name, mode="erpi", seed=0),
         workers=workers,
-        prefix_cache=True,
         seed=0,
         start_method=start_method,
     )
@@ -88,7 +87,6 @@ class TestShardMergeEquivalence:
                 cap=200,
                 workers=workers,
                 parallel_backend="process",
-                prefix_cache=True,
             )
             assert parallel.found == serial.found
             assert parallel.explored == serial.explored

@@ -1,15 +1,13 @@
-"""Equivalence properties of the incremental replay paths.
+"""Equivalence properties of the replay paths.
 
-The prefix snapshot cache and the parallel explorer are pure optimisations:
-they must never change *what* a replay observes, only how fast it runs.
-These tests pin that down property-style:
+Parallel exploration is a pure optimisation: it must never change *what* a
+hunt observes, only how fast it runs.  These tests pin that down
+property-style:
 
-* cached replays produce byte-identical outcomes to fresh full replays,
-  across enumeration orders and across every RDL subject family;
-* a ``ParallelExplorer`` hunt commits outcomes in candidate order, so its
+* a process-parallel hunt commits outcomes in candidate order, so its
   reported first violation (and explored count) match a serial hunt;
-* the cache's resource accounting round-trips: everything charged to the
-  meter is released again on eviction and on ``clear()``.
+* the lock-stepped executor fails loudly instead of hanging;
+* the relocation order's seen-set visits every permutation once.
 """
 
 import threading
@@ -17,18 +15,12 @@ import threading
 import pytest
 
 import repro.core.replay as replay_mod
-from repro.bench.harness import hunt, make_explorer, record_scenario
+from repro.bench.harness import hunt, record_scenario
 from repro.bugs.registry import all_scenarios
 from repro.core.events import make_read, make_sync_pair, make_update
-from repro.core.interleavings import (
-    group_events,
-    interleaving_stream,
-    lehmer_rank,
-    sjt_permutations,
-)
+from repro.core.interleavings import group_events, interleaving_stream, lehmer_rank
 from repro.core.replay import LockSteppedExecutor, ReplayEngine
 from repro.core.errors import ReplayError
-from repro.core.resources import ResourceMeter
 from repro.net.cluster import Cluster
 from repro.rdl.crdts_lib import CRDTLibrary
 
@@ -40,79 +32,6 @@ def scenario_by_name(name):
     raise LookupError(name)
 
 
-def outcome_fields(outcome):
-    """Everything observable about an outcome except wall-clock duration."""
-    return (
-        tuple(
-            (res.event.event_id, res.lamport, res.ok, res.result, res.error)
-            for res in outcome.event_results
-        ),
-        outcome.states,
-        tuple(outcome.violations),
-        outcome.reads(),
-    )
-
-
-#: One scenario per RDL subject family, small enough to sweep many orders.
-SUBJECT_SCENARIOS = ("Roshi-1", "OrbitDB-2", "ReplicaDB-1", "Yorkie-1")
-ORDERS = ("sjt", "lexicographic", "relocation")
-
-
-class TestCachedMatchesFresh:
-    @pytest.mark.parametrize("name", SUBJECT_SCENARIOS)
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_cached_replay_equals_fresh_replay(self, name, order):
-        scenario = scenario_by_name(name)
-
-        fresh = record_scenario(scenario)
-        cached = record_scenario(scenario)
-        cached.engine.enable_prefix_cache()
-
-        units = group_events(fresh.events, scenario.spec_groups()).units
-        candidates = list(interleaving_stream(units, order, limit=40))
-        assert candidates
-
-        fresh_assertions = scenario.make_assertions()
-        cached_assertions = scenario.make_assertions()
-        for candidate in candidates:
-            outcome_fresh = fresh.engine.replay(candidate, fresh_assertions)
-            outcome_cached = cached.engine.replay(candidate, cached_assertions)
-            assert outcome_fields(outcome_cached) == outcome_fields(outcome_fresh)
-            assert (
-                cached.engine.last_transport_stats
-                == fresh.engine.last_transport_stats
-            )
-
-    def test_cache_is_actually_reused_on_motivating_workload(self):
-        scenario = scenario_by_name("OrbitDB-2")
-        recorded = record_scenario(scenario)
-        cache = recorded.engine.enable_prefix_cache()
-        assert recorded.engine.prefix_cache_active()
-
-        units = group_events(recorded.events, scenario.spec_groups()).units
-        for candidate in interleaving_stream(units, "sjt", limit=60):
-            recorded.engine.replay(candidate)
-        assert cache.stats.replays == 60
-        assert cache.stats.hits > 0
-        # SJT's minimal-change order shares long prefixes between neighbours.
-        assert cache.stats.reuse_fraction > 0.3
-
-    def test_lazy_states_survive_later_replays(self):
-        # An outcome's states are evaluated lazily on the cached path; they
-        # must reflect the replay that produced them even after the engine
-        # has replayed (and mutated the cluster for) other candidates.
-        scenario = scenario_by_name("ReplicaDB-1")
-        fresh = record_scenario(scenario)
-        cached = record_scenario(scenario)
-        cached.engine.enable_prefix_cache()
-
-        units = group_events(cached.events, scenario.spec_groups()).units
-        candidates = list(interleaving_stream(units, "sjt", limit=10))
-        held = [cached.engine.replay(candidate) for candidate in candidates]
-        expected = [fresh.engine.replay(candidate).states for candidate in candidates]
-        assert [outcome.states for outcome in held] == expected
-
-
 class TestParallelMatchesSerial:
     @pytest.mark.parametrize(
         "name", [scenario.name for scenario in all_scenarios()]
@@ -120,9 +39,7 @@ class TestParallelMatchesSerial:
     def test_first_violation_identical_to_serial(self, name):
         scenario = scenario_by_name(name)
         serial = hunt(record_scenario(scenario), "erpi")
-        parallel = hunt(
-            record_scenario(scenario), "erpi", workers=4, prefix_cache=True
-        )
+        parallel = hunt(record_scenario(scenario), "erpi", workers=4)
         assert parallel.found == serial.found
         assert parallel.explored == serial.explored
         if serial.found:
@@ -131,57 +48,6 @@ class TestParallelMatchesSerial:
                 event.event_id for event in parallel.violating.interleaving
             ] == [event.event_id for event in serial.violating.interleaving]
             assert parallel.violating.violations == serial.violating.violations
-
-
-class TestCacheAccounting:
-    def make_engine(self, meter=None, max_entries=8192):
-        cluster = Cluster()
-        for rid in ("A", "B"):
-            cluster.add_replica(rid, CRDTLibrary(rid))
-        engine = ReplayEngine(cluster)
-        engine.checkpoint()
-        cache = engine.enable_prefix_cache(meter=meter, max_entries=max_entries)
-        return engine, cache
-
-    def events(self):
-        return (
-            make_update("e1", "A", "set_add", "s", "x"),
-            *make_sync_pair("e2", "e3", "A", "B"),
-            make_update("e4", "B", "set_add", "s", "y"),
-            *make_sync_pair("e5", "e6", "B", "A"),
-            make_read("e7", "A", "set_value", "s"),
-        )
-
-    def replay_some(self, engine, count=24):
-        units = group_events(self.events()).units
-        for candidate in interleaving_stream(units, "sjt", limit=count):
-            engine.replay(candidate)
-
-    def test_metered_charge_releases_on_clear(self):
-        meter = ResourceMeter()
-        engine, cache = self.make_engine(meter=meter)
-        self.replay_some(engine)
-        assert cache.stats.entries > 0
-        assert cache.stats.retained_bytes > 0
-        assert meter.by_category.get(cache.CATEGORY, 0) == cache.stats.retained_bytes
-        cache.clear()
-        assert cache.stats.retained_bytes == 0
-        assert meter.by_category.get(cache.CATEGORY, 0) == 0
-
-    def test_generational_eviction_counts_and_releases(self):
-        meter = ResourceMeter()
-        engine, cache = self.make_engine(meter=meter, max_entries=8)
-        self.replay_some(engine)
-        assert cache.stats.evictions > 0
-        assert len(cache) <= 8
-        # Whatever survives is still exactly what the meter holds.
-        assert meter.by_category.get(cache.CATEGORY, 0) == cache.stats.retained_bytes
-
-    def test_unmetered_cache_disables_byte_accounting(self):
-        engine, cache = self.make_engine(meter=None)
-        self.replay_some(engine)
-        assert cache.stats.entries > 0
-        assert cache.stats.retained_bytes == 0
 
 
 class TestLockSteppedTimeout:
@@ -213,39 +79,6 @@ class TestLockSteppedTimeout:
                 )
         finally:
             hang.set()
-
-
-class TestSessionPrefixCache:
-    @staticmethod
-    def run_session(prefix_cache):
-        from repro.core import ErPi, assert_read_equals
-
-        cluster = Cluster()
-        for rid in ("A", "B"):
-            cluster.add_replica(rid, CRDTLibrary(rid))
-        erpi = ErPi(cluster, prefix_cache=prefix_cache)
-        erpi.start()
-        a, b = cluster.rdl("A"), cluster.rdl("B")
-        a.set_add("problems", "otb")
-        cluster.sync("A", "B")
-        b.set_add("problems", "ph")
-        cluster.sync("B", "A")
-        b.set_remove("problems", "otb")
-        cluster.sync("B", "A")
-        a.set_value("problems")
-        report = erpi.end(
-            assertions=[assert_read_equals("e10", frozenset({"ph"}))]
-        )
-        return report
-
-    def test_session_report_identical_with_prefix_cache(self):
-        plain = self.run_session(prefix_cache=False)
-        cached = self.run_session(prefix_cache=True)
-        assert cached.explored == plain.explored
-        assert cached.violations == plain.violations
-        assert [
-            outcome_fields(outcome) for outcome in cached.outcomes
-        ] == [outcome_fields(outcome) for outcome in plain.outcomes]
 
 
 class TestLehmerRankSeenSet:

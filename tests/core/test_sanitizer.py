@@ -1,10 +1,9 @@
-"""Differential soundness sanitizer: class sampling, shadow replay, wiring.
+"""Differential soundness sanitizer: class sampling and wiring.
 
-The sanitizer exists to catch two failure modes before they silently skip a
-buggy schedule: a pruner whose class key merges interleavings that are NOT
-observably equivalent, and a prefix-cache replay whose restored state drifts
-from a from-scratch execution.  These tests exercise both directions —
-clean setups must report OK, seeded unsoundness must surface as divergences.
+The sanitizer exists to catch a pruner whose class key merges
+interleavings that are NOT observably equivalent before it silently skips a
+buggy schedule.  These tests exercise both directions — clean setups must
+report OK, seeded unsoundness must surface as divergences.
 """
 
 import random
@@ -25,8 +24,6 @@ from repro.core.replay import ReplayEngine
 from repro.core.sanitizer import (
     Divergence,
     DivergenceLog,
-    Sanitizer,
-    ShadowReplayChecker,
     outcome_observables,
     sanitize_pruning,
 )
@@ -159,51 +156,7 @@ class TestOfflineSanitize:
         assert report.classes_checked >= 1
 
 
-class TestShadowReplayChecker:
-    def test_rate_zero_never_checks(self):
-        checker = ShadowReplayChecker(rate=0.0)
-        assert checker.maybe_check(None, (), None) is False
-        assert checker.checks == 0
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            ShadowReplayChecker(rate=1.5)
-
-    def test_clean_cache_passes_full_rate(self):
-        engine = make_engine()
-        cache = engine.enable_prefix_cache()
-        sanitizer = Sanitizer(rate=1.0)
-        sanitizer.watch_engine(engine)
-        events = (
-            make_update("e1", "A", "set_add", "s", "x"),
-            make_update("e2", "B", "set_add", "s", "y"),
-        )
-        engine.replay(events)
-        engine.replay((events[1], events[0]))
-        assert sanitizer.checker.checks == 2
-        assert len(sanitizer.log) == 0
-        assert cache.stats.hits >= 0  # cache path actually exercised
-
-    def test_corrupted_outcome_is_caught(self):
-        engine = make_engine()
-        engine.enable_prefix_cache()
-        checker = ShadowReplayChecker(rate=1.0)
-        forward = (
-            make_update("e1", "A", "text_insert", "t", 0, "a"),
-            make_update("e2", "A", "text_insert", "t", 0, "b"),
-        )
-        backward = (forward[1], forward[0])
-        wrong_outcome = engine.replay_fresh(backward)
-        # Claim the backward outcome came from the forward interleaving —
-        # exactly what a broken cache adoption would produce.
-        assert checker.maybe_check(engine, forward, wrong_outcome) is True
-        divergences = checker.log.divergences
-        assert divergences
-        assert divergences[0].source == "prefix_cache"
-        assert divergences[0].rep_id == "fresh"
-        assert divergences[0].member_id == "cached"
-        assert any(d.field == "state[A]" for d in divergences)
-
+class TestDivergenceLog:
     def test_log_is_shared_and_thread_safe_container(self):
         log = DivergenceLog()
         log.record(Divergence("src", "k", "r", "m", "f"))
@@ -224,9 +177,7 @@ class TestSessionWiring:
         return erpi.end(cap=60)
 
     def test_session_report_carries_sanitizer(self):
-        report = self._motivating_report(
-            sanitize=1.0, prefix_cache=True, persist=True
-        )
+        report = self._motivating_report(sanitize=True, persist=True)
         assert report.sanitizer is not None
         assert report.sanitizer.ok
         assert "sanitizer:" in report.summary()
@@ -238,7 +189,7 @@ class TestSessionWiring:
 
     def test_persisted_session_has_no_divergence_facts(self):
         cluster = make_cluster()
-        erpi = ErPi(cluster, sanitize=1.0, persist=True, prefix_cache=True)
+        erpi = ErPi(cluster, sanitize=True, persist=True)
         erpi.start()
         cluster.rdl("A").set_add("s", "x")
         cluster.sync("A", "B")
@@ -275,17 +226,11 @@ def test_property_same_key_means_same_observables(name):
 
 
 def test_all_seeded_bugs_sanitize_clean():
-    """Acceptance: at full shadow rate, every Table-1 scenario sanitizes
-    with zero divergences — the pruners and the prefix cache are sound on
-    the very workloads that trigger the seeded bugs."""
+    """Acceptance: every Table-1 scenario sanitizes with zero divergences —
+    the pruners are sound on the very workloads that trigger the seeded
+    bugs."""
     for sc in all_scenarios():
-        result = hunt(
-            record_scenario(sc),
-            "erpi",
-            cap=15,
-            prefix_cache=True,
-            sanitize=1.0,
-        )
+        result = hunt(record_scenario(sc), "erpi", cap=15, sanitize=True)
         report = result.sanitizer
         assert report is not None
         assert report.ok, f"{sc.name}: {report.summary()}"

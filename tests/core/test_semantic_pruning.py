@@ -1,12 +1,12 @@
-"""Semantic pruning: canonical state digests, memoized verdicts, DPOR.
+"""Semantic pruning: canonical state digests and DPOR.
 
-The layer's contract is *sound-or-off*: a digest memo or a sleep-set prune
-may only ever skip replays whose outcome is provably identical to one
-already replayed — and when that proof is unavailable (a subject without
-``canonical_state()``, a fault boundary, an observation outside the
-footprint model) the pruner disables itself instead of guessing.  These
-tests pin the digest algebra, the stitching rules, the gating, and the
-end-to-end bug-finding behaviour across serial/thread/process backends.
+The layer's contract is *sound-or-off*: a sleep-set prune may only ever
+skip replays whose outcome is provably identical to one already replayed —
+and when that proof is unavailable (a non-deterministic executor or
+network) the pruner disables itself instead of guessing.  These tests pin
+the digest algebra the subjects' ``canonical_state()`` feeds, the footprint
+model, and the end-to-end bug-finding behaviour across the serial and
+process backends.
 """
 
 import itertools
@@ -27,12 +27,7 @@ from repro.core.events import (
     make_update,
 )
 from repro.core.explorers import ERPiExplorer
-from repro.core.pruning import (
-    DPORPruner,
-    StateMemoPruner,
-    event_footprint,
-    trace_normal_form,
-)
+from repro.core.pruning import DPORPruner, event_footprint, trace_normal_form
 from repro.core.pruning.semantic import footprints_conflict
 from repro.net.cluster import Cluster
 from repro.rdl.crdts_lib import CRDTLibrary
@@ -64,6 +59,18 @@ class _OpaqueLibrary(CRDTLibrary):
 
     def canonical_state(self):
         return None
+
+
+def cluster_digest(cluster):
+    """One digest of every replica's canonical state, or ``None`` when a
+    subject declares none."""
+    parts = []
+    for rid in cluster.replica_ids():
+        state = cluster.rdl(rid).canonical_state()
+        if state is None:
+            return None
+        parts.append((rid, state_digest(state)))
+    return combine_digests(parts)
 
 
 def local(event_id, replica, op="set_add"):
@@ -106,20 +113,20 @@ class TestClusterDigest:
         one, two = crdt_cluster(), crdt_cluster()
         town_reports(one)
         town_reports(two)
-        assert one.state_digest() == two.state_digest()
+        assert cluster_digest(one) == cluster_digest(two)
 
     def test_divergent_state_hashes_differently(self):
         one, two = crdt_cluster(), crdt_cluster()
         town_reports(one)
         town_reports(two)
         two.rdl("A").set_add("problems", "extra")
-        assert one.state_digest() != two.state_digest()
+        assert cluster_digest(one) != cluster_digest(two)
 
     def test_digest_none_when_subject_is_opaque(self):
         cluster = Cluster()
         cluster.add_replica("A", CRDTLibrary("A"))
         cluster.add_replica("B", _OpaqueLibrary("B"))
-        assert cluster.state_digest() is None
+        assert cluster_digest(cluster) is None
 
 
 # ------------------------------------------------------ footprints / DPOR
@@ -168,14 +175,6 @@ class TestDPORPruner:
         assert not pruner.is_redundant((a, b))
         assert pruner.is_redundant((b, a))
         assert pruner.prune_log  # the prune is logged for Datalog export
-
-    def test_observed_write_outside_model_disables(self):
-        recorded = record_scenario(scenario("Roshi-1"))
-        pruner = DPORPruner()
-        pruner.bind((recorded.engine,), ())
-        pruner.observe_write_set(local("e1", "A"), ["B"])
-        assert not pruner.enabled
-        assert "outside its footprint model" in pruner.disabled_reason
 
     def test_key_is_deterministic_across_instances(self):
         il = (local("e1", "A"), local("e2", "B"), local("e3", "A"))
@@ -369,115 +368,39 @@ class TestProcessPruningStats:
         assert pooled.verdicts == verdicts
 
 
-# ------------------------------------------------------------ state memo
-
-
-class TestStateMemoPruner:
-    def bound(self, name="Roshi-1", assertions=None):
-        recorded = record_scenario(scenario(name))
-        pruner = StateMemoPruner()
-        asserts = (
-            recorded.scenario.make_assertions() if assertions is None else assertions
-        )
-        pruner.bind((recorded.engine,), asserts)
-        return recorded, pruner
-
-    def test_bind_refuses_opaque_subject(self):
-        from repro.core.replay import ReplayEngine
-
-        cluster = Cluster()
-        cluster.add_replica("A", _OpaqueLibrary("A"))
-        engine = ReplayEngine(cluster)
-        engine.checkpoint()
-        pruner = StateMemoPruner()
-        pruner.bind((engine,), ())
-        assert not pruner.enabled
-        assert "canonical_state" in pruner.disabled_reason
-
-    def test_replayed_candidate_becomes_redundant(self):
-        recorded, pruner = self.bound()
-        candidate = tuple(recorded.events)
-        assert not pruner.is_redundant(candidate)  # nothing memoized yet
-        recorded.engine.replay(candidate, pruner.assertions)
-        assert pruner.replays_recorded == 1
-        assert pruner.is_redundant(candidate)
-        assert pruner.hits == 1
-        assert pruner.memo_log  # (digest, il) pair kept for Datalog export
-
-    def test_stitched_violation_is_never_pruned(self):
-        def always_fails(outcome):
-            return "synthetic violation"
-
-        recorded, pruner = self.bound(assertions=(always_fails,))
-        candidate = tuple(recorded.events)
-        recorded.engine.replay(candidate, ())
-        assert not pruner.is_redundant(candidate)
-        assert pruner.stitched_violations == 1
-        assert pruner.stats.pruned == 0
-
-    def test_fault_bearing_candidates_are_never_pruned(self):
-        recorded, pruner = self.bound()
-        crash = Event(
-            event_id="f1", replica_id="A", kind=EventKind.CRASH, op_name="crash"
-        )
-        candidate = tuple(recorded.events) + (crash,)
-        assert not pruner.is_redundant(candidate)
-
-    def test_meter_exhaustion_freezes_instead_of_crashing(self):
-        class TinyMeter:
-            remaining_bytes = StateMemoPruner.ENTRY_COST - 1
-
-            def charge(self, category, nbytes):  # pragma: no cover - frozen first
-                raise AssertionError("must not charge past the budget")
-
-        recorded = record_scenario(scenario("Roshi-1"))
-        pruner = StateMemoPruner()
-        pruner.bind((recorded.engine,), (), meter=TinyMeter())
-        recorded.engine.replay(tuple(recorded.events), ())
-        assert pruner.frozen
-        assert pruner.entries == 0
-
-
 # --------------------------------------------------------- hunt behaviour
 
 
 class TestSemanticHunts:
-    def test_memo_dpor_hunt_replays_fewer_same_bug(self):
+    def test_dpor_hunt_replays_fewer_same_bug(self):
         baseline = hunt(
             record_scenario(scenario("OrbitDB-2")), "erpi", cap=500,
             stop_on_violation=False,
         )
         pruned = hunt(
             record_scenario(scenario("OrbitDB-2")), "erpi", cap=500,
-            memo=True, dpor=True, stop_on_violation=False,
+            dpor=True, stop_on_violation=False,
         )
         assert baseline.found and pruned.found
         assert pruned.explored < baseline.explored
-        assert (
-            pruned.pruning_stats.get("state_memo", 0)
-            + pruned.pruning_stats.get("dpor", 0)
-            > 0
-        )
+        assert pruned.pruning_stats.get("dpor", 0) > 0
 
-    def test_memo_dpor_hunt_is_sanitizer_clean(self):
+    def test_dpor_hunt_is_sanitizer_clean(self):
         result = hunt(
             record_scenario(scenario("Roshi-1")), "erpi", cap=300,
-            memo=True, dpor=True, prefix_cache=True, sanitize=0.25,
-            stop_on_violation=False,
+            dpor=True, sanitize=True, stop_on_violation=False,
         )
         assert result.found
         assert result.sanitizer is not None and result.sanitizer.ok
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_find_the_same_violation(self, backend):
         kwargs = {}
-        if backend == "thread":
-            kwargs = {"workers": 2, "parallel_backend": "thread"}
-        elif backend == "process":
+        if backend == "process":
             kwargs = {"workers": 2, "parallel_backend": "process"}
         result = hunt(
             record_scenario(scenario("Roshi-1")), "erpi", cap=120,
-            memo=True, dpor=True, **kwargs,
+            dpor=True, **kwargs,
         )
         assert result.found
         assert result.violating is not None
@@ -493,29 +416,26 @@ class TestSemanticHunts:
             results[workers] = hunt(
                 record_scenario(scenario("Roshi-1")), "erpi", cap=120,
                 workers=workers, parallel_backend="process",
-                memo=True, dpor=True, stop_on_violation=False,
+                dpor=True, stop_on_violation=False,
             )
         assert results[2].verdicts == results[3].verdicts
         assert results[2].explored == results[3].explored
 
 
 class TestCrashRecoveryWithSemanticPruning:
-    """Satellite: every seeded crash-recovery bug is still found with the
-    semantic pruners armed, with zero sanitizer divergences — and the memo
-    stays inert on fault-bearing candidates (soundness over savings)."""
+    """Satellite: every seeded crash-recovery bug is still found with DPOR
+    armed, with zero sanitizer divergences (fault events are barriers, so
+    DPOR never reorders across a crash, recover or partition)."""
 
     @pytest.mark.parametrize("name", CR_SCENARIOS)
-    def test_cr_bug_found_with_memo_dpor_faults(self, name):
+    def test_cr_bug_found_with_dpor_faults_sanitized(self, name):
         result = hunt(
             record_scenario(scenario(name)), "erpi", cap=2000,
-            memo=True, dpor=True, faults=True, sanitize=0.2,
+            dpor=True, faults=True, sanitize=True,
         )
         assert result.found, name
         assert not result.quarantined
-        assert result.sanitizer is None or result.sanitizer.ok
-        # Every candidate carries the compiled fault events, so the memo
-        # must never claim a stitch across a crash/recover boundary.
-        assert result.pruning_stats.get("state_memo", 0) == 0
+        assert result.sanitizer is not None and result.sanitizer.ok
 
 
 class TestSessionAndDatalogPersistence:
@@ -523,7 +443,7 @@ class TestSessionAndDatalogPersistence:
         from repro.core import ErPi, GroupConstraint, assert_read_equals
 
         cluster = crdt_cluster()
-        erpi = ErPi(cluster, persist=True, memo=True, dpor=True)
+        erpi = ErPi(cluster, persist=True, dpor=True)
         erpi.start()
         town_reports(cluster)
         erpi.add_constraint(
@@ -533,16 +453,6 @@ class TestSessionAndDatalogPersistence:
             assertions=[assert_read_equals("e10", frozenset({"ph"}))], cap=200
         )
         return erpi, report
-
-    def test_semantic_prunes_land_as_facts(self):
-        erpi, report = self.run_session()
-        assert erpi._memo_pruner.enabled, erpi._memo_pruner.disabled_reason
-        assert erpi._dpor_pruner.enabled, erpi._dpor_pruner.disabled_reason
-        memos = erpi.store.memos()
-        assert len(memos) == report.pruning_stats["state_memo"] > 0
-        for digest, il_id in memos:
-            assert isinstance(digest, str) and len(digest) == 16
-            assert il_id in erpi.store.pruned_ids("state_memo")
 
     def test_footprint_facts_describe_dpor_prunes(self):
         erpi, report = self.run_session()
@@ -556,9 +466,6 @@ class TestSessionAndDatalogPersistence:
     def test_export_renders_new_relations(self):
         erpi, report = self.run_session()
         text = erpi.export_datalog()
-        assert "// .decl memo(" in text
         assert "// .decl footprint(" in text
-        if erpi.store.memos():
-            assert "\nmemo(" in text
         if erpi.store.footprints():
             assert "\nfootprint(" in text

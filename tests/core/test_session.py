@@ -283,7 +283,6 @@ class TestPersistExploration:
             "erpi",
             workers=2,
             parallel_backend="process",
-            prefix_cache=True,
             metrics=metrics,
         )
         store = InterleavingStore()

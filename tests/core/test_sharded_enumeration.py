@@ -6,7 +6,7 @@ that consume an index but no flattening work).  The contract pinned here:
 the sharded streams are a partition of ``candidates()`` — same length,
 every position owned by exactly one worker, owned values identical — for
 the ERPi fast path, the constraint-checked fault path and the generic
-fallback wrapper alike; and full process hunts (memo + DPOR + faults)
+fallback wrapper alike; and full process hunts (DPOR + faults)
 commit the same verdicts regardless of worker count or mid-hunt steals.
 """
 
@@ -42,10 +42,10 @@ def faulted_stack(name="Roshi-CR"):
     return recorded, explorer
 
 
-def memo_stack(name="Roshi-1"):
+def dpor_stack(name="Roshi-1"):
     """Stream-time pruners force the generic fallback wrapper."""
     recorded = record_scenario(scenario(name))
-    explorer = make_explorer(recorded, "erpi", memo=True, dpor=True)
+    explorer = make_explorer(recorded, "erpi", dpor=True)
     assert explorer.pipeline.pruners
     return recorded, explorer
 
@@ -53,7 +53,7 @@ def memo_stack(name="Roshi-1"):
 STACKS = {
     "fast-path": plain_stack,
     "fault-constraints": faulted_stack,
-    "fallback-pruners": memo_stack,
+    "fallback-pruners": dpor_stack,
 }
 
 
@@ -126,22 +126,16 @@ class TestShardPartitionEquivalence:
 
 
 def process_hunt(name, workers, cap=150):
-    """A process-backed memo+DPOR+faults hunt at an explicit worker count
+    """A process-backed DPOR+faults hunt at an explicit worker count
     (1 allowed, unlike the harness's serial shortcut)."""
     recorded = record_scenario(scenario(name))
     compiled = recorded.scenario.fault_plan().compile(recorded.events)
-    explorer = make_explorer(
-        recorded, "erpi", events=compiled.events,
-        memo=True, dpor=True, memo_in_stream=False,
-    )
+    explorer = make_explorer(recorded, "erpi", events=compiled.events, dpor=True)
     explorer.order_constraints = compiled.order_constraints
     task = ScenarioWorkerTask(
-        scenario_name=name, mode="erpi", seed=0,
-        faults=True, memo=True, dpor=True,
+        scenario_name=name, mode="erpi", seed=0, faults=True, dpor=True,
     )
-    pool = ProcessParallelExplorer(
-        explorer, task, workers=workers, prefix_cache=True, seed=0,
-    )
+    pool = ProcessParallelExplorer(explorer, task, workers=workers, seed=0)
     return pool.explore(
         recorded.engine, recorded.scenario.make_assertions(),
         cap=cap, stop_on_violation=False,
@@ -149,14 +143,13 @@ def process_hunt(name, workers, cap=150):
 
 
 class TestProcessHuntEquivalence:
-    """Satellite: 1/2/4-worker process hunts with memo + DPOR + faults
-    enabled commit bit-for-bit identical verdicts, matching serial."""
+    """Satellite: 1/2/4-worker process hunts with DPOR + faults enabled
+    commit bit-for-bit identical verdicts, matching serial."""
 
     def test_worker_counts_and_serial_agree(self):
         serial = hunt(
             record_scenario(scenario("Roshi-CR")), "erpi",
-            memo=True, dpor=True, faults=True, cap=150,
-            stop_on_violation=False,
+            dpor=True, faults=True, cap=150, stop_on_violation=False,
         )
         results = {w: process_hunt("Roshi-CR", w) for w in (1, 2, 4)}
         baseline = results[1]
@@ -195,7 +188,6 @@ class TestWorkStealing:
             explorer,
             ScenarioWorkerTask(scenario_name="Roshi-1", mode="erpi", seed=0),
             workers=2,
-            prefix_cache=True,
             seed=0,
             lease_ttl_s=2.0,
             heartbeat_interval_s=0.05,

@@ -70,7 +70,7 @@ def test_sanitizer_covers_fault_bearing_classes():
         "erpi",
         cap=200,
         faults=True,
-        sanitize=1.0,
+        sanitize=True,
         stop_on_violation=False,
     )
     report = result.sanitizer

@@ -87,22 +87,6 @@ class TestMetricsRegistry:
         metrics.inc("interleavings.quarantined", 1)
         assert metrics.consistent()
 
-    def test_shard_and_merge(self):
-        main = MetricsRegistry()
-        main.inc("interleavings.replayed", 2)
-        main.observe("replay.duration_us", 10.0)
-        shard = main.shard()
-        assert shard is not main
-        shard.inc("interleavings.replayed", 3)
-        shard.set_gauge("cache.entries", 7)
-        shard.observe("replay.duration_us", 30.0)
-        main.merge(shard)
-        assert main.counter("interleavings.replayed") == 5
-        assert main.gauge("cache.entries") == 7
-        assert main.histogram("replay.duration_us").count == 2
-        # The shard itself is untouched by the merge.
-        assert shard.counter("interleavings.replayed") == 3
-
     def test_summary_and_as_dict(self):
         metrics = MetricsRegistry()
         metrics.inc("interleavings.replayed", 1234)
@@ -150,7 +134,6 @@ class TestNullMetrics:
         assert NULL_METRICS.gauge("y") is None
         assert NULL_METRICS.histogram("z") is None
         assert NULL_METRICS.consistent()
-        assert NULL_METRICS.shard() is NULL_METRICS
         assert NULL_METRICS.as_dict() == {}
         assert NULL_METRICS.persist(InterleavingStore()) == 0
         assert isinstance(NULL_METRICS, NullMetrics)

@@ -14,13 +14,11 @@ class FakeClock:
         return self.now
 
 
-def make_metrics(replayed=3, pruned=0, hits=0, quarantined=0):
+def make_metrics(replayed=3, pruned=0, quarantined=0):
     metrics = MetricsRegistry()
     metrics.inc("interleavings.replayed", replayed)
     if pruned:
         metrics.inc("interleavings.pruned", pruned)
-    if hits:
-        metrics.inc("replay.cache_hits", hits)
     if quarantined:
         metrics.inc("interleavings.quarantined", quarantined)
     return metrics
@@ -30,12 +28,11 @@ class TestProgressLine:
     def test_tick_paints_counters(self):
         stream = io.StringIO()
         progress = ProgressLine(stream=stream, clock=FakeClock())
-        assert progress.tick(make_metrics(replayed=7, pruned=2, hits=5))
+        assert progress.tick(make_metrics(replayed=7, pruned=2))
         line = stream.getvalue()
         assert line.startswith("\r")
         assert "replayed 7" in line
         assert "pruned 2" in line
-        assert "cache hits 5" in line
         assert "quarantined" not in line  # zero counters stay off the line
 
     def test_rate_limited_by_clock(self):
