@@ -2,8 +2,9 @@
 
 For each interleaving (paper section 4.3) the engine:
 
-1. restores every replica to the checkpointed initial state (and clears the
-   transport), so interleavings cannot affect each other;
+1. restores the cluster to the checkpoint (replica states, every host up,
+   the partitions, an empty transport), so interleavings cannot affect
+   each other;
 2. re-invokes the recorded events in the interleaving's order, catching RDL
    errors — a failing op is *data* (it feeds failed-ops pruning), not an
    engine failure;
@@ -33,7 +34,7 @@ from repro.core.events import Event, EventKind, assign_lamport
 from repro.core.interleavings import Interleaving
 from repro.crdt.base import CRDTError
 from repro.faults.errors import ReplayTimeout
-from repro.net.cluster import Cluster
+from repro.net.cluster import Cluster, ClusterCheckpoint
 from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.rdl.base import RDLError
 from repro.redisim.errors import LockError
@@ -259,12 +260,7 @@ class ReplayEngine:
     def __init__(self, cluster: Cluster, executor: Optional[Any] = None) -> None:
         self.cluster = cluster
         self.executor = executor or SequentialExecutor()
-        self._checkpoint: Optional[Dict[str, Any]] = None
-        # Fault-injection bookkeeping: the checkpoint's partition topology
-        # (fault events may partition/heal mid-replay) and whether the last
-        # replay ran fault events that must be reset before the next one.
-        self._baseline_partitions: set = set()
-        self._fault_dirty = False
+        self._checkpoint: Optional[ClusterCheckpoint] = None
         #: Transport counter deltas for the most recent replay
         #: (sent, dropped, delivered, duplicated).
         self.last_transport_stats: Tuple[int, int, int, int] = (0, 0, 0, 0)
@@ -277,10 +273,8 @@ class ReplayEngine:
         self.metrics = NULL_METRICS
 
     def checkpoint(self) -> None:
-        """Snapshot the replicas' current states as the replay baseline."""
+        """Snapshot the cluster's current state as the replay baseline."""
         self._checkpoint = self.cluster.checkpoint()
-        self._baseline_partitions = set(self.cluster.transport.conditions.partitions)
-        self._fault_dirty = False
 
     def semantic_unsupported_reason(self) -> Optional[str]:
         """Why semantic (DPOR) pruning cannot bind here, or None when it
@@ -333,7 +327,6 @@ class ReplayEngine:
         """Reset the cluster to the checkpoint (used after the final replay)."""
         if self._checkpoint is not None:
             self.cluster.restore(self._checkpoint)
-            self._reset_fault_state()
 
     # ------------------------------------------------------------- internals
 
@@ -372,8 +365,6 @@ class ReplayEngine:
     ) -> InterleavingOutcome:
         if self._checkpoint is None:
             raise ReplayError("checkpoint() must be called before replay()")
-        if self._fault_dirty:
-            self._reset_fault_state()
         cluster = self.cluster
         transport = cluster.transport
         cluster.restore(self._checkpoint)
@@ -383,10 +374,6 @@ class ReplayEngine:
         started = time.perf_counter()
         event_results = self.executor.run(cluster, interleaving)
         duration = time.perf_counter() - started
-        # Fault events leave hosts down or partitioned; the next replay
-        # resets them before restoring.
-        if any(event.is_fault for event in interleaving):
-            self._fault_dirty = True
         after = transport.stats()
         self.last_transport_stats = tuple(n - b for n, b in zip(after, before))
         # restore() cleared the suppressed-send log, so its whole contents
@@ -404,13 +391,3 @@ class ReplayEngine:
             if message is not None:
                 outcome.violations.append(message)
         return outcome
-
-    def _reset_fault_state(self) -> None:
-        """Undo what a fault-bearing replay left behind: bring every host
-        back up and reinstate the checkpoint's partition topology."""
-        for host in self.cluster._hosts.values():
-            host.force_up()
-        conditions = self.cluster.transport.conditions
-        conditions.partitions.clear()
-        conditions.partitions.update(self._baseline_partitions)
-        self._fault_dirty = False

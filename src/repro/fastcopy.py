@@ -1,10 +1,12 @@
-"""Fast structured state copying for snapshots and sync payloads.
+"""Fast structured state copying for sync payloads and CRDT copies.
 
-``copy.deepcopy`` is the single hottest call in the replay engine: every
-checkpoint restore, every ``sync_payload`` and every ``apply_sync`` adoption
-deep-copies replica state through the stdlib's generic ``__reduce_ex__``
-machinery.  :func:`fast_copy` is a drop-in replacement specialised for the
-state shapes this codebase actually snapshots:
+Sync payloads, ``apply_sync`` adoptions and CRDT copies deep-copy state on
+hot paths.  Replica checkpoints do not come through here: they are pickled
+bytes (see :meth:`repro.rdl.base.RDLReplica.checkpoint`), restored by one
+C-level unpickle.  A pickle round trip is slower than :func:`fast_copy` on
+state full of frozen stamps and dots, which :func:`fast_copy` shares
+instead of rebuilding.  :func:`fast_copy` is a ``copy.deepcopy``
+replacement specialised for the state shapes this codebase copies:
 
 * builtin containers (dict/list/set/frozenset/tuple) are copied directly,
   without reduce-protocol dispatch;
@@ -193,5 +195,5 @@ def _copy_plain_object(obj: Any, cls: type, memo: Dict[int, Any]) -> Any:
 
 
 def copy_state(obj: Any) -> Any:
-    """Copy replica/transport state."""
+    """Copy sync-payload or CRDT state."""
     return fast_copy(obj)

@@ -15,7 +15,7 @@ cluster exposes exactly those two primitives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.net.conditions import NetworkConditions
 from repro.net.replica import ReplicaHost
@@ -42,6 +42,15 @@ class SyncSummary:
     attempted: int
     delivered: int
     suppressed: Tuple[SuppressedSend, ...]
+
+
+@dataclass(frozen=True)
+class ClusterCheckpoint:
+    """A replay baseline: each replica's snapshot (opaque, see
+    :meth:`~repro.rdl.base.RDLReplica.checkpoint`) plus the partitions."""
+
+    snapshots: Dict[str, Any]
+    partitions: FrozenSet[FrozenSet[str]]
 
 
 class Cluster:
@@ -168,14 +177,22 @@ class Cluster:
 
     # ------------------------------------------------------------ lifecycle
 
-    def checkpoint(self) -> Dict[str, Any]:
-        """Snapshot every replica (the transport must be empty — replay
-        checkpoints are taken at quiescent points)."""
-        return {rid: host.checkpoint() for rid, host in self._hosts.items()}
+    def checkpoint(self) -> ClusterCheckpoint:
+        """Snapshot every replica and the partition topology (the transport
+        must be empty — replay checkpoints are taken at quiescent points)."""
+        return ClusterCheckpoint(
+            {rid: host.checkpoint() for rid, host in self._hosts.items()},
+            frozenset(self.transport.conditions.partitions),
+        )
 
-    def restore(self, snapshots: Dict[str, Any]) -> None:
-        for rid, snapshot in snapshots.items():
+    def restore(self, checkpoint: ClusterCheckpoint) -> None:
+        """Reinstate a checkpoint: replica states with every host up, the
+        partitions, and an empty transport."""
+        for rid, snapshot in checkpoint.snapshots.items():
             self.host(rid).restore(snapshot)
+        partitions = self.transport.conditions.partitions
+        partitions.clear()
+        partitions.update(checkpoint.partitions)
         self.transport.reset()
         self.suppressed_sends.clear()
 

@@ -5,7 +5,7 @@ RDL object must duck-type the sync protocol::
 
     sync_payload(target_replica_id) -> payload   # what to ship to a peer
     apply_sync(payload, from_replica_id)         # integrate a peer's payload
-    checkpoint() -> snapshot                     # opaque deep state snapshot
+    checkpoint() -> snapshot                     # opaque, reusable snapshot
     restore(snapshot)                            # reset to a snapshot
     value()                                      # observable state
 
@@ -69,11 +69,6 @@ class ReplicaHost:
         if not self.up:
             raise ReplicaDownError(f"replica {self.replica_id!r} is down")
 
-    def force_up(self) -> None:
-        """Reset fault state without a recovery (replay-boundary reset)."""
-        self.up = True
-        self._durable = None
-
     def state(self) -> Any:
         return self.rdl.value()
 
@@ -84,29 +79,8 @@ class ReplicaHost:
         # Replay checkpoints are taken at quiescent, all-up points, so a
         # checkpoint restore also resets the crash/recover lifecycle.
         self.rdl.restore(snapshot)
-        self.force_up()
-
-    def snapshot(self) -> Any:
-        """Full host snapshot: RDL state plus the host's sync counters.
-
-        Unlike :meth:`checkpoint` (RDL state only), this captures everything
-        needed to rewind the host mid-interleaving, liveness included.
-        """
-        return {
-            "rdl": self.rdl.checkpoint(),
-            "applied_syncs": self.applied_syncs,
-            "sent_syncs": self.sent_syncs,
-            "up": self.up,
-            "durable": self._durable,
-        }
-
-    def restore_snapshot(self, snapshot: Any) -> None:
-        """Rewind to a :meth:`snapshot`; the snapshot stays reusable."""
-        self.rdl.restore(snapshot["rdl"])
-        self.applied_syncs = snapshot["applied_syncs"]
-        self.sent_syncs = snapshot["sent_syncs"]
-        self.up = snapshot.get("up", True)
-        self._durable = snapshot.get("durable")
+        self.up = True
+        self._durable = None
 
     def __repr__(self) -> str:
         return f"ReplicaHost({self.replica_id!r}, rdl={type(self.rdl).__name__})"

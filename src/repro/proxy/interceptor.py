@@ -108,3 +108,18 @@ def deinstrument(target: Any) -> None:
 
 def is_instrumented(target: Any) -> bool:
     return bool(getattr(target, _PROXY_ATTR, None))
+
+
+def own_state(target: Any) -> Dict[str, Any]:
+    """``target.__dict__`` without the attributes :func:`instrument` installed.
+
+    Snapshots must capture only the object's own state: a snapshot taken
+    while recording would otherwise carry the proxies, and restoring it
+    would reinstall them after the recording window closed.
+    """
+    state = target.__dict__
+    originals = state.get(_PROXY_ATTR)
+    if originals is None:
+        return state
+    installed = {_PROXY_ATTR, _IN_CALL_ATTR, *originals}
+    return {key: value for key, value in state.items() if key not in installed}

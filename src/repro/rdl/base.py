@@ -20,10 +20,10 @@ listed per subject module and registered in :mod:`repro.bugs.registry`.
 from __future__ import annotations
 
 import abc
-import copy
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Set
+import pickle
+from typing import Any, FrozenSet, Iterable, Optional, Set
 
-from repro.fastcopy import copy_state
+from repro.proxy.interceptor import own_state
 
 
 class RDLError(Exception):
@@ -70,12 +70,28 @@ class RDLReplica(abc.ABC):
     def value(self) -> Any:
         """The observable state app code reads."""
 
-    def checkpoint(self) -> Any:
-        return copy_state(self.__dict__)
+    def checkpoint(self) -> bytes:
+        """This replica's state as pickled bytes.
 
-    def restore(self, snapshot: Any) -> None:
-        self.__dict__.clear()
-        self.__dict__.update(copy_state(snapshot))
+        The bytes are immutable, so one snapshot serves any number of
+        restores, and a restore is one C-level unpickle.  They are made and
+        loaded in one process only: snapshots never go into a journal or
+        over the worker pipes (each worker builds its own checkpoint).
+        """
+        return self._snapshot()
+
+    def restore(self, snapshot: bytes) -> None:
+        self.__dict__ = pickle.loads(snapshot)
+
+    def _snapshot(self, **overrides: Any) -> bytes:
+        """Pickle this replica's state with ``overrides`` replacing fields
+        (e.g. volatile state reset for a durable snapshot).  Recording
+        proxies are left out, see :func:`~repro.proxy.interceptor.own_state`.
+        """
+        state = own_state(self)
+        if overrides:
+            state = {**state, **overrides}
+        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
 
     def canonical_state(self) -> Any:
         """The replica's full semantic state, for canonical hashing.
@@ -104,11 +120,11 @@ class RDLReplica(abc.ABC):
     # library whose whole state is durable; subjects with genuinely
     # volatile state override both.
 
-    def durable_snapshot(self) -> Any:
+    def durable_snapshot(self) -> bytes:
         """The state that survives a crash of this replica's process."""
         return self.checkpoint()
 
-    def recover(self, snapshot: Any) -> None:
+    def recover(self, snapshot: bytes) -> None:
         """Rebuild this replica from a ``durable_snapshot`` after a crash."""
         self.restore(snapshot)
 

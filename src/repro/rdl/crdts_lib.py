@@ -214,38 +214,10 @@ class CRDTLibrary(RDLReplica):
 
     # -------------------------------------------------------- host protocol
 
-    # ------------------------------------------------------- state copying
-
-    def _copy_state_dict(self, state: Dict[str, Any]) -> Dict[str, Any]:
-        """Hand-rolled copy of this library's ``__dict__``-shaped state.
-
-        Replay snapshots/restores and sync payloads copy this state on every
-        replayed event, so the known-hot fields are copied directly instead
-        of through the generic walker.  Unknown extra attributes (there are
-        none today) would be shared, not deep-copied.
-        """
-        out = dict(state)
-        out["defects"] = set(state["defects"])
-        out["_structures"] = {
-            name: crdt.copy() for name, crdt in state["_structures"].items()
-        }
-        out["_clock"] = state["_clock"].copy()
-        out["_list_arrival"] = {
-            name: list(items) for name, items in state["_list_arrival"].items()
-        }
-        return out
-
     def canonical_state(self) -> Any:
         """Full behavioural state: the CRDT structures, the (shared) Lamport
         clock, and the list arrival order the tiebreak defects consult."""
         return self.__dict__
-
-    def checkpoint(self) -> Any:
-        return self._copy_state_dict(self.__dict__)
-
-    def restore(self, snapshot: Any) -> None:
-        self.__dict__.clear()
-        self.__dict__.update(self._copy_state_dict(snapshot))
 
     def sync_payload(self, target_replica_id: str) -> Dict[str, Any]:
         return {

@@ -216,7 +216,7 @@ class OrbitDBStore(RDLReplica):
         arrival order, ACL, clock, and the open/lock process flags."""
         return self.__dict__
 
-    def durable_snapshot(self) -> Any:
+    def durable_snapshot(self) -> bytes:
         """What survives a crash: the persisted log, plus the lock *file*.
 
         Entries, ACL and clock are written through to disk as they are
@@ -224,12 +224,9 @@ class OrbitDBStore(RDLReplica):
         closed — but the repo folder lock is on disk, so a crash while the
         store is open leaves it behind.
         """
-        snapshot = self.checkpoint()
-        snapshot["_open"] = False
-        snapshot["_repo_locked"] = self._open or self._repo_locked
-        return snapshot
+        return self._snapshot(_open=False, _repo_locked=self._open or self._repo_locked)
 
-    def recover(self, snapshot: Any) -> None:
+    def recover(self, snapshot: bytes) -> None:
         """Reload the store from its persisted log and reopen it."""
         self.restore(snapshot)
         if not self.has_defect("crash_lock_leak"):

@@ -160,19 +160,17 @@ class ReplicaDBJob(RDLReplica):
         and the job-runner counters."""
         return self.__dict__
 
-    def durable_snapshot(self) -> Any:
+    def durable_snapshot(self) -> bytes:
         """What survives a crash: the source and sink tables (databases).
 
         Job-runner counters are process state.  With the
         ``volatile_tombstones`` defect the delete-tombstone table is also
         memory-only, so recovery forgets which rows were deleted.
         """
-        snapshot = self.checkpoint()
-        snapshot["rows_transferred"] = 0
-        snapshot["peak_memory_rows"] = 0
-        if self.has_defect("volatile_tombstones"):
-            snapshot["_source_deleted"] = {}
-        return snapshot
+        tombstones = {} if self.has_defect("volatile_tombstones") else self._source_deleted
+        return self._snapshot(
+            rows_transferred=0, peak_memory_rows=0, _source_deleted=tombstones
+        )
 
     def sync_payload(self, target_replica_id: str) -> Dict[str, Any]:
         """Upstream-database replication: ship source rows and tombstones."""

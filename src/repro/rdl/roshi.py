@@ -34,6 +34,7 @@ of issue #11).
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.rdl.base import RDLReplica
@@ -232,35 +233,35 @@ class RoshiReplica(RDLReplica):
 
     # ------------------------------------------------------------ lifecycle
 
-    def checkpoint(self) -> Any:
-        return {
-            "farm": self.farm.snapshot(),
-            "keys": set(self._keys),
-            "last_op": dict(self._last_op),
-            "arrival": {key: list(order) for key, order in self._arrival.items()},
-        }
+    # The farm's servers hold locks, which do not pickle, so Roshi pickles
+    # the farm's contents instead of its ``__dict__``.
 
-    def restore(self, snapshot: Any) -> None:
-        self.farm.restore(snapshot["farm"])
-        self._keys = set(snapshot["keys"])
-        self._last_op = dict(snapshot["last_op"])
-        self._arrival = {key: list(order) for key, order in snapshot["arrival"].items()}
+    def checkpoint(self) -> bytes:
+        return self._pickled(self._last_op, self._arrival)
+
+    def restore(self, snapshot: bytes) -> None:
+        farm, self._keys, self._last_op, self._arrival = pickle.loads(snapshot)
+        self.farm.restore(farm)
 
     def canonical_state(self) -> Any:
-        """Everything that influences behaviour: the farm contents plus the
-        volatile arrival/last-op bookkeeping (both leak into responses under
-        the tie-break and select-order defects)."""
+        """Everything that influences behaviour: the farm contents (not the
+        servers' locks and command counters) plus the volatile
+        arrival/last-op bookkeeping (both leak into responses under the
+        tie-break and select-order defects)."""
         return {
-            "farm": self.farm,
+            "farm": self.farm.snapshot(),
             "keys": self._keys,
             "last_op": self._last_op,
             "arrival": self._arrival,
         }
 
-    def durable_snapshot(self) -> Any:
+    def durable_snapshot(self) -> bytes:
         """What survives a crash: the Redis farm (and the key index derived
         from it).  The process's arrival-order bookkeeping is volatile."""
-        snapshot = self.checkpoint()
-        snapshot["last_op"] = {}
-        snapshot["arrival"] = {}
-        return snapshot
+        return self._pickled(last_op={}, arrival={})
+
+    def _pickled(
+        self, last_op: Dict[Tuple[str, str], str], arrival: Dict[str, List[str]]
+    ) -> bytes:
+        state = (self.farm.snapshot(), self._keys, last_op, arrival)
+        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)

@@ -33,7 +33,7 @@ since the last push is volatile and lost on crash.
 
 from __future__ import annotations
 
-import copy
+import pickle
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.crdt.clock import Stamp
@@ -68,7 +68,7 @@ class YorkieDocument(RDLReplica):
         self._op_counter = 0
         # Durable push watermark: the replica's state as of the last change
         # pack it shipped (initially: the pristine attached document).
-        self._durable_checkpoint: Dict[str, Any] = self._push_checkpoint()
+        self._durable_checkpoint: bytes = self._push_checkpoint()
 
     # ----------------------------------------------------------- Yorkie API
 
@@ -146,10 +146,13 @@ class YorkieDocument(RDLReplica):
 
     def canonical_state(self) -> Any:
         """Full behavioural state: the JSON document, move log, dedup cache,
-        op counter and the durable push checkpoint."""
-        return self.__dict__
+        op counter and the durable push checkpoint (unpickled, so equal
+        states hash equal whatever their set iteration order)."""
+        state = dict(self.__dict__)
+        state["_durable_checkpoint"] = pickle.loads(self._durable_checkpoint)
+        return state
 
-    def durable_snapshot(self) -> Dict[str, Any]:
+    def durable_snapshot(self) -> bytes:
         """What survives a client crash: the state as of the last push.
 
         Un-pushed local changes are volatile and lost.  With the
@@ -157,14 +160,17 @@ class YorkieDocument(RDLReplica):
         eagerly (its *current* value) even though the moves it remembers
         roll back with the document — the seeded crash–recovery bug.
         """
-        snapshot = copy_state(self._durable_checkpoint)
-        if self.has_defect("durable_seen_cache"):
-            snapshot["_seen_moves"] = set(self._seen_moves)
-        return snapshot
+        if not self.has_defect("durable_seen_cache"):
+            return self._durable_checkpoint
+        state = pickle.loads(self._durable_checkpoint)
+        state["_seen_moves"] = set(self._seen_moves)
+        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
 
-    def recover(self, snapshot: Dict[str, Any]) -> None:
+    def recover(self, snapshot: bytes) -> None:
+        # The snapshot is push-watermark state, so it is also the new
+        # watermark.
         self.restore(snapshot)
-        self._durable_checkpoint = self._push_checkpoint()
+        self._durable_checkpoint = snapshot
 
     def apply_sync(self, payload: Dict[str, Any], from_replica_id: str) -> None:
         if payload["doc_key"] != self.doc_key:
@@ -203,14 +209,9 @@ class YorkieDocument(RDLReplica):
 
     # ------------------------------------------------------------- internal
 
-    def _push_checkpoint(self) -> Dict[str, Any]:
-        """Deep copy of everything but the watermark itself."""
-        state = {
-            key: value
-            for key, value in self.__dict__.items()
-            if key != "_durable_checkpoint"
-        }
-        return copy_state(state)
+    def _push_checkpoint(self) -> bytes:
+        """A snapshot of everything but the watermark itself."""
+        return self._snapshot(_durable_checkpoint=None)
 
     def _array(self, path: Sequence[PathKey]) -> RGAList:
         node = self._doc._resolve(list(path), create=False)

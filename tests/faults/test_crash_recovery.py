@@ -59,17 +59,20 @@ class TestHostLifecycle:
         cluster = crdt_cluster()
         snapshot = cluster.checkpoint()
         cluster.crash("A")
+        cluster.partition("A", "B")
         cluster.restore(snapshot)
-        assert cluster.host("A").up
+        assert all(cluster.host(rid).up for rid in cluster.replica_ids())
+        assert not cluster.transport.conditions.partitions
         cluster.rdl("A").set_add("k", 1)  # must not raise
+        assert cluster.sync("A", "B")
 
-    def test_host_snapshot_carries_liveness(self):
+    def test_checkpoint_restore_reinstates_baseline_partitions(self):
         cluster = crdt_cluster()
-        cluster.crash("A")
-        snapshot = cluster.host("A").snapshot()
-        cluster.host("A").force_up()
-        cluster.host("A").restore_snapshot(snapshot)
-        assert not cluster.host("A").up
+        cluster.partition("A", "B")
+        snapshot = cluster.checkpoint()
+        cluster.heal()
+        cluster.restore(snapshot)
+        assert cluster.transport.conditions.is_partitioned("A", "B")
 
 
 class TestYorkieDurability:

@@ -125,3 +125,15 @@ class TestDeinstrument:
         interceptor.instrument(target, lambda t, n, a, k, r: seen.append(n))
         target.query()
         assert seen == ["query"]
+
+
+class TestOwnState:
+    def test_leaves_out_installed_attributes(self):
+        target = Sample()
+        interceptor.instrument(target, lambda *a: None)
+        target.chained()  # sets the reentrancy flag
+        assert interceptor.own_state(target) == {"calls": 1}
+
+    def test_uninstrumented_state_is_the_dict(self):
+        target = Sample()
+        assert interceptor.own_state(target) is target.__dict__

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.bench.harness import record_scenario
+from repro.bugs.registry import scenario
 from repro.core.errors import RecordingError
 from repro.core.events import EventKind
 from repro.net.cluster import Cluster
+from repro.proxy.interceptor import is_instrumented
 from repro.proxy.recorder import EventRecorder
 from repro.rdl.crdts_lib import CRDTLibrary
 
@@ -75,6 +78,15 @@ class TestRecording:
         recorder.stop()
         cluster.rdl("A").set_add("s", "x")
         assert recorder.events == []
+
+    def test_recovery_does_not_reinstall_proxies(self):
+        # Yorkie takes a durable push checkpoint on every sync, including
+        # the syncs of the recording run; recovering from one must not
+        # bring back the recorder's proxies after the recorder stopped.
+        recorded = record_scenario(scenario("Yorkie-1"))
+        recorded.cluster.crash("A")
+        recorded.cluster.recover("A")
+        assert not is_instrumented(recorded.cluster.rdl("A"))
 
     def test_double_start_rejected(self):
         cluster = make_cluster()
