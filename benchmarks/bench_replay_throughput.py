@@ -13,13 +13,13 @@ the end-to-end benchmark under ``benchmarks/e2e/`` instead.  Arms:
                   acceptance criterion is < 10%);
 * ``proc1/2/4`` — the shared-nothing multiprocess backend
                   (:class:`~repro.core.procpool.ProcessParallelExplorer`)
-                  as a 1/2/4-worker scaling sweep with prefix-shard
-                  scheduling.  Workers run a real ER-pi explorer so the
+                  as a 1/2/4-worker scaling sweep with index-striped
+                  ownership.  Workers run a real ER-pi explorer so the
                   **sharded enumeration** fast path engages (each worker
-                  flattens only its own shards) and verdicts ship over
-                  **columnar IPC**; the arms report ``ipc_bytes_per_replay``,
-                  per-worker ``enumerated_per_worker`` materialisation counts
-                  and the ``steals`` count.  Pool bootstrap runs before the
+                  flattens only its own positions) and verdicts ship over
+                  **columnar IPC**; the arms report ``ipc_bytes_per_replay``
+                  and per-worker ``enumerated_per_worker`` materialisation
+                  counts.  Pool bootstrap runs before the
                   timer (``prestart``), so the arms measure steady-state
                   replay throughput, not process spawn.
 
@@ -193,9 +193,6 @@ def run_arm(name: str, limit: int) -> Tuple[float, dict]:
             "enumerated_per_worker": {
                 str(widx): s["materialized"] for widx, s in sorted(stats.items())
             },
-            "steals": (getattr(result, "coordination", None) or {}).get(
-                "steals", 0
-            ),
         }
     else:
         raise ValueError(name)
@@ -282,7 +279,7 @@ def main() -> int:
     for name in ("proc1", "proc2", "proc4"):
         missing = [
             key
-            for key in ("ipc_bytes_per_replay", "enumerated_per_worker", "steals")
+            for key in ("ipc_bytes_per_replay", "enumerated_per_worker")
             if key not in report["arms"][name]
         ]
         if missing:

@@ -203,19 +203,15 @@ def hunt(
     progress: Optional[object] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
-    lease_ttl_s: float = 5.0,
-    heartbeat_interval_s: Optional[float] = None,
     max_releases: int = 3,
     checkpoint_every: int = 64,
-    lease_farm: Optional[object] = None,
     batch_size: int = 64,
-    steal_margin: Optional[int] = 512,
 ) -> ExplorationResult:
     """Explore until the scenario's invariant breaks (bug reproduced).
 
-    ``workers > 1`` shards candidates across shared-nothing worker
-    processes with prefix-shard scheduling, keeping the reported first
-    violation identical to a serial hunt.  ``parallel_backend`` only
+    ``workers > 1`` stripes the candidate stream across shared-nothing
+    worker processes (position ``i`` goes to worker ``i % workers``),
+    keeping the reported first violation identical to a serial hunt.  ``parallel_backend`` only
     accepts ``"process"``, the one multi-worker backend.
     ``dpor`` adds the DPOR pruner (see :func:`make_explorer`).
     ``sanitize`` runs the differential soundness sanitizer alongside the
@@ -236,19 +232,15 @@ def hunt(
     replay engine, pruners and — via the engine — the sanitizer).
 
     ``journal`` (a path) upgrades a process-backed hunt to a **coordinated**
-    one (:class:`~repro.core.coordinator.CoordinatedHuntExplorer`): shard
-    leases through the redisim Redlock farm, verdicts checkpointed to the
-    journal as they commit, crashed workers fenced and re-leased.  ``resume``
-    (a path to an existing journal) continues a previously killed hunt: the
-    committed prefix is replayed from the checkpoint, workers skip past it,
-    and the final verdict map is identical to an uninterrupted run's.  The
-    remaining knobs tune the lease protocol (TTL, heartbeat cadence, retry
-    budget, checkpoint stride); ``lease_farm`` injects a pre-built
-    :class:`~repro.redisim.farm.RedisimFarm` (tests partition it).
+    one (:class:`~repro.core.coordinator.CoordinatedHuntExplorer`): verdicts
+    checkpointed to the journal as they commit, crashed workers respawned
+    in their slot.  ``resume`` (a path to an existing journal) continues a
+    previously killed hunt: the committed prefix is replayed from the
+    checkpoint, workers skip past it, and the final verdict map is identical
+    to an uninterrupted run's.  ``max_releases`` is the respawn budget per
+    slot and ``checkpoint_every`` the journal's durability-barrier stride.
 
-    ``batch_size`` caps the workers' adaptive columnar IPC frames;
-    ``steal_margin`` sets how far a coordinated worker may trail the lead
-    before its shard suffix is stolen (``None`` disables stealing).
+    ``batch_size`` caps the workers' adaptive columnar IPC frames.
     """
     if parallel_backend != "process":
         raise ValueError(
@@ -328,12 +320,8 @@ def hunt(
                 explorer,
                 task,
                 journal=hunt_journal,
-                farm=lease_farm,
-                lease_ttl_s=lease_ttl_s,
-                heartbeat_interval_s=heartbeat_interval_s,
                 max_releases=max_releases,
                 checkpoint_every=checkpoint_every,
-                steal_margin=steal_margin,
                 **pool_kwargs,
             )
         else:

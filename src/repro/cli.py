@@ -95,12 +95,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         progress=progress,
         journal=args.journal,
         resume=args.resume,
-        lease_ttl_s=args.lease_ttl,
-        heartbeat_interval_s=args.heartbeat_interval,
         max_releases=args.max_releases,
         checkpoint_every=args.checkpoint_every,
         batch_size=args.batch_size,
-        steal_margin=args.steal_margin,
     )
     if tracer is not None:
         tracer.write_jsonl(args.trace)
@@ -117,20 +114,15 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         )
     coordination = getattr(result, "coordination", None)
     if coordination is not None:
-        parts = [f"hunt {coordination['hunt_id']}",
-                 f"leases via {coordination['backend']}"]
+        parts = [f"hunt {coordination['hunt_id']}"]
         if coordination["resumed_commits"]:
             parts.append(f"resumed {coordination['resumed_commits']} commit(s)")
         if coordination["releases"]:
             parts.append(f"re-leased {coordination['releases']} shard(s)")
-        if coordination.get("steals"):
-            parts.append(f"stole {coordination['steals']} trailing shard(s)")
         if coordination["abandoned_shards"]:
             parts.append(
                 f"quarantined shard(s) {coordination['abandoned_shards']}"
             )
-        if coordination["degraded"]:
-            parts.append(f"DEGRADED: {coordination['degraded_reason']}")
         parts.append(f"{coordination['checkpoints']} checkpoint(s)")
         print("coordination: " + "; ".join(parts))
     # Exit-code contract: reproduced -> 0 (even when the hunt had to recover
@@ -477,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         default=None,
         metavar="PATH",
-        help="run a coordinated hunt: shard leases via the Redlock farm and "
-        "every committed verdict checkpointed to this journal (crashed "
-        "workers are fenced and re-leased; a killed hunt can --resume)",
+        help="run a coordinated hunt: every committed verdict checkpointed "
+        "to this journal (crashed workers are respawned in their slot; a "
+        "killed hunt can --resume)",
     )
     durability.add_argument(
         "--resume",
@@ -490,27 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
         "past them, and the final verdict map matches an uninterrupted run",
     )
     hunt.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="shard-lease validity window; a worker whose lease expires "
-        "without a heartbeat is declared dead and its shard re-leased",
-    )
-    hunt.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="worker heartbeat cadence (default: lease TTL / 3)",
-    )
-    hunt.add_argument(
         "--max-releases",
         type=int,
         default=3,
         metavar="N",
-        help="re-lease budget per shard; past it the shard is quarantined "
-        "(the hunt finishes without it) instead of retrying forever",
+        help="respawn budget per worker slot; past it the slot's shard is "
+        "quarantined (the hunt finishes without it) instead of retrying "
+        "forever",
     )
     hunt.add_argument(
         "--checkpoint-every",
@@ -527,16 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on the workers' adaptive columnar IPC frames (frames "
         "start small, double under load up to this, and flush early on an "
         "idle deadline)",
-    )
-    hunt.add_argument(
-        "--steal-margin",
-        type=int,
-        default=512,
-        metavar="N",
-        help="coordinated hunts only: once the fastest shard finishes, a "
-        "worker trailing the lead by N stream positions has its shard "
-        "suffix stolen (fenced and respawned at the commit watermark); "
-        "0 disables stealing",
     )
 
     table1 = sub.add_parser("table1", help="regenerate Table 1")

@@ -1,45 +1,36 @@
-"""Checkpointed, lease-based hunt coordination (the fault-tolerant hunt).
+"""Checkpointed hunt coordination with slot respawn (the fault-tolerant hunt).
 
 :class:`~repro.core.procpool.ProcessParallelExplorer` already survives a
 worker crash — by quarantining the dead worker's shards and ending the hunt
 ``crashed``.  :class:`CoordinatedHuntExplorer` turns that same shared-nothing
-pool into a service that survives its *own infrastructure* failing:
+pool into a hunt that recovers:
 
-* every worker slot holds a **time-bounded shard lease**, acquired through
-  the :mod:`repro.redisim` Redlock farm (the paper coordinated replay
-  ordering over exactly this kind of lock service).  Workers heartbeat over
-  the result queue; the coordinator renews their leases (Redlock
-  ``compare-and-expire`` on a quorum, drift-aware per
-  :class:`~repro.redisim.lock.DistributedLock`);
-* a lease that expires because its worker crashed — or was SIGKILLed
-  mid-batch — is **re-leased**: the slot's process is fenced (terminated if
-  somehow still alive) and a replacement worker is spawned for the same
-  shard set after an exponential backoff, with bounded retries;
-* the same fencing machinery powers **work stealing**: once the fastest
-  shard finishes, a live worker trailing the lead by ``steal_margin``
-  stream positions has its lease stolen — fenced and respawned at the
-  commit watermark so the trailing suffix runs at full speed — and
-  index-deduplicated commits keep the verdict map bit-for-bit identical;
+* a worker that dies — it reports an error, or a SIGKILL surfaces as EOF on
+  its slot's pipe — is **respawned**: a replacement takes the same slot,
+  and so the same stream positions, after an exponential backoff, with
+  bounded retries.  Each slot's incarnations are logged as ``lease``
+  records (``acquired`` / ``expired`` / ``re-leased`` / ``quarantined``)
+  in the journal, the ``coordinator.leases.*`` metrics and the Datalog
+  facts;
 * committed verdicts are checkpointed to a durable
   :class:`~repro.core.journal.HuntJournal` *as they commit*, so a killed
   parent can ``hunt --resume`` the journal: committed verdicts are replayed
   from the checkpoint, workers skip the committed prefix, and the hunt
   continues to the same final verdict map as an uninterrupted run;
-* the degradation ladder: lock farm unreachable (no quorum) → leases fall
-  back to an in-process :class:`LocalLeaseTable` with a loud ``degraded``
-  Datalog fact and metric; a slot that keeps dying past its re-lease budget
-  → **the shard is quarantined, not the hunt** (the coordinator enumerates
-  the dead slot's candidates itself and commits ``quarantine`` verdicts for
-  them, letting every other shard finish).
+* a slot that keeps dying past its retry budget → **the shard is
+  quarantined, not the hunt** (the coordinator enumerates the dead slot's
+  candidates itself and commits ``quarantine`` verdicts for them, letting
+  every other slot finish).
 
-Soundness of re-leased commits: candidate enumeration is a deterministic
-function of the recorded events, every worker (original or replacement)
-derives the identical stream and shard ownership, and the parent still
-commits strictly in global candidate order, deduplicating re-delivered
-results by candidate index (first delivery wins; replays are deterministic,
-so duplicates are byte-identical).  A hunt whose worker was SIGKILLed
-mid-batch therefore terminates with a verdict map bit-for-bit equal to an
-uninterrupted serial hunt's.
+Soundness of respawned commits: candidate enumeration is a deterministic
+function of the recorded events, and position ``i`` belongs to slot
+``i % workers`` (:func:`~repro.core.explorers.stream_owner`) for every
+incarnation of every slot and for the parent's abandoned-shard stream
+alike.  The parent still commits strictly in global candidate order,
+deduplicating re-delivered results by candidate index (first delivery wins;
+replays are deterministic, so duplicates are byte-identical).  A hunt whose
+worker was SIGKILLed mid-batch therefore terminates with a verdict map
+bit-for-bit equal to an uninterrupted serial hunt's.
 """
 
 from __future__ import annotations
@@ -47,137 +38,33 @@ from __future__ import annotations
 import pickle
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ResourceExhausted
-from repro.core.explorers import DEFAULT_CAP, ExplorationResult, Explorer
+from repro.core.explorers import (
+    DEFAULT_CAP,
+    ExplorationResult,
+    Explorer,
+    stream_owner,
+)
 from repro.core.journal import HuntJournal, JournaledOutcome
 from repro.core.procpool import (
-    PrefixShardRouter,
     ProcessParallelExplorer,
     QuietWorkerDetector,
     WorkerTask,
-    _stream_width,
-    auto_prefix_len,
 )
 from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
 from repro.faults.quarantine import QuarantinedReplay
 from repro.obs.metrics import MetricsRegistry
-from repro.redisim.farm import RedisimFarm
-from repro.redisim.lock import DistributedLock
-
-# ----------------------------------------------------------------- leases
-
-
-class RedlockLeaseTable:
-    """Shard leases as Redlock mutexes over a redisim farm.
-
-    One :class:`~repro.redisim.lock.DistributedLock` per worker slot, keyed
-    ``erpi:hunt:<hunt_id>:shard:<slot>``.  Acquisition, renewal and expiry
-    all follow the drift-aware Redlock validity rules; ``reachable`` reports
-    whether a quorum of lock instances is still up (the degradation
-    trigger).
-    """
-
-    kind = "redlock"
-
-    def __init__(
-        self,
-        farm: RedisimFarm,
-        hunt_id: str,
-        ttl_s: float,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.farm = farm
-        self.hunt_id = hunt_id
-        self.ttl_ms = max(int(ttl_s * 1000), 1)
-        self.clock = clock
-        self._locks: Dict[int, DistributedLock] = {}
-
-    def _key(self, slot: int) -> str:
-        return f"erpi:hunt:{self.hunt_id}:shard:{slot}"
-
-    def acquire(self, slot: int) -> bool:
-        lock = DistributedLock(
-            self.farm, self._key(slot), ttl_ms=self.ttl_ms, clock=self.clock
-        )
-        if lock.try_acquire():
-            self._locks[slot] = lock
-            return True
-        return False
-
-    def renew(self, slot: int) -> bool:
-        lock = self._locks.get(slot)
-        return lock is not None and lock.held and lock.renew()
-
-    def held(self, slot: int) -> bool:
-        lock = self._locks.get(slot)
-        return lock is not None and lock.held
-
-    def release(self, slot: int) -> None:
-        lock = self._locks.pop(slot, None)
-        if lock is not None and lock.held:
-            lock.release()
-
-    def release_all(self) -> None:
-        for slot in list(self._locks):
-            self.release(slot)
-
-    def reachable(self) -> bool:
-        return len(self.farm.healthy_instances()) >= self.farm.quorum
-
-
-class LocalLeaseTable:
-    """In-process lease table: the degraded fallback when the lock farm has
-    no quorum.  Same interface, plain deadlines on the coordinator's clock —
-    still enforces TTL semantics, just without distribution."""
-
-    kind = "local"
-
-    def __init__(
-        self, ttl_s: float, clock: Optional[Callable[[], float]] = None
-    ) -> None:
-        self.ttl_s = ttl_s
-        self.clock = clock or time.monotonic
-        self._deadlines: Dict[int, float] = {}
-
-    def acquire(self, slot: int) -> bool:
-        if slot in self._deadlines and self._deadlines[slot] > self.clock():
-            return False
-        self._deadlines[slot] = self.clock() + self.ttl_s
-        return True
-
-    def renew(self, slot: int) -> bool:
-        if self.held(slot):
-            self._deadlines[slot] = self.clock() + self.ttl_s
-            return True
-        return False
-
-    def held(self, slot: int) -> bool:
-        deadline = self._deadlines.get(slot)
-        return deadline is not None and self.clock() < deadline
-
-    def release(self, slot: int) -> None:
-        self._deadlines.pop(slot, None)
-
-    def release_all(self) -> None:
-        self._deadlines.clear()
-
-    def reachable(self) -> bool:
-        return True
-
-
-# ------------------------------------------------------------ coordinator
 
 
 class CoordinatedHuntExplorer(ProcessParallelExplorer):
-    """A process-pool hunt with durable checkpoints and shard re-leasing.
+    """A process-pool hunt with durable checkpoints and slot respawn.
 
     Construction mirrors :class:`ProcessParallelExplorer` plus the
     coordination knobs; ``journal`` (a :class:`HuntJournal`) makes commits
     durable and, when the journal already holds commits, turns the run into
-    a resume.  ``farm`` supplies the Redlock lease substrate (a private
-    3-instance farm is built when omitted)."""
+    a resume."""
 
     def __init__(
         self,
@@ -185,68 +72,35 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         task: WorkerTask,
         workers: int = 2,
         journal: Optional[HuntJournal] = None,
-        farm: Optional[RedisimFarm] = None,
-        lease_ttl_s: float = 5.0,
-        heartbeat_interval_s: Optional[float] = None,
         max_releases: int = 3,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
         checkpoint_every: int = 64,
         hunt_id: Optional[str] = None,
-        steal_margin: Optional[int] = 512,
         **kwargs: Any,
     ) -> None:
-        super().__init__(
-            base,
-            task,
-            workers=workers,
-            heartbeat_interval_s=(
-                heartbeat_interval_s
-                if heartbeat_interval_s is not None
-                else lease_ttl_s / 3.0
-            ),
-            **kwargs,
-        )
+        super().__init__(base, task, workers=workers, **kwargs)
         self.journal = journal
-        self.lease_ttl_s = lease_ttl_s
         self.max_releases = max(0, max_releases)
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.checkpoint_every = max(1, checkpoint_every)
-        #: Work stealing: when a live, heartbeating worker trails the lead
-        #: (the furthest final flush) by at least this many stream
-        #: positions, its lease is stolen — the slot is fenced and respawned
-        #: at the commit watermark through the existing re-lease machinery —
-        #: so a skewed shard's tail does not serialise the hunt.  ``None``
-        #: or 0 disables stealing; each slot is stolen at most once per run.
-        self.steal_margin = steal_margin
         if hunt_id is None and journal is not None:
             hunt_id = journal.header.get("hunt", {}).get("hunt_id")
         self.hunt_id = hunt_id or uuid.uuid4().hex[:12]
-        self.farm = farm if farm is not None else RedisimFarm(
-            3, name_prefix=f"lease-{self.hunt_id}"
-        )
         self.mode = f"{base.mode}+coord{workers}"
-        # Lease machinery state.
-        self._lease_table: Optional[object] = None
-        self._leased: Set[int] = set()
+        # Respawn state.
         self._attempts: Dict[int, int] = {w: 1 for w in range(workers)}
         self._respawn_at: Dict[int, float] = {}
         self._abandoned: Set[int] = set()
         self._abandon_reasons: Dict[int, str] = {}
-        self._degraded_reason: Optional[str] = None
         self._lease_log: List[Tuple[int, int, str]] = []
         self._checkpoint_seq = 0
-        # Work-stealing state: last heartbeated stream position per slot,
-        # slots already stolen from, and the steal count for the summary.
-        self._progress: Dict[int, int] = {}
-        self._stolen: Set[int] = set()
-        self._steals = 0
         self._watermark = 0  # committed candidate indices below this
-        # Parent-side owner stream (built lazily, only for abandoned slots).
+        # Parent-side candidate stream (built lazily, only for abandoned
+        # slots): the event ids of every position it has enumerated.
         self._owner_candidates = None
-        self._owner_router: Optional[PrefixShardRouter] = None
-        self._owners: List[Optional[Tuple[int, Tuple[str, ...]]]] = []
+        self._owner_keys: List[Tuple[str, ...]] = []
         self._owner_exhausted = False
         self._owner_metrics: Optional[MetricsRegistry] = None
         # Resume state (filled from the journal's committed prefix).
@@ -254,7 +108,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             list(journal.commits) if journal is not None else []
         )
 
-    # ------------------------------------------------------------- leases
+    # -------------------------------------------------------- incarnations
 
     def _metric(self, name: str, value: int = 1) -> None:
         metrics = self.base.metrics
@@ -262,112 +116,29 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             metrics.inc(name, value)
 
     def _record_lease(self, slot: int, status: str) -> None:
+        """Log one step of a slot's incarnation history."""
         attempt = self._attempts[slot]
         self._lease_log.append((slot, attempt, status))
         if self.journal is not None:
             self.journal.lease(slot, attempt, status)
         self._metric(f"coordinator.leases.{status}")
 
-    def _degrade(self, component: str, reason: str) -> None:
-        if self._degraded_reason is not None:
-            return
-        self._degraded_reason = f"{component}: {reason}"
-        if self.journal is not None:
-            self.journal.degraded(component, reason)
-        metrics = self.base.metrics
-        if metrics.enabled:
-            metrics.inc("coordinator.degraded")
-        tracer = self.base.tracer
-        if tracer.enabled:
-            tracer.end(tracer.begin("degraded"), component=component, reason=reason)
-
-    def _make_lease_table(self) -> object:
-        table = RedlockLeaseTable(
-            self.farm, self.hunt_id, self.lease_ttl_s, clock=self.clock
-        )
-        if not table.reachable():
-            self._degrade(
-                "lock-farm",
-                "no quorum of lock instances reachable; "
-                "leases held in-process",
-            )
-            return LocalLeaseTable(self.lease_ttl_s, clock=self.clock)
-        return table
-
-    def _degrade_to_local(self, reason: str) -> None:
-        """Migrate every live lease into the in-process fallback table."""
-        self._degrade("lock-farm", reason)
-        if isinstance(self._lease_table, LocalLeaseTable):
-            return
-        local = LocalLeaseTable(self.lease_ttl_s, clock=self.clock)
-        for slot in list(self._leased):
-            local.acquire(slot)
-        self._lease_table = local
-
-    def _arm_lease(self, slot: int, status: str = "acquired") -> None:
-        table = self._lease_table
-        if table is None:
-            return
-        tracer = self.base.tracer
-        span = tracer.begin("lease") if tracer.enabled else None
-        table.release(slot)
-        ok = table.acquire(slot)
-        if not ok and not table.reachable():
-            self._degrade_to_local("lock farm lost quorum during acquisition")
-            ok = self._lease_table.acquire(slot)
-        if span is not None:
-            tracer.end(span, slot=slot, status=status, ok=ok)
-        if ok:
-            self._leased.add(slot)
-            self._record_lease(slot, status)
-
     def _on_ready(self, widx: int) -> None:
-        # A replacement worker finished bootstrapping mid-run: its lease
-        # starts now (bootstrap time must not eat the validity window).
-        if widx not in self._leased and widx not in self._abandoned:
-            self._arm_lease(
-                widx, "acquired" if self._attempts[widx] == 1 else "re-leased"
-            )
+        # A replacement worker finished bootstrapping mid-run (the first
+        # incarnations' readiness is consumed by prestart).
+        self._record_lease(widx, "re-leased")
 
-    def _on_heartbeat(self, widx: int, yields: int) -> None:
-        self._progress[widx] = yields
-        table = self._lease_table
-        if table is None or widx not in self._leased:
-            return
-        tracer = self.base.tracer
-        span = tracer.begin("renew") if tracer.enabled else None
-        ok = table.renew(widx)
-        if span is not None:
-            tracer.end(span, slot=widx, ok=ok)
-        if ok:
-            self._metric("coordinator.leases.renewed")
-            return
-        if not table.reachable():
-            self._degrade_to_local("lock farm lost quorum during renewal")
-            self._lease_table.renew(widx)
-            return
-        # The lease genuinely lapsed (e.g. the coordinator was descheduled
-        # past the TTL) but the worker is alive and beating: re-acquire the
-        # now-free key rather than fencing a healthy worker.
-        self._leased.discard(widx)
-        self._arm_lease(widx, "re-acquired")
+    # -------------------------------------------------- crash & respawn
 
-    # ------------------------------------------------------- crash & re-lease
-
-    def _schedule_release(
-        self, widx: int, reason: str, status: str = "expired"
-    ) -> None:
-        """Fence a dead/expired/stolen slot and queue its re-lease (with
-        backoff), or abandon the shard once the retry budget is exhausted."""
+    def _schedule_release(self, widx: int, reason: str) -> None:
+        """Retire a dead slot's incarnation and queue its respawn (with
+        backoff), or abandon the shard once the retry budget is spent."""
         if widx in self._abandoned or widx in self._respawn_at:
             return
         proc = self._procs[widx]
         if proc.is_alive():
-            proc.terminate()  # fencing: its lease is gone, so is its right to run
-        self._leased.discard(widx)
-        if self._lease_table is not None:
-            self._lease_table.release(widx)
-        self._record_lease(widx, status)
+            proc.terminate()  # never two incarnations of one slot at once
+        self._record_lease(widx, "expired")
         attempt = self._attempts[widx]
         if attempt > self.max_releases:
             self._abandon(widx, reason)
@@ -400,7 +171,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
     def _abandon(self, widx: int, reason: str) -> None:
         self._abandoned.add(widx)
         self._abandon_reasons[widx] = reason
-        self._leased.discard(widx)
         self._record_lease(widx, "quarantined")
         self._metric("coordinator.shards.quarantined")
 
@@ -419,64 +189,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             return widx
         return None
 
-    def _check_leases(self) -> None:
-        """Expired lease = crashed worker (it stopped heartbeating): fence
-        and re-lease.  Only armed leases are checked, so a replacement still
-        bootstrapping is never misdeclared."""
-        table = self._lease_table
-        if table is None:
-            return
-        for widx in list(self._leased):
-            if widx in self._abandoned or widx in self._respawn_at:
-                continue
-            if not table.held(widx):
-                if self._procs[widx].is_alive():
-                    # Farm hiccup or a descheduled parent, not a dead worker.
-                    self._leased.discard(widx)
-                    self._arm_lease(widx, "re-acquired")
-                else:
-                    self._schedule_release(
-                        widx, f"lease expired with worker {widx} dead"
-                    )
-
-    def _maybe_steal(self, finals: Dict[int, Dict[str, Any]]) -> None:
-        """Steal the lease of a worker trailing the lead past the margin.
-
-        Skew shows up once the fastest shard finishes: its final flush
-        fixes the lead position, and a live laggard that has heartbeated at
-        least once (no spurious steal before the first beat) and trails by
-        ``steal_margin`` stream positions gets fenced and respawned at the
-        commit watermark — running the stolen suffix at full speed on a
-        fresh process.  Dedup-by-index keeps the verdict map identical no
-        matter how the original's in-flight frames interleave with the
-        thief's.
-        """
-        margin = self.steal_margin
-        if not margin or not finals:
-            return
-        lead = max(flush["yields"] for flush in finals.values())
-        for widx in range(self.workers):
-            if (
-                widx in finals
-                or widx in self._abandoned
-                or widx in self._respawn_at
-                or widx in self._stolen
-                or widx not in self._leased
-            ):
-                continue
-            progress = self._progress.get(widx)
-            if progress is None or lead - progress < margin:
-                continue
-            self._stolen.add(widx)
-            self._steals += 1
-            self._metric("coordinator.steals")
-            self._schedule_release(
-                widx,
-                f"worker {widx} trailing the lead by "
-                f"{lead - progress} stream positions",
-                status="stolen",
-            )
-
     # ------------------------------------------------- parent owner stream
 
     def _ensure_owner_stream(self) -> None:
@@ -490,21 +202,17 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         if self.base.metrics.enabled:
             self._owner_metrics = MetricsRegistry()
             explorer.metrics = self._owner_metrics
-        prefix_len = self.prefix_len or auto_prefix_len(
-            _stream_width(explorer), self.workers
-        )
-        self._owner_router = PrefixShardRouter(self.workers, prefix_len)
         self._owner_candidates = explorer.candidates()
 
-    def _owner_of(self, index: int) -> Optional[Tuple[int, Tuple[str, ...]]]:
-        """(owner slot, event ids) of global candidate ``index``; None when
-        the stream (or the cap) ends first."""
-        if index >= (self._cap or 0):
+    def _abandoned_candidate(self, index: int) -> Optional[Tuple[str, ...]]:
+        """Event ids of candidate ``index`` when an abandoned slot owns it;
+        None when a live slot owns it or the stream (or the cap) ends
+        first."""
+        owner = stream_owner(index, self.workers)
+        if owner not in self._abandoned or index >= self._cap:
             return None
         self._ensure_owner_stream()
-        while len(self._owners) <= index and not self._owner_exhausted:
-            if len(self._owners) >= self._cap:
-                break
+        while len(self._owner_keys) <= index and not self._owner_exhausted:
             try:
                 interleaving = next(self._owner_candidates, None)
             except ResourceExhausted:
@@ -512,14 +220,11 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             if interleaving is None:
                 self._owner_exhausted = True
                 break
-            self._owners.append(
-                (
-                    self._owner_router.owner(interleaving),
-                    tuple(event.event_id for event in interleaving),
-                )
+            self._owner_keys.append(
+                tuple(event.event_id for event in interleaving)
             )
-        if index < len(self._owners):
-            return self._owners[index]
+        if index < len(self._owner_keys):
+            return self._owner_keys[index]
         return None
 
     # ------------------------------------------------------------- explore
@@ -590,9 +295,8 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             raise ValueError(
                 "prestarted pool was configured with different cap/stop settings"
             )
-        self._lease_table = self._make_lease_table()
         for widx in range(self.workers):
-            self._arm_lease(widx, "acquired")
+            self._record_lease(widx, "acquired")
 
         root = tracer.begin("explore") if tracer.enabled else None
         pending: Dict[int, Tuple[int, str, Any]] = {}
@@ -619,20 +323,17 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                 while True:
                     if next_index in pending:
                         index, kind, payload = pending.pop(next_index)
-                    elif self._abandoned:
-                        owned = self._owner_of(next_index)
-                        if owned is not None and owned[0] in self._abandoned:
-                            kind, payload = "shard-quarantine", owned
-                        else:
-                            break
                     else:
-                        break
+                        payload = self._abandoned_candidate(next_index)
+                        if payload is None:
+                            break
+                        kind = "shard-quarantine"
                     next_index += 1
                     self._watermark = next_index
                     if kind == "crashed":
                         # A generation-side budget crash is deterministic:
                         # every incarnation would hit it at the same stream
-                        # position, so re-leasing cannot help.
+                        # position, so respawning cannot help.
                         crashed = True
                         crash_reason = payload
                         done = True
@@ -653,10 +354,10 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                         if metrics.enabled:
                             metrics.inc("interleavings.quarantined")
                     elif kind == "shard-quarantine":
-                        slot, il_ids = payload
-                        il_key = "|".join(il_ids)
+                        slot = stream_owner(next_index - 1, self.workers)
+                        il_key = "|".join(payload)
                         record = QuarantinedReplay(
-                            interleaving=il_ids,
+                            interleaving=payload,
                             error_type="ShardAbandoned",
                             message=self._abandon_reasons.get(
                                 slot, f"shard slot {slot} abandoned"
@@ -720,25 +421,31 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                     break
                 # ---- failure handling -----------------------------------
                 for widx in sorted(errors):
+                    # A raising worker flushes a partial final before its
+                    # error frame; that final must not count as the slot
+                    # finishing (its replay-side metrics still merge).
+                    stale = finals.pop(widx, None)
+                    if stale is not None:
+                        self._stale_finals.append(stale)
                     self._schedule_release(
                         widx, f"worker {widx} raised:\n{errors.pop(widx)}"
                     )
                 live = [
                     w for w in range(self.workers) if w not in self._abandoned
                 ]
-                if all(w in finals for w in live) and not self._respawn_at:
-                    if not self._abandoned:
-                        break
-                    # Only abandoned-shard commits can remain; they drain
-                    # through the commit loop until the owner stream ends.
-                    if self._owner_of(next_index) is None:
+                if (
+                    all(self._finished(w, finals) for w in live)
+                    and not self._respawn_at
+                ):
+                    # Nothing more can arrive.  Only abandoned-shard commits
+                    # can remain; they drain through the commit loop until
+                    # a live slot's position or the stream's end stops it.
+                    if self._abandoned_candidate(next_index) is None:
                         break
                     continue
                 if not idle:
                     detector.activity()
                 else:
-                    self._check_leases()
-                    self._maybe_steal(finals)
                     widx = self._dead_worker_index(finals, errors)
                     if widx is None:
                         detector.clear()
@@ -751,8 +458,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                         )
         finally:
             self._shutdown(drain_finals=finals)
-            if self._lease_table is not None:
-                self._lease_table.release_all()
             if metrics.enabled:
                 self._merge_metrics(metrics, finals, explored)
             self.base._finish_observation(root, explored, mode=self.mode)
@@ -786,17 +491,11 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
     def coordination_summary(self) -> Dict[str, Any]:
         return {
             "hunt_id": self.hunt_id,
-            "backend": (
-                self._lease_table.kind if self._lease_table is not None else None
-            ),
-            "degraded": self._degraded_reason is not None,
-            "degraded_reason": self._degraded_reason,
             "lease_events": list(self._lease_log),
             "releases": sum(
                 1 for _, _, status in self._lease_log if status == "re-leased"
             ),
             "abandoned_shards": sorted(self._abandoned),
-            "steals": self._steals,
             "checkpoints": self._checkpoint_seq,
             "resumed_commits": len(self._resumed),
             "journal": self.journal.path if self.journal is not None else None,
@@ -849,7 +548,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
     def _merge_metrics(self, metrics, finals, committed: int) -> None:
         canonical = self._canonical_flush(finals)
         parent_enumerated = (
-            len(self._owners) if self._owner_metrics is not None else None
+            len(self._owner_keys) if self._owner_metrics is not None else None
         )
         if canonical is not None and (
             parent_enumerated is None or canonical["yields"] >= parent_enumerated

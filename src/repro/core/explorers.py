@@ -50,6 +50,17 @@ from repro.obs import NULL_METRICS, NULL_TRACER
 DEFAULT_CAP = 10_000
 
 
+def stream_owner(position: int, workers: int) -> int:
+    """The worker slot that replays candidate-stream position ``position``.
+
+    The one ownership rule of a multi-worker hunt: each worker skips the
+    positions it assigns elsewhere, and the coordinator uses it to find an
+    abandoned slot's candidates.  Striping by index keeps every worker's
+    share within one candidate of every other's.
+    """
+    return position % workers
+
+
 @dataclass
 class ExplorationResult:
     """Outcome of one exploration run (one bar of Figure 8a/8b)."""
@@ -75,8 +86,8 @@ class ExplorationResult:
     #: the process-backed parallel explorer, whose shard merge is easiest to
     #: audit through exactly this map; serial explorers leave it ``None``.
     verdicts: Optional[Dict[str, str]] = None
-    #: Coordination summary (hunt id, lease backend/events, re-leases,
-    #: degradation, checkpoint count, resumed commits, steals, journal path)
+    #: Coordination summary (hunt id, per-slot incarnation log, re-leases,
+    #: abandoned shards, checkpoint count, resumed commits, journal path)
     #: from a :class:`~repro.core.coordinator.CoordinatedHuntExplorer` run.
     coordination: Optional[Dict[str, object]] = None
     #: Per-worker-slot stats from a process-backed run: stream positions
@@ -121,23 +132,21 @@ class Explorer(abc.ABC):
         """A lazy stream of interleavings to replay, in exploration order."""
 
     def sharded_candidates(
-        self, router: object, worker_index: int
+        self, workers: int, worker_index: int
     ) -> Iterator[Optional[Interleaving]]:
-        """The candidate stream as one shard worker sees it.
+        """The candidate stream as one of ``workers`` workers sees it.
 
-        Yields the interleaving for stream positions ``worker_index`` owns
-        (per the ``router``'s deterministic prefix-shard assignment) and
-        ``None`` for foreign positions.  Every position — owned or not —
-        produces exactly one yield, so a worker's candidate *indices* stay
-        identical to the full stream's; only the materialisation differs.
+        Yields the interleaving for the stream positions ``worker_index``
+        owns (:func:`stream_owner`) and ``None`` for foreign positions.
+        Every position — owned or not — produces exactly one yield, so a
+        worker's candidate *indices* stay identical to the full stream's;
+        only the materialisation differs.
 
-        The default implementation generates the full stream and filters
-        (the behaviour every worker had before sharded enumeration);
-        subclasses whose generator can derive the shard key without
-        flattening override this to skip foreign candidates wholesale.
+        The default implementation generates the full stream and filters;
+        subclasses that can skip flattening foreign positions override it.
         """
-        for interleaving in self.candidates():
-            if router.owner(interleaving) == worker_index:
+        for position, interleaving in enumerate(self.candidates()):
+            if stream_owner(position, workers) == worker_index:
                 yield interleaving
             else:
                 yield None
@@ -399,14 +408,14 @@ class ERPiExplorer(Explorer):
             yield interleaving
 
     def sharded_candidates(
-        self, router: object, worker_index: int
+        self, workers: int, worker_index: int
     ) -> Iterator[Optional[Interleaving]]:
-        """Enumerate only this worker's shards without flattening the rest.
+        """Enumerate the stream, flattening only this worker's positions.
 
-        The shard key is the first ``router.prefix_len`` event ids, which
-        are fully determined by the *unit* permutation — so foreign
-        candidates can be recognised from the leading units and skipped
-        before flattening.  Pruners disqualify the fast path: a pruner sees
+        Ownership follows from the stream position alone, so a foreign
+        unit permutation is skipped without being flattened (unless fault
+        order constraints need the flat sequence for the validity check,
+        which comes first).  Pruners disqualify the fast path: a pruner sees
         (and may learn from) every candidate, so with pruners attached the
         stream falls back to the generate-then-filter default.
 
@@ -423,14 +432,14 @@ class ERPiExplorer(Explorer):
             # unwrapped explorer may skip it.
             or "candidates" in self.__dict__
         ):
-            yield from super().sharded_candidates(router, worker_index)
+            yield from super().sharded_candidates(workers, worker_index)
             return
         self.pipeline.reset()
         self.pipeline.tracer = self.tracer
         self.pipeline.metrics = self.metrics
         metrics = self.metrics
         footprint = interleaving_footprint(len(self.events))
-        prefix_len = router.prefix_len
+        position = 0
         for unit_perm in unit_permutation_stream(
             self.grouping.units,
             order=self.order,
@@ -447,15 +456,9 @@ class ERPiExplorer(Explorer):
             self.meter.charge("erpi_seen", footprint)
             if metrics.enabled:
                 metrics.inc("interleavings.generated")
-            key: List[str] = []
-            for unit in unit_perm:
-                for event in unit:
-                    key.append(event.event_id)
-                    if len(key) == prefix_len:
-                        break
-                if len(key) == prefix_len:
-                    break
-            if router.owner_of_key(tuple(key)) != worker_index:
+            owner = stream_owner(position, workers)
+            position += 1
+            if owner != worker_index:
                 yield None
                 continue
             yield flat if flat is not None else flatten(unit_perm)

@@ -1,4 +1,4 @@
-"""Shared-nothing multiprocess exploration with prefix-shard scheduling.
+"""Shared-nothing multiprocess exploration with index-striped ownership.
 
 :class:`ProcessParallelExplorer` fans replays out over ``multiprocessing``
 workers that share **nothing**: each worker rebuilds its own cluster,
@@ -13,29 +13,26 @@ Determinism is preserved without shipping candidates at all:
   Candidate generation — grouping, enumeration order, validity filtering
   and the pruner pipeline — is a deterministic function of the recorded
   events, so all workers (and a serial run) agree on every candidate
-  index.  With no pruners attached, the explorer's *sharded* fast path
-  (:meth:`~repro.core.explorers.Explorer.sharded_candidates`) derives each
-  candidate's shard key from the leading units of the permutation and
-  skips foreign candidates without ever flattening them — a worker
-  materialises only its own shards, while stream accounting (meter
-  charges, generated counts, budget-crash positions) stays identical to
-  the full stream;
-* a worker *replays* only the candidates its **prefix shard** owns: the
-  shard key is the first ``prefix_len`` event ids of the interleaving, and
-  :class:`PrefixShardRouter` assigns keys to workers round-robin in order
-  of first appearance (a deterministic rule — unlike ``hash()``, which is
-  randomised per process).  Minimal-change orders (SJT) mutate the prefix
-  slowly, so consecutive candidates usually land on the same worker;
+  index;
+* a worker *replays* only the positions it owns: position ``i`` belongs to
+  worker ``i % workers`` (:func:`~repro.core.explorers.stream_owner`, the
+  one rule the coordinator shares).  Ownership follows from the index
+  alone, so every worker's share is within one candidate of every other's.
+  With no pruners attached, the explorer's *sharded* fast path
+  (:meth:`~repro.core.explorers.Explorer.sharded_candidates`) skips
+  foreign positions without ever flattening them, while stream accounting
+  (meter charges, generated counts, budget-crash positions) stays
+  identical to the full stream;
 * verdicts stream back as **columnar frames** (:class:`AdaptiveBatcher`):
   event ids are interned as positions into the shared schedule — both
   sides derive the identical table independently — verdict records are
   flat parallel arrays, and only violations/quarantines/crashes carry a
   Python object, with violation outcomes shipped as pickle bytes that the
   parent deserialises lazily at commit time (duplicate deliveries from a
-  re-leased slot are deduplicated *before* they are ever unpickled).
+  respawned slot are deduplicated *before* they are ever unpickled).
   Frames size themselves adaptively — start small for low latency, double
   on every full flush up to ``batch_size``, and flush early on an idle
-  deadline so a slow shard's verdicts (and a coordinator's watermark)
+  deadline so a slow worker's verdicts (and a coordinator's watermark)
   never sit in a half-full buffer.  The parent **commits records strictly
   in candidate order**, so the reported first violation and the explored
   count are bit-for-bit identical to a serial hunt.
@@ -49,7 +46,7 @@ poison, a dead worker's half-written frame confines the damage to its own
 channel, and the kernel closing the write end turns worker death into an
 explicit EOF the parent observes instead of a silent hang — the property
 the crash-recovery coordinator (:mod:`repro.core.coordinator`) builds its
-re-lease protocol on.
+respawn protocol on.
 
 The exploration identity ``generated == pruned + replayed + quarantined +
 discarded`` survives the shard merge: stream-side counters (generated /
@@ -78,68 +75,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.core.errors import ResourceExhausted
 from repro.core.explorers import DEFAULT_CAP, ExplorationResult, Explorer
-from repro.core.interleavings import Interleaving
 from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
 from repro.faults.quarantine import QuarantinedReplay
 from repro.obs.metrics import MetricsRegistry
-
-# ------------------------------------------------------------------ sharding
-
-
-class PrefixShardRouter:
-    """Deterministic prefix-shard ownership for one candidate stream.
-
-    The shard key of an interleaving is the tuple of its first
-    ``prefix_len`` event ids.  Keys are assigned to workers round-robin in
-    order of **first appearance** in the stream; because every worker
-    enumerates the identical stream, every worker derives the identical
-    assignment without any coordination.  (Hashing the key would be simpler
-    but ``hash()`` of strings is salted per process.)
-    """
-
-    def __init__(self, workers: int, prefix_len: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if prefix_len < 1:
-            raise ValueError("prefix_len must be >= 1")
-        self.workers = workers
-        self.prefix_len = prefix_len
-        self._owners: Dict[Tuple[str, ...], int] = {}
-        self._next = 0
-
-    def owner_of_key(self, key: Tuple[str, ...]) -> int:
-        owner = self._owners.get(key)
-        if owner is None:
-            owner = self._owners[key] = self._next % self.workers
-            self._next += 1
-        return owner
-
-    def owner(self, interleaving: Interleaving) -> int:
-        return self.owner_of_key(
-            tuple(event.event_id for event in interleaving[: self.prefix_len])
-        )
-
-    @property
-    def shards(self) -> int:
-        return len(self._owners)
-
-
-def auto_prefix_len(stream_width: int, workers: int) -> int:
-    """Shard-key length balancing granularity against prefix locality.
-
-    One leading unit gives ``stream_width`` shards; when that is not at
-    least twice the worker count the shards are too coarse to balance, so
-    the key grows to two units (``~width**2`` shards).
-    """
-    return 1 if stream_width >= 2 * workers else 2
-
-
-def _stream_width(explorer: Explorer) -> int:
-    grouping = getattr(explorer, "grouping", None)
-    if grouping is not None:
-        return max(1, len(grouping.units))
-    return max(1, len(explorer.events))
-
 
 # -------------------------------------------------------------- worker tasks
 
@@ -232,7 +170,7 @@ _KIND_VIOLATION = 1
 _KIND_QUARANTINE = 2
 _KIND_CRASHED = 3
 
-#: Distinguishes "stream exhausted" from "foreign-shard position" in the
+#: Distinguishes "stream exhausted" from "foreign position" in the
 #: sharded candidate stream, where ``None`` is a legitimate yield.
 _EXHAUSTED = object()
 
@@ -347,7 +285,6 @@ class _WorkerConfig:
     stop_on_violation: bool
     collect_metrics: bool
     batch_size: int
-    prefix_len: Optional[int]
     sanitize: bool
     sanitize_sample_k: int
     seed: int
@@ -355,15 +292,11 @@ class _WorkerConfig:
     #: check is a semaphore acquisition — too hot to pay per candidate).
     stop_stride: int = 32
     #: Candidates below this global index are already committed (a resumed
-    #: or re-leased hunt): enumerate them for stream determinism, but skip
-    #: the replay — the parent has their verdicts journaled.
+    #: hunt or a respawned slot): enumerate them for stream determinism,
+    #: but skip the replay — the parent has their verdicts journaled.
     skip_below: int = 0
-    #: Send ``("heartbeat", widx, yields)`` at least this often (seconds)
-    #: so the coordinator can renew this worker's shard lease.  ``None``
-    #: disables heartbeats (plain uncoordinated pools).
-    heartbeat_interval_s: Optional[float] = None
     #: Which incarnation of this slot the worker is (1 = original, 2+ =
-    #: re-leased replacements).  Stamped into the worker's metrics payload
+    #: respawned replacements).  Stamped into the worker's metrics payload
     #: epochs so the parent merges each (slot, attempt) at most once even
     #: when a dead predecessor's partial flush and its replacement's full
     #: flush both reach the merge.
@@ -372,18 +305,13 @@ class _WorkerConfig:
     #: since the previous flush, so trailing verdicts — and the coordinated
     #: watermark they advance — never wait on a buffer filling up.
     idle_flush_s: float = 0.05
-    #: Testing/CI knob: sleep this long before each owned replay to force
-    #: deterministic shard skew (exercises work stealing).  Applied only to
-    #: a slot's first incarnation — stolen-shard replacements run at full
-    #: speed, which is the point of stealing.
-    throttle_s: Optional[float] = None
 
 
 def _worker_main(task, config, conn, stop_event, go_event) -> None:
     """Entry point of one exploration worker process.
 
     ``conn`` is this slot's private send-end pipe: all frames — ready,
-    batches, heartbeats, the final flush, errors — go through it, and the
+    batches, the final flush, errors — go through it, and the
     kernel closing it on process exit is the parent's EOF death signal.
     """
     # The parent owns shutdown: a Ctrl-C lands there, which sets the stop
@@ -411,16 +339,15 @@ def _worker_main(task, config, conn, stop_event, go_event) -> None:
 
 
 class _WorkerRuntime:
-    __slots__ = ("explorer", "engine", "assertions", "sanitizer", "router",
+    __slots__ = ("explorer", "engine", "assertions", "sanitizer",
                  "stream_metrics", "replay_metrics")
 
-    def __init__(self, explorer, engine, assertions, sanitizer, router,
+    def __init__(self, explorer, engine, assertions, sanitizer,
                  stream_metrics, replay_metrics) -> None:
         self.explorer = explorer
         self.engine = engine
         self.assertions = assertions
         self.sanitizer = sanitizer
-        self.router = router
         self.stream_metrics = stream_metrics
         self.replay_metrics = replay_metrics
 
@@ -454,13 +381,8 @@ def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
     # Bind the semantic pruners exactly as a serial explore() would (the
     # worker loop pulls candidates() directly, bypassing explore()).
     explorer.bind_semantic((engine,), assertions)
-    prefix_len = config.prefix_len or auto_prefix_len(
-        _stream_width(explorer), config.workers
-    )
-    router = PrefixShardRouter(config.workers, prefix_len)
     return _WorkerRuntime(
-        explorer, engine, assertions, sanitizer, router,
-        stream_metrics, replay_metrics,
+        explorer, engine, assertions, sanitizer, stream_metrics, replay_metrics,
     )
 
 
@@ -474,7 +396,7 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
     # for foreign stream positions (which still consume an index).  The
     # ER-pi fast path skips flattening foreign permutations entirely; the
     # default falls back to generate-then-filter.
-    candidates = explorer.sharded_candidates(runtime.router, widx)
+    candidates = explorer.sharded_candidates(config.workers, widx)
     # Event-id interning table: both sides derive positions into the shared
     # schedule independently, so frames carry small ints instead of strings.
     eidx = {event.event_id: pos for pos, event in enumerate(explorer.events)}
@@ -492,9 +414,6 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
     ipc_bytes = 0
     crash_reason: Optional[str] = None
     stopped_on_own_violation = False
-    heartbeat_s = config.heartbeat_interval_s
-    throttle_s = config.throttle_s
-    last_beat = time.monotonic()
 
     def ship(grow: bool) -> None:
         nonlocal ipc_bytes
@@ -517,12 +436,6 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                     break
                 if batcher.due():
                     ship(grow=False)
-                if heartbeat_s is not None:
-                    now = time.monotonic()
-                    if now - last_beat >= heartbeat_s:
-                        ipc_bytes += _send_counted(
-                            conn, ("heartbeat", widx, yields))
-                        last_beat = now
             try:
                 interleaving = next(candidates, _EXHAUSTED)
             except ResourceExhausted as exc:
@@ -539,7 +452,7 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                     prune_points.extend(counts)
                     last_counts = counts
             if interleaving is None:
-                # Foreign shard: the position is consumed (indices stay
+                # Foreign position: it is consumed (indices stay
                 # aligned across workers) but nothing was materialised.
                 continue
             materialized += 1
@@ -548,8 +461,6 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                 # of this hunt; re-replaying it would only produce a result
                 # the parent will deduplicate away.
                 continue
-            if throttle_s is not None:
-                time.sleep(throttle_s)
             try:
                 outcome = engine.replay(interleaving, assertions)
             except ResourceExhausted as exc:
@@ -579,13 +490,6 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                     record(index, _KIND_OK, positions)
             if batcher.due():
                 ship(grow=False)
-            if heartbeat_s is not None:
-                # Replays dominate wall time; beat after each one so a slow
-                # shard cannot silently outlive its lease.
-                now = time.monotonic()
-                if now - last_beat >= heartbeat_s:
-                    ipc_bytes += _send_counted(conn, ("heartbeat", widx, yields))
-                    last_beat = now
     except BaseException:
         # Anything unexpected (the replay loop's own bugs, a pickling
         # failure, SIGTERM-as-exception) must reach the parent through the
@@ -644,17 +548,12 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
 class QuietWorkerDetector:
     """Deadline-based dead-worker detection with an injectable clock.
 
-    A worker process can look dead while its last frames are still in the
-    queue's feeder pipe, so a crash is declared only after a *sustained*
-    quiet period: the worker's process is not alive, the queue is drained,
-    and that state has persisted for ``grace_s`` on the supplied clock.
-
-    The previous implementation timed the quiet period with bare
-    ``time.monotonic()`` reads inside the poll loop, which made the grace
-    window untestable (and made the slow-CI flake window — a busy worker
-    misdeclared crashed because the parent was descheduled — impossible to
-    reproduce deterministically).  The clock is now a constructor argument:
-    production passes nothing, tests pass a fake.
+    A worker slot whose pipe reached EOF without a final flush or an error
+    is *suspect*; the crash is declared once the whole pool has stayed
+    quiet (no frame from any worker) for ``grace_s`` on the supplied clock.
+    Any frame voids every suspicion, so a busy sibling delays the verdict
+    until it goes quiet — the death is late, never lost.  The clock is a
+    constructor argument so tests can drive the grace window exactly.
     """
 
     def __init__(self, grace_s: float = 0.5, clock: Optional[Any] = None) -> None:
@@ -701,16 +600,13 @@ class ProcessParallelExplorer:
         sanitize_sample_k: int = 2,
         seed: int = 0,
         batch_size: int = 64,
-        prefix_len: Optional[int] = None,
         start_method: Optional[str] = None,
         bootstrap_timeout_s: float = 120.0,
         shutdown_timeout_s: float = 10.0,
         parent_sanitizer: Optional[object] = None,
         clock: Optional[Any] = None,
         dead_worker_grace_s: float = 0.5,
-        heartbeat_interval_s: Optional[float] = None,
         idle_flush_s: float = 0.05,
-        throttle_s_by_slot: Optional[Dict[int, float]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -721,16 +617,13 @@ class ProcessParallelExplorer:
         self.sanitize_sample_k = sanitize_sample_k
         self.seed = seed
         self.batch_size = max(1, batch_size)
-        self.prefix_len = prefix_len
         self.start_method = start_method
         self.bootstrap_timeout_s = bootstrap_timeout_s
         self.shutdown_timeout_s = shutdown_timeout_s
         self.parent_sanitizer = parent_sanitizer
         self.clock = clock or time.monotonic
         self.dead_worker_grace_s = dead_worker_grace_s
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.idle_flush_s = idle_flush_s
-        self.throttle_s_by_slot = dict(throttle_s_by_slot or {})
         self.mode = f"{base.mode}+proc{workers}"
         #: The columnar-frame interning table: workers ship event positions,
         #: the parent maps them back through the (identically derived)
@@ -818,25 +711,18 @@ class ProcessParallelExplorer:
             stop_on_violation=self._stop_on_violation,
             collect_metrics=self.base.metrics.enabled,
             batch_size=self.batch_size,
-            prefix_len=self.prefix_len,
             sanitize=self.sanitize,
             sanitize_sample_k=self.sanitize_sample_k,
             seed=self.seed,
             skip_below=skip_below,
-            heartbeat_interval_s=self.heartbeat_interval_s,
             attempt=attempt,
             idle_flush_s=self.idle_flush_s,
-            # Skew throttles apply to first incarnations only: a stolen
-            # shard's replacement must run at full speed.
-            throttle_s=(
-                self.throttle_s_by_slot.get(widx) if attempt == 1 else None
-            ),
         )
 
     def _spawn_worker(
         self, widx: int, skip_below: int = 0, attempt: int = 1
     ) -> multiprocessing.Process:
-        """Start one worker-slot process (also the re-lease respawn path).
+        """Start one worker-slot process (also the coordinator's respawn path).
 
         Each spawn gets a fresh one-writer pipe for its slot.  The parent
         closes its copy of the send end immediately after the fork so the
@@ -955,8 +841,8 @@ class ProcessParallelExplorer:
                     crashed = True
                     crash_reason = f"worker {widx} crashed"
                     break
-                if len(finals) + len(errors) >= self.workers:
-                    # Every batch precedes its worker's final on the queue,
+                if all(self._finished(w, finals) for w in range(self.workers)):
+                    # Every batch precedes its worker's final on its pipe,
                     # so nothing more can arrive: anything still pending is
                     # beyond a worker's (legitimate) stopping point.
                     break
@@ -1059,21 +945,14 @@ class ProcessParallelExplorer:
         kind = message[0]
         if kind == "cbatch":
             for record in self._decode_cbatch(message[2]):
-                # setdefault, not assignment: a re-leased replacement worker
+                # setdefault, not assignment: a respawned replacement worker
                 # re-delivers results its predecessor already shipped, and
                 # replays are deterministic, so first delivery wins.
-                pending.setdefault(record[0], record)
-        elif kind == "batch":
-            # Legacy row-oriented frames (nothing in-tree sends these any
-            # more, but custom worker mains may).
-            for record in message[2]:
                 pending.setdefault(record[0], record)
         elif kind == "final":
             self._note_final(finals, message[1], message[2])
         elif kind == "error":
             errors[message[1]] = message[2]
-        elif kind == "heartbeat":
-            self._on_heartbeat(message[1], message[2])
         elif kind == "ready":
             # A replacement worker finished bootstrapping mid-run (initial
             # readiness is consumed by prestart before explore runs).
@@ -1115,7 +994,7 @@ class ProcessParallelExplorer:
     def _note_final(self, finals, widx: int, flush: Dict[str, Any]) -> None:
         """Record a worker's final flush, retaining any superseded one.
 
-        With re-leasing, a slot can flush twice — the crashed predecessor's
+        With respawning, a slot can flush twice — the crashed predecessor's
         partial (sent from its ``finally`` block) and the replacement's full
         flush.  The replacement wins the slot entry (its stream went
         furthest), but the predecessor's flush is kept aside so its
@@ -1127,11 +1006,8 @@ class ProcessParallelExplorer:
             self._stale_finals.append(prior)
         finals[widx] = flush
 
-    def _on_heartbeat(self, widx: int, yields: int) -> None:
-        """Hook for lease-renewing subclasses; a plain pool ignores beats."""
-
     def _on_ready(self, widx: int) -> None:
-        """Hook for re-leasing subclasses; a plain pool never respawns."""
+        """Hook for respawning subclasses; a plain pool never respawns."""
 
     def _worker_crash_quarantine(self, widx: int, detail: str) -> QuarantinedReplay:
         return QuarantinedReplay(
@@ -1144,6 +1020,12 @@ class ProcessParallelExplorer:
             traceback=detail,
             fault_plan=self.base.fault_plan_description,
         )
+
+    def _finished(self, widx: int, finals) -> bool:
+        """A slot is finished once its final flush is in *and* its pipe has
+        reached EOF.  A raising worker sends a partial final before its
+        error frame, so the final alone does not prove no error follows."""
+        return widx in finals and widx in self._eof
 
     def _dead_worker_index(self, finals, errors) -> Optional[int]:
         # EOF on a slot's pipe is definitive death — the kernel closed the

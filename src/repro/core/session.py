@@ -119,10 +119,9 @@ def persist_exploration(
     ``metrics`` registry / ``tracer`` is supplied.
 
     A coordinated hunt additionally carries ``result.coordination``; its
-    shard-lease lifecycle lands as ``lease`` facts and any degradation step
-    as a ``degraded`` fact, so "the hunt recovered from a crash" (or "fell
-    back to in-process leases") is auditable from the same program as the
-    verdicts it recovered.
+    slots' incarnation log lands as ``lease`` facts, so "the hunt recovered
+    from a crash" is auditable from the same program as the verdicts it
+    recovered.
 
     Returns per-verdict fact counts (``{"ok": ..., "violation": ...,
     "quarantined": ...}``) for callers that assert on the mirror.
@@ -132,10 +131,6 @@ def persist_exploration(
     if coordination:
         for slot, attempt, status in coordination.get("lease_events", ()):
             store.persist_lease(slot, attempt, status)
-        if coordination.get("degraded"):
-            reason = coordination.get("degraded_reason") or "unknown"
-            component, _, detail = reason.partition(": ")
-            store.persist_degraded(component, detail or reason)
     if result.verdicts:
         error_types = {
             "|".join(q.interleaving): q.error_type for q in result.quarantined

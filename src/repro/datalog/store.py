@@ -20,11 +20,9 @@ Schema (all facts):
   a :class:`~repro.obs.tracer.Tracer`.
 * ``metric(name, value)`` — observability counter/gauge totals mirrored
   from a :class:`~repro.obs.metrics.MetricsRegistry`.
-* ``lease(slot, attempt, status)`` — shard-lease lifecycle events
-  (acquired / renewed / expired / re-leased / re-acquired / quarantined)
-  from a coordinated hunt (:mod:`repro.core.coordinator`).
-* ``degraded(component, reason)`` — the coordinator fell down its
-  degradation ladder (e.g. lock farm lost quorum, leases moved in-process).
+* ``lease(slot, attempt, status)`` — a worker slot's incarnation log
+  (acquired / expired / re-leased / quarantined) from a coordinated hunt
+  (:mod:`repro.core.coordinator`).
 * ``footprint(il_id, event_id, mode, key)`` — the static read/write
   footprint model entry that justified pruning ``il_id`` as a reordering
   of independent events (:class:`~repro.core.pruning.semantic.DPORPruner`;
@@ -188,18 +186,11 @@ class InterleavingStore:
     # --------------------------------------------------------- coordination
 
     def persist_lease(self, slot: int, attempt: int, status: str) -> None:
-        """Record one shard-lease lifecycle event as a queryable fact."""
+        """Record one step of a slot's incarnation log as a queryable fact."""
         self.db.add("lease", slot, attempt, status)
 
     def leases(self) -> List[Tuple[int, int, str]]:
         return sorted(self.db.rows("lease"))
-
-    def persist_degraded(self, component: str, reason: str) -> None:
-        """Record one degradation-ladder step as a queryable fact."""
-        self.db.add("degraded", component, reason)
-
-    def degradations(self) -> List[Tuple[str, str]]:
-        return sorted(self.db.rows("degraded"))
 
     # ---------------------------------------------------- semantic pruning
 

@@ -107,6 +107,9 @@ class TestSanitizeCli:
         ["sanitize", "--rate", "0.5"],
         ["sanitize", "--prefix-cache"],
         ["faults", "--memo"],
+        ["hunt", "Roshi-2", "--lease-ttl", "1.0"],
+        ["hunt", "Roshi-2", "--heartbeat-interval", "0.1"],
+        ["hunt", "Roshi-2", "--steal-margin", "8"],
     ])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit):

@@ -1,9 +1,9 @@
-"""Checkpointed, lease-based hunt coordination (crash recovery + resume).
+"""Checkpointed hunt coordination (crash recovery + resume).
 
 The coordinator's whole contract is *recovery without divergence*: whatever
-dies — a SIGKILLed worker mid-batch, the lock farm's quorum, or the hunt
-parent itself — the final verdict map must be bit-for-bit the map an
-uninterrupted run commits, and the exploration identity
+dies — a worker SIGKILLed mid-batch or raising, or the hunt parent itself
+— the final verdict map must be bit-for-bit the map an uninterrupted run
+commits, and the exploration identity
 ``generated == pruned + replayed + quarantined + discarded`` must survive
 the recovery.  These tests kill things and assert exactly that.
 """
@@ -12,22 +12,18 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
 from repro.bench.harness import hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
-from repro.core.coordinator import (
-    CoordinatedHuntExplorer,
-    LocalLeaseTable,
-    RedlockLeaseTable,
-)
+from repro.core.coordinator import CoordinatedHuntExplorer
 from repro.core.journal import HuntJournal, JournalError
 from repro.core.procpool import CallableWorkerTask, ProcessParallelExplorer
 from repro.core.session import persist_exploration
 from repro.datalog.store import InterleavingStore
 from repro.obs.metrics import MetricsRegistry
-from repro.redisim.farm import RedisimFarm
 
 CAP = 60
 NAME = "Roshi-1"
@@ -48,7 +44,7 @@ def _wrap_kill(explorer, kill_at, sentinel):
     """Worker slot 1 SIGKILLs itself at candidate ``kill_at``.
 
     With a ``sentinel`` path only the first incarnation dies (it drops the
-    sentinel before the kill, so the re-leased replacement survives); with
+    sentinel before the kill, so the respawned replacement survives); with
     ``sentinel=None`` every incarnation dies — the abandon path.
     """
     inner = explorer.candidates
@@ -67,6 +63,45 @@ def _wrap_kill(explorer, kill_at, sentinel):
 
     explorer.candidates = candidates
     return explorer
+
+
+class _SlowToReport(RuntimeError):
+    """Formats slowly after its first ``str()``.  The worker formats it once
+    for its partial final and again for its error frame, so the error frame
+    trails the final by a visible gap."""
+
+    formatted = 0
+
+    def __str__(self) -> str:
+        type(self).formatted += 1
+        if type(self).formatted > 1:
+            time.sleep(0.3)
+        return "injected worker failure"
+
+
+def raise_once_stack(sentinel, raise_at, slow_report=False):
+    """Worker slot 1's first incarnation raises at candidate ``raise_at``:
+    it flushes a partial final, then reports the error."""
+    explorer, engine, assertions, events = plain_stack()
+    inner = explorer.candidates
+
+    def candidates():
+        me = multiprocessing.current_process().name
+        for index, interleaving in enumerate(inner()):
+            if (
+                index == raise_at
+                and me == "erpi-proc-1"
+                and not os.path.exists(sentinel)
+            ):
+                with open(sentinel, "w") as handle:
+                    handle.write("raised\n")
+                if slow_report:
+                    raise _SlowToReport()
+                raise RuntimeError("injected worker failure")
+            yield interleaving
+
+    explorer.candidates = candidates
+    return explorer, engine, assertions, events
 
 
 def kill_once_stack(sentinel, kill_at):
@@ -93,15 +128,14 @@ def baseline():
     )
 
 
-def coordinated(task, journal=None, farm=None, metrics=None, **kwargs):
+def coordinated(task, journal=None, metrics=None, **kwargs):
     recorded = record_scenario(scenario(NAME))
     explorer = make_explorer(recorded, "erpi")
     if metrics is not None:
         explorer.metrics = metrics
         recorded.engine.metrics = metrics
     pool = CoordinatedHuntExplorer(
-        explorer, task, workers=2, journal=journal, farm=farm,
-        seed=0, **kwargs,
+        explorer, task, workers=2, journal=journal, seed=0, **kwargs,
     )
     result = pool.explore(
         recorded.engine, recorded.scenario.make_assertions(),
@@ -150,26 +184,14 @@ class TestHappyPath:
         assert result.explored == baseline.explored
         assert result.found == baseline.found
         assert metrics.consistent()
-        assert result.coordination["backend"] == "redlock"
-        assert not result.coordination["degraded"]
+        assert result.coordination["lease_events"] == [
+            (0, 1, "acquired"), (1, 1, "acquired")
+        ]
         loaded = HuntJournal.load(path)
         assert loaded.is_final
         assert loaded.final_record["found"] == baseline.found
         assert len(loaded.commits) == CAP
         assert loaded.checkpoints >= 3
-
-    def test_lease_table_backends_share_the_interface(self):
-        farm = RedisimFarm(3)
-        for table in (
-            RedlockLeaseTable(farm, "t", ttl_s=5.0),
-            LocalLeaseTable(ttl_s=5.0),
-        ):
-            assert table.acquire(0)
-            assert table.held(0)
-            assert table.renew(0)
-            table.release(0)
-            assert not table.held(0)
-            assert table.reachable()
 
 
 class TestCrashRecovery:
@@ -186,7 +208,6 @@ class TestCrashRecovery:
         result, _ = coordinated(
             CallableWorkerTask(kill_once_stack, (sentinel, 10)),
             journal=journal, metrics=metrics,
-            lease_ttl_s=1.0, heartbeat_interval_s=0.1,
             backoff_base_s=0.01, batch_size=8, checkpoint_every=16,
         )
         assert os.path.exists(sentinel), "worker 1 never reached the kill point"
@@ -205,7 +226,7 @@ class TestCrashRecovery:
     def test_kill_mid_batch_merges_metrics_exactly_once(
         self, baseline, tmp_path
     ):
-        """Regression for the metrics-merge double count: a re-leased slot
+        """Regression for the metrics-merge double count: a respawned slot
         can surface two finals (the dead incarnation's partial and its
         replacement's full shard).  Epoch-tagged merges keep exactly one
         count per committed candidate, so the merged replay counter equals
@@ -217,7 +238,6 @@ class TestCrashRecovery:
         result, _ = coordinated(
             CallableWorkerTask(kill_once_stack, (sentinel, 10)),
             journal=journal, metrics=metrics,
-            lease_ttl_s=1.0, heartbeat_interval_s=0.1,
             backoff_base_s=0.01, batch_size=8, checkpoint_every=16,
         )
         assert result.explored == CAP
@@ -228,16 +248,25 @@ class TestCrashRecovery:
     def test_repeatedly_dying_shard_is_quarantined_not_the_hunt(
         self, baseline, tmp_path
     ):
+        """Slot 1 dies in every incarnation and is quarantined.  Slot 0
+        finishes cleanly and must keep its one incarnation: it is never
+        declared dead or respawned to redo its positions."""
         path = str(tmp_path / "abandon.jsonl")
         journal = HuntJournal.create(path, {"hunt": {"hunt_id": "abandon"}})
         metrics = MetricsRegistry()
         result, _ = coordinated(
             CallableWorkerTask(kill_always_stack, (10,)),
             journal=journal, metrics=metrics,
-            lease_ttl_s=1.0, heartbeat_interval_s=0.1,
             backoff_base_s=0.01, max_releases=1, batch_size=8,
         )
         assert result.coordination["abandoned_shards"] == [1]
+        events = result.coordination["lease_events"]
+        assert [e for e in events if e[0] == 0] == [(0, 1, "acquired")], events
+        assert [e for e in events if e[0] == 1] == [
+            (1, 1, "acquired"), (1, 1, "expired"), (1, 2, "re-leased"),
+            (1, 2, "expired"), (1, 2, "quarantined"),
+        ], events
+        assert metrics.counter("coordinator.releases") == 1
         assert not result.crashed, result.crash_reason
         assert result.explored == baseline.explored
         assert set(result.verdicts) == set(baseline.verdicts)
@@ -255,19 +284,49 @@ class TestCrashRecovery:
         assert metrics.counter("coordinator.shards.quarantined") == 1
         assert metrics.consistent()
 
-    def test_unreachable_lock_farm_degrades_to_local_leases(self, baseline):
-        farm = RedisimFarm(3)
-        farm.partition([0, 1])  # no quorum before the hunt starts
+
+class TestRaisingWorker:
+    """A worker that raises sends a partial final flush, then its error
+    frame.  The final alone must never count as its slot finishing: the
+    error frame can trail it (``slow_report``: by 0.3 s, raised after slot
+    0 has finished), and a hunt that ends on the final alone commits a
+    truncated verdict map without saying so."""
+
+    def test_plain_pool_reports_the_crash(self, tmp_path):
+        recorded = record_scenario(scenario(NAME))
+        pool = ProcessParallelExplorer(
+            make_explorer(recorded, "erpi"),
+            CallableWorkerTask(
+                raise_once_stack, (str(tmp_path / "raise.sentinel"), 50, True)
+            ),
+            workers=2, seed=0, batch_size=8,
+        )
+        result = pool.explore(
+            recorded.engine, recorded.scenario.make_assertions(),
+            cap=CAP, stop_on_violation=False,
+        )
+        assert result.crashed
+        assert any(q.error_type == "WorkerCrashed" for q in result.quarantined)
+
+    @pytest.mark.parametrize("raise_at, slow_report", [(10, False), (50, True)])
+    def test_coordinator_respawns_the_slot(
+        self, baseline, tmp_path, raise_at, slow_report
+    ):
+        sentinel = str(tmp_path / "raise.sentinel")
         metrics = MetricsRegistry()
         result, _ = coordinated(
-            CallableWorkerTask(plain_stack), farm=farm, metrics=metrics,
+            CallableWorkerTask(raise_once_stack, (sentinel, raise_at, slow_report)),
+            metrics=metrics, backoff_base_s=0.01, batch_size=8,
         )
-        assert result.coordination["degraded"]
-        assert result.coordination["backend"] == "local"
-        assert "quorum" in result.coordination["degraded_reason"]
+        assert os.path.exists(sentinel), "worker 1 never reached the raise"
         assert result.verdicts == baseline.verdicts
-        assert metrics.counter("coordinator.degraded") == 1
-        assert metrics.consistent()
+        assert result.explored == baseline.explored
+        assert not result.crashed, result.crash_reason
+        assert result.coordination["lease_events"] == [
+            (0, 1, "acquired"), (1, 1, "acquired"), (1, 1, "expired"),
+            (1, 2, "re-leased"),
+        ]
+        assert metrics.consistent(), metrics.counters_with_prefix("interleavings")
 
 
 class TestResume:
@@ -379,29 +438,27 @@ class TestResume:
 
 class TestPersistence:
     def test_lease_and_degraded_facts_land_in_the_store(self, tmp_path):
-        farm = RedisimFarm(3)
-        farm.partition([0, 1])
-        result, _ = coordinated(CallableWorkerTask(plain_stack), farm=farm)
+        """Each slot's incarnation log lands as ``lease`` facts.  The
+        ``degraded`` relation, which only the deleted lock-farm fallback
+        wrote, is gone from the store and the export."""
+        result, _ = coordinated(CallableWorkerTask(plain_stack))
         store = InterleavingStore()
         persist_exploration(store, result)
         leases = store.leases()
         assert (0, 1, "acquired") in leases
         assert (1, 1, "acquired") in leases
-        degradations = store.degradations()
-        assert len(degradations) == 1
-        assert degradations[0][0] == "lock-farm"
-        assert "quorum" in degradations[0][1]
+        assert not store.db.rows("degraded")
         # The export renders them alongside the verdict facts.
         from repro.datalog.export import export_program
 
         program = export_program(store)
         assert 'lease(0, 1, "acquired").' in program
-        assert "degraded(" in program
+        assert "degraded" not in program
 
 
 class TestCLIExitCodes:
     def test_recovered_but_found_exits_zero(self, capsys, tmp_path):
-        """Exit-code audit: a hunt that re-leased its way past a crash and
+        """Exit-code audit: a hunt that respawned its way past a crash and
         still reproduced the bug reports success."""
         import unittest.mock as mock
 
@@ -416,8 +473,7 @@ class TestCLIExitCodes:
             )(),
         )
         recovered.coordination = {
-            "hunt_id": "x", "backend": "redlock", "degraded": False,
-            "degraded_reason": None, "lease_events": [], "releases": 1,
+            "hunt_id": "x", "lease_events": [], "releases": 1,
             "abandoned_shards": [], "checkpoints": 2, "resumed_commits": 0,
             "journal": str(tmp_path / "j.jsonl"),
         }

@@ -144,17 +144,29 @@ class TestCheckpoint:
         assert len(loaded.commits) == 2
 
     def test_lease_and_degraded_events_roundtrip(self, tmp_path):
+        """Lease records round-trip.  A ``degraded`` record, which older
+        builds wrote when their lock farm lost quorum, still loads and
+        resumes: it is kept and otherwise ignored."""
         journal = make_journal(tmp_path)
+        journal.commit(0, "ok", "a|b")
         journal.lease(1, 1, "acquired")
         journal.lease(1, 1, "expired")
+        journal.append(
+            {"type": "degraded", "component": "lock-farm", "reason": "no quorum"}
+        )
         journal.lease(1, 2, "re-leased")
-        journal.degraded("lock-farm", "no quorum")
         journal.close()
         loaded = HuntJournal.load(journal.path)
         assert loaded.lease_events == [
             (1, 1, "acquired"), (1, 1, "expired"), (1, 2, "re-leased")
         ]
-        assert loaded.degraded_events == [("lock-farm", "no quorum")]
+        assert [r["il"] for r in loaded.commits] == ["a|b"]
+        loaded.reopen()
+        loaded.commit(1, "ok", "b|a")
+        loaded.close()
+        resumed = HuntJournal.load(journal.path)
+        assert [r["il"] for r in resumed.commits] == ["a|b", "b|a"]
+        assert [r["type"] for r in resumed.records].count("degraded") == 1
 
 
 class TestJournaledOutcome:

@@ -18,11 +18,9 @@ from repro.core.explorers import Explorer
 from repro.core.interleavings import group_events, interleaving_stream
 from repro.core.procpool import (
     CallableWorkerTask,
-    PrefixShardRouter,
     ProcessParallelExplorer,
     QuietWorkerDetector,
     ScenarioWorkerTask,
-    auto_prefix_len,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -100,30 +98,6 @@ class TestShardMergeEquivalence:
         spawned = run_process_hunt("Roshi-1", 2, cap=30, start_method="spawn")
         assert spawned.verdicts == forked.verdicts
         assert spawned.explored == forked.explored
-
-
-class TestPrefixShardRouter:
-    def test_first_appearance_assignment_is_deterministic(self):
-        events = record_scenario(scenario("Roshi-1")).events
-        units = group_events(events).units
-        stream = list(interleaving_stream(units, "sjt", limit=200))
-        a = PrefixShardRouter(workers=3, prefix_len=2)
-        b = PrefixShardRouter(workers=3, prefix_len=2)
-        owners_a = [a.owner(il) for il in stream]
-        owners_b = [b.owner(il) for il in stream]
-        assert owners_a == owners_b
-        assert set(owners_a) == {0, 1, 2}
-        assert a.shards == b.shards > 3
-
-    def test_owner_is_stable_per_key(self):
-        router = PrefixShardRouter(workers=2, prefix_len=1)
-        assert router.owner_of_key(("e1",)) == router.owner_of_key(("e1",))
-        assert router.owner_of_key(("e2",)) != router.owner_of_key(("e1",))
-
-    def test_auto_prefix_len(self):
-        assert auto_prefix_len(stream_width=8, workers=4) == 1
-        assert auto_prefix_len(stream_width=7, workers=4) == 2
-        assert auto_prefix_len(stream_width=2, workers=1) == 1
 
 
 class _FakeClock:

@@ -1,13 +1,14 @@
-"""Sharded enumeration equivalence, and work stealing under skew.
+"""Sharded enumeration equivalence and balanced ownership.
 
-Sharded enumeration lets each worker flatten only its own shard of the
+Sharded enumeration lets each worker flatten only its own positions of the
 candidate stream (foreign positions are yielded as ``None`` placeholders
 that consume an index but no flattening work).  The contract pinned here:
 the sharded streams are a partition of ``candidates()`` — same length,
 every position owned by exactly one worker, owned values identical — for
 the ERPi fast path, the constraint-checked fault path and the generic
-fallback wrapper alike; and full process hunts (DPOR + faults)
-commit the same verdicts regardless of worker count or mid-hunt steals.
+fallback wrapper alike; and full process hunts (DPOR + faults) commit the
+same verdicts regardless of worker count, with every worker replaying
+within one candidate of every other's share.
 """
 
 import itertools
@@ -16,12 +17,7 @@ import pytest
 
 from repro.bench.harness import hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
-from repro.core.coordinator import CoordinatedHuntExplorer
-from repro.core.procpool import (
-    PrefixShardRouter,
-    ProcessParallelExplorer,
-    ScenarioWorkerTask,
-)
+from repro.core.procpool import ProcessParallelExplorer, ScenarioWorkerTask
 
 LIMIT = 240  # stream-prefix length compared per equivalence check
 
@@ -33,7 +29,7 @@ def plain_stack(name="Roshi-1"):
 
 def faulted_stack(name="Roshi-CR"):
     """An explorer whose fault schedule carries order constraints, so the
-    fast path must flatten for validity checks before routing."""
+    fast path must flatten for validity checks before skipping."""
     recorded = record_scenario(scenario(name))
     compiled = recorded.scenario.fault_plan().compile(recorded.events)
     explorer = make_explorer(recorded, "erpi", events=compiled.events)
@@ -74,11 +70,10 @@ class TestShardPartitionEquivalence:
         shards = []
         for widx in range(workers):
             _, explorer = STACKS[stack]()
-            router = PrefixShardRouter(workers=workers, prefix_len=2)
             shards.append([
                 None if il is None else ids(il)
                 for il in itertools.islice(
-                    explorer.sharded_candidates(router, widx), len(reference)
+                    explorer.sharded_candidates(workers, widx), len(reference)
                 )
             ])
         for position, expected in enumerate(reference):
@@ -97,8 +92,7 @@ class TestShardPartitionEquivalence:
         _, reference_explorer = plain_stack()
         length = sum(1 for _ in reference_explorer.candidates())
         _, explorer = plain_stack()
-        router = PrefixShardRouter(workers=4, prefix_len=2)
-        stream = list(explorer.sharded_candidates(router, 0))
+        stream = list(explorer.sharded_candidates(4, 0))
         assert len(stream) == length
 
     def test_fast_path_skips_foreign_flattening(self):
@@ -114,9 +108,8 @@ class TestShardPartitionEquivalence:
         _, explorer = plain_stack()
         metrics = MetricsRegistry()
         explorer.metrics = metrics
-        router = PrefixShardRouter(workers=4, prefix_len=2)
         owned = [
-            il for il in explorer.sharded_candidates(router, 0)
+            il for il in explorer.sharded_candidates(4, 0)
             if il is not None
         ]
         assert 0 < len(owned) < total / 2
@@ -175,55 +168,7 @@ class TestProcessHuntEquivalence:
             assert 0 < s["materialized"] < total_yields
             assert s["ipc_bytes"] > 0
         assert sum(s["materialized"] for s in stats.values()) <= total_yields
-
-
-class TestWorkStealing:
-    """Satellite: a trailing shard is stolen mid-hunt (via the lease
-    fencing machinery) without changing a single committed verdict."""
-
-    def steal_hunt(self, steal_margin, throttle):
-        recorded = record_scenario(scenario("Roshi-1"))
-        explorer = make_explorer(recorded, "erpi")
-        pool = CoordinatedHuntExplorer(
-            explorer,
-            ScenarioWorkerTask(scenario_name="Roshi-1", mode="erpi", seed=0),
-            workers=2,
-            seed=0,
-            lease_ttl_s=2.0,
-            heartbeat_interval_s=0.05,
-            backoff_base_s=0.01,
-            steal_margin=steal_margin,
-            throttle_s_by_slot=throttle,
-        )
-        result = pool.explore(
-            recorded.engine, recorded.scenario.make_assertions(),
-            cap=60, stop_on_violation=False,
-        )
-        return result, pool
-
-    def test_steal_mid_hunt_preserves_verdicts(self):
-        baseline, _ = self.steal_hunt(steal_margin=None, throttle=None)
-        assert baseline.verdicts
-        stolen, pool = self.steal_hunt(
-            steal_margin=8, throttle={1: 0.02}
-        )
-        assert stolen.coordination["steals"] >= 1
-        assert any(
-            status == "stolen" for _, _, status in pool._lease_log
-        )
-        assert stolen.verdicts == baseline.verdicts
-        assert stolen.explored == baseline.explored
-        assert stolen.found == baseline.found
-
-    def test_stealing_disabled_by_margin_none(self):
-        result, pool = self.steal_hunt(steal_margin=None, throttle={1: 0.02})
-        assert result.coordination["steals"] == 0
-        assert not pool._stolen
-
-    def test_each_slot_is_stolen_at_most_once(self):
-        result, pool = self.steal_hunt(steal_margin=4, throttle={1: 0.03})
-        assert result.coordination["steals"] == len(pool._stolen) <= 2
-        stolen_events = [
-            slot for slot, _, status in pool._lease_log if status == "stolen"
-        ]
-        assert len(stolen_events) == len(set(stolen_events))
+        # Index-striped ownership: the workers' shares differ by at most
+        # one candidate.
+        materialized = [s["materialized"] for s in stats.values()]
+        assert max(materialized) - min(materialized) <= 1, materialized
