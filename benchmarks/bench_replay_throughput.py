@@ -114,7 +114,7 @@ def proc_worker_stack(limit: int):
 
     _, engine, events, _candidates = build_workload(limit)
     explorer = ERPiExplorer(events, order="sjt")
-    return explorer, engine, (), events
+    return explorer, engine, ()
 
 
 def usable_cores() -> int:

@@ -6,22 +6,18 @@ This is the engine behind Figures 8a, 8b, 9 and 10 and Table 1.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.bugs.registry import BugScenario
 from repro.core.events import Event
 from repro.core.explorers import (
     DEFAULT_CAP,
-    DFSExplorer,
-    ERPiExplorer,
     Explorer,
     ExplorationResult,
-    RandomExplorer,
+    build_explorer,
 )
 from repro.core.pruning import (
-    DPORPruner,
     EventIndependencePruner,
     FailedOpsPruner,
     Pruner,
@@ -89,33 +85,39 @@ def make_explorer(
     mode: str,
     seed: int = 0,
     meter: Optional[ResourceMeter] = None,
-    events: Optional[Sequence[Event]] = None,
+    faults: bool = False,
     dpor: bool = False,
+    sanitizer: Optional[Sanitizer] = None,
+    tracer: object = NULL_TRACER,
+    metrics: object = NULL_METRICS,
 ) -> Explorer:
     """Build the exploration stack for one recorded scenario.
 
-    ``dpor`` adds the DPOR pruner (ER-pi mode only — the other modes have
-    no pruner pipeline).
+    The scenario supplies the groups and pruners; ``faults`` compiles its
+    :meth:`~repro.bugs.registry.BugScenario.fault_plan` into the schedule.
+    The rest goes to :func:`~repro.core.explorers.build_explorer`.
     """
     scenario = recorded.scenario
-    schedule = tuple(events) if events is not None else recorded.events
-    if mode == "erpi":
-        pruners = scenario_pruners(scenario)
-        if dpor:
-            pruners.append(DPORPruner())
-        return ERPiExplorer(
-            schedule,
-            meter=meter,
-            spec_groups=scenario.spec_groups(),
-            pruners=pruners,
-        )
-    if dpor:
-        raise ValueError(f"--dpor requires the erpi mode, not {mode!r}")
-    if mode == "dfs":
-        return DFSExplorer(schedule, meter=meter)
-    if mode == "rand":
-        return RandomExplorer(schedule, meter=meter, seed=seed)
-    raise ValueError(f"unknown exploration mode {mode!r}")
+    plan = None
+    if faults:
+        plan = scenario.fault_plan()
+        if plan is None or plan.is_empty():
+            raise ValueError(
+                f"{scenario.name} declares no fault plan; hunt with faults=False"
+            )
+    return build_explorer(
+        recorded.events,
+        mode,
+        spec_groups=scenario.spec_groups(),
+        pruners=scenario_pruners(scenario),
+        faults=plan,
+        dpor=dpor,
+        sanitizer=sanitizer,
+        seed=seed,
+        meter=meter,
+        tracer=tracer,
+        metrics=metrics,
+    )
 
 
 def _coordination_journal(
@@ -204,7 +206,6 @@ def hunt(
     journal: Optional[str] = None,
     resume: Optional[str] = None,
     max_releases: int = 3,
-    checkpoint_every: int = 64,
     batch_size: int = 64,
 ) -> ExplorationResult:
     """Explore until the scenario's invariant breaks (bug reproduced).
@@ -213,7 +214,8 @@ def hunt(
     worker processes (position ``i`` goes to worker ``i % workers``),
     keeping the reported first violation identical to a serial hunt.  ``parallel_backend`` only
     accepts ``"process"``, the one multi-worker backend.
-    ``dpor`` adds the DPOR pruner (see :func:`make_explorer`).
+    ``dpor`` adds the DPOR pruner (see
+    :func:`~repro.core.explorers.build_explorer`).
     ``sanitize`` runs the differential soundness sanitizer alongside the
     hunt: every pruner's equivalence classes are sampled and
     differentially replayed afterwards.  The report lands on
@@ -238,7 +240,7 @@ def hunt(
     previously killed hunt: the committed prefix is replayed from the
     checkpoint, workers skip past it, and the final verdict map is identical
     to an uninterrupted run's.  ``max_releases`` is the respawn budget per
-    slot and ``checkpoint_every`` the journal's durability-barrier stride.
+    slot.
 
     ``batch_size`` caps the workers' adaptive columnar IPC frames.
     """
@@ -248,46 +250,17 @@ def hunt(
         )
     observed_tracer = tracer if tracer is not None else NULL_TRACER
     observed_metrics = metrics if metrics is not None else NULL_METRICS
-    schedule: Optional[Sequence[Event]] = None
-    order_constraints: Tuple[Tuple[str, str], ...] = ()
-    fault_plan = None
-    if faults:
-        fault_plan = recorded.scenario.fault_plan()
-        if fault_plan is None or fault_plan.is_empty():
-            raise ValueError(
-                f"{recorded.scenario.name} declares no fault plan; "
-                "hunt with faults=False"
-            )
-        if observed_tracer.enabled:
-            fspan = observed_tracer.begin("fault-compile")
-            compiled = fault_plan.compile(recorded.events)
-            observed_tracer.end(fspan, fault_events=len(compiled.fault_events))
-        else:
-            compiled = fault_plan.compile(recorded.events)
-        schedule = compiled.events
-        order_constraints = compiled.order_constraints
     if replay_timeout_s is not None:
         recorded.engine.executor = SequentialExecutor(timeout_s=replay_timeout_s)
+    sanitizer = Sanitizer(sample_k=sanitize_sample_k, seed=seed) if sanitize else None
     explorer = make_explorer(
-        recorded, mode, seed=seed, meter=meter, events=schedule, dpor=dpor,
+        recorded, mode, seed=seed, meter=meter, faults=faults, dpor=dpor,
+        sanitizer=sanitizer, tracer=observed_tracer, metrics=observed_metrics,
     )
-    explorer.order_constraints = order_constraints
-    explorer.tracer = observed_tracer
-    explorer.metrics = observed_metrics
     explorer.progress = progress
     recorded.engine.tracer = observed_tracer
     recorded.engine.metrics = observed_metrics
-    if fault_plan is not None:
-        explorer.fault_plan_description = fault_plan.describe()
     assertions = recorded.scenario.make_assertions()
-    sanitizer: Optional[Sanitizer] = None
-    if sanitize:
-        sanitizer = Sanitizer(sample_k=sanitize_sample_k, seed=seed)
-        if isinstance(explorer, ERPiExplorer):
-            sanitizer.watch_pruners(explorer.pipeline.pruners)
-            explorer.audit_pruners.append(
-                sanitizer.grouping_auditor(recorded.events, explorer.spec_groups)
-            )
     coordinated = journal is not None or resume is not None
     if workers > 1 or coordinated:
         from repro.core.procpool import ProcessParallelExplorer, ScenarioWorkerTask
@@ -321,7 +294,6 @@ def hunt(
                 task,
                 journal=hunt_journal,
                 max_releases=max_releases,
-                checkpoint_every=checkpoint_every,
                 **pool_kwargs,
             )
         else:

@@ -96,7 +96,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         journal=args.journal,
         resume=args.resume,
         max_releases=args.max_releases,
-        checkpoint_every=args.checkpoint_every,
         batch_size=args.batch_size,
     )
     if tracer is not None:
@@ -123,7 +122,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             parts.append(
                 f"quarantined shard(s) {coordination['abandoned_shards']}"
             )
-        parts.append(f"{coordination['checkpoints']} checkpoint(s)")
         print("coordination: " + "; ".join(parts))
     # Exit-code contract: reproduced -> 0 (even when the hunt had to recover
     # from worker crashes along the way); sanitizer divergence -> 2;
@@ -489,13 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="respawn budget per worker slot; past it the slot's shard is "
         "quarantined (the hunt finishes without it) instead of retrying "
         "forever",
-    )
-    hunt.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=64,
-        metavar="N",
-        help="journal durability-barrier stride, in committed verdicts",
     )
     hunt.add_argument(
         "--batch-size",

@@ -75,7 +75,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         max_releases: int = 3,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
-        checkpoint_every: int = 64,
         hunt_id: Optional[str] = None,
         **kwargs: Any,
     ) -> None:
@@ -84,7 +83,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         self.max_releases = max(0, max_releases)
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.checkpoint_every = max(1, checkpoint_every)
         if hunt_id is None and journal is not None:
             hunt_id = journal.header.get("hunt", {}).get("hunt_id")
         self.hunt_id = hunt_id or uuid.uuid4().hex[:12]
@@ -95,7 +93,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         self._abandoned: Set[int] = set()
         self._abandon_reasons: Dict[int, str] = {}
         self._lease_log: List[Tuple[int, int, str]] = []
-        self._checkpoint_seq = 0
         self._watermark = 0  # committed candidate indices below this
         # Parent-side candidate stream (built lazily, only for abandoned
         # slots): the event ids of every position it has enumerated.
@@ -194,7 +191,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
     def _ensure_owner_stream(self) -> None:
         if self._owner_candidates is not None:
             return
-        explorer, engine, assertions, _audit = self.task.build()
+        explorer, engine, assertions = self.task.build()
         # The owner stream must make byte-identical pruning decisions to the
         # workers' streams, so its pruners are bound the same way (the DPOR
         # pruner is a deterministic function of the schedule).
@@ -304,7 +301,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         errors: Dict[int, str] = {}
         crashed = False
         crash_reason: Optional[str] = None
-        commits_since_checkpoint = 0
 
         self._go.set()
         detector = QuietWorkerDetector(
@@ -339,7 +335,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                         done = True
                         break
                     explored += 1
-                    commits_since_checkpoint += 1
                     if kind == "quarantine":
                         quarantined.append(payload)
                         il_key = "|".join(payload.interleaving)
@@ -409,12 +404,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                             done = True
                     if progress is not None and kind != "crashed":
                         progress.tick(metrics)
-                    if (
-                        journal is not None
-                        and commits_since_checkpoint >= self.checkpoint_every
-                    ):
-                        self._checkpoint(next_index)
-                        commits_since_checkpoint = 0
                     if done:
                         break
                 if done:
@@ -479,15 +468,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
 
     # ------------------------------------------------------------- finish
 
-    def _checkpoint(self, committed: int) -> None:
-        tracer = self.base.tracer
-        span = tracer.begin("checkpoint") if tracer.enabled else None
-        self._checkpoint_seq += 1
-        self.journal.checkpoint(self._checkpoint_seq, committed)
-        self._metric("coordinator.checkpoints")
-        if span is not None:
-            tracer.end(span, seq=self._checkpoint_seq, committed=committed)
-
     def coordination_summary(self) -> Dict[str, Any]:
         return {
             "hunt_id": self.hunt_id,
@@ -496,7 +476,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
                 1 for _, _, status in self._lease_log if status == "re-leased"
             ),
             "abandoned_shards": sorted(self._abandoned),
-            "checkpoints": self._checkpoint_seq,
             "resumed_commits": len(self._resumed),
             "journal": self.journal.path if self.journal is not None else None,
         }
@@ -515,7 +494,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
     ) -> ExplorationResult:
         journal = self.journal
         if journal is not None:
-            self._checkpoint(explored)  # compact the tail
             journal.final(
                 found=violating is not None,
                 explored=explored,

@@ -16,8 +16,13 @@ violation (bug reproduced), on the exploration cap (the paper terminates at
   (SJT) enumeration over units, and the applicable post-generation pruners
   filtering equivalent interleavings before they are ever replayed.
 
-Multi-worker hunts run the same candidate streams on shared-nothing worker
-processes (:mod:`repro.core.procpool`).
+:meth:`Explorer.explore` is the one serial replay loop: hunts, ``ErPi``
+sessions, the workload fuzzer, the resource profiler and the Table-2
+detector all run it, the last four through its ``on_commit`` sink.
+:func:`build_explorer` is the one place an exploration stack is assembled
+(fault plan, pruners, DPOR, sanitizer).  Multi-worker hunts run the same
+candidate streams on shared-nothing worker processes
+(:mod:`repro.core.procpool`).
 """
 
 from __future__ import annotations
@@ -27,11 +32,22 @@ import random
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.errors import ResourceExhausted
 from repro.core.events import Event
-from repro.faults.plan import satisfies_order_constraints
+from repro.faults.plan import FaultPlan, satisfies_order_constraints
 from repro.faults.quarantine import QuarantinedReplay
 from repro.core.interleavings import (
     GroupingResult,
@@ -42,12 +58,20 @@ from repro.core.interleavings import (
     unit_permutation_stream,
 )
 from repro.core.pruning.base import Pruner, PrunerPipeline
+from repro.core.pruning.semantic import DPORPruner
 from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
 from repro.core.resources import ResourceMeter, interleaving_footprint
 from repro.obs import NULL_METRICS, NULL_TRACER
 
 #: The paper's exploration cap.
 DEFAULT_CAP = 10_000
+
+#: A commit sink: called once per committed replay with the interleaving and
+#: its outcome (the :class:`QuarantinedReplay` when the replay raised);
+#: returning True stops the run.
+CommitSink = Callable[
+    [Interleaving, Union[InterleavingOutcome, QuarantinedReplay]], bool
+]
 
 
 def stream_owner(position: int, workers: int) -> int:
@@ -87,7 +111,7 @@ class ExplorationResult:
     #: audit through exactly this map; serial explorers leave it ``None``.
     verdicts: Optional[Dict[str, str]] = None
     #: Coordination summary (hunt id, per-slot incarnation log, re-leases,
-    #: abandoned shards, checkpoint count, resumed commits, journal path)
+    #: abandoned shards, resumed commits, journal path)
     #: from a :class:`~repro.core.coordinator.CoordinatedHuntExplorer` run.
     coordination: Optional[Dict[str, object]] = None
     #: Per-worker-slot stats from a process-backed run: stream positions
@@ -117,6 +141,8 @@ class Explorer(abc.ABC):
         self.order_constraints: Tuple[Tuple[str, str], ...] = ()
         #: Human-readable fault-plan description, attached to quarantines.
         self.fault_plan_description: Optional[str] = None
+        #: The fault events the compiled plan added, in plan order.
+        self.fault_events: Tuple[Event, ...] = ()
         #: Observability (see repro.obs) — the shared null objects unless an
         #: observed run swaps real ones in.  ``progress`` may hold a
         #: :class:`~repro.obs.progress.ProgressLine` for live hunts.
@@ -166,7 +192,16 @@ class Explorer(abc.ABC):
         assertions: Sequence[Assertion],
         cap: int = DEFAULT_CAP,
         stop_on_violation: bool = True,
+        on_commit: Optional[CommitSink] = None,
     ) -> ExplorationResult:
+        """Replay candidates until a violation (with ``stop_on_violation``),
+        the ``cap``, an exhausted stream or a resource crash.
+
+        A replay that raises is quarantined and the run goes on.
+        ``on_commit(interleaving, outcome)`` sees every committed replay in
+        commit order, after the engine is back at its checkpoint for a
+        quarantine; returning True ends the run after that commit.
+        """
         tracer = self.tracer
         metrics = self.metrics
         progress = self.progress
@@ -206,28 +241,31 @@ class Explorer(abc.ABC):
                     # Quarantine: an injected fault wedged or blew up the
                     # subject (watchdog timeout, unexpected exception).
                     # Capture the wreckage and keep hunting.
-                    if tracer.enabled:
-                        qspan = tracer.begin("quarantine")
-                        quarantined.append(self._quarantine(interleaving, exc))
+                    qspan = tracer.begin("quarantine") if tracer.enabled else None
+                    quarantine = self._quarantine(interleaving, exc)
+                    if qspan is not None:
                         tracer.end(qspan, error_type=type(exc).__name__)
-                    else:
-                        quarantined.append(self._quarantine(interleaving, exc))
+                    quarantined.append(quarantine)
                     if metrics.enabled:
                         metrics.inc("interleavings.quarantined")
                     explored += 1
                     if progress is not None:
                         progress.tick(metrics)
                     engine.restore()
+                    if on_commit is not None and on_commit(interleaving, quarantine):
+                        break
                     continue
                 explored += 1
                 if metrics.enabled:
                     metrics.inc("interleavings.replayed")
                 if progress is not None:
                     progress.tick(metrics)
+                stop = on_commit is not None and on_commit(interleaving, outcome)
                 if outcome.violated:
                     violating = outcome
-                    if stop_on_violation:
-                        break
+                    stop = stop or stop_on_violation
+                if stop:
+                    break
         except ResourceExhausted as exc:
             crashed = True
             crash_reason = str(exc)
@@ -488,3 +526,76 @@ class ERPiExplorer(Explorer):
         for name, pstats in self.pipeline.stats().items():
             stats[name] = pstats.pruned
         return stats
+
+
+def build_explorer(
+    events: Sequence[Event],
+    mode: str = "erpi",
+    *,
+    spec_groups: Sequence[Tuple[str, str]] = (),
+    pruners: Iterable[Pruner] = (),
+    order: str = "relocation",
+    faults: Optional[FaultPlan] = None,
+    dpor: bool = False,
+    sanitizer: Optional[Any] = None,
+    seed: int = 0,
+    meter: Optional[ResourceMeter] = None,
+    tracer: Any = NULL_TRACER,
+    metrics: Any = NULL_METRICS,
+) -> Explorer:
+    """Assemble the exploration stack over recorded ``events``.
+
+    The one place a hunt (:func:`repro.bench.harness.hunt` and its process
+    workers) and an :class:`~repro.core.session.ErPi` session are put
+    together, so the same inputs give the same explorer either way:
+
+    * ``faults`` is compiled against ``events`` (traced as
+      ``fault-compile``): its fault events join the schedule, its order
+      constraints make schedules that break them invalid, and its
+      description is attached to quarantines.  An empty plan changes
+      nothing.
+    * ``mode`` picks the explorer.  ER-pi takes ``spec_groups``,
+      ``pruners`` and ``order``, plus the DPOR pruner with ``dpor``.  DFS
+      and Rand (seeded by ``seed``) are the paper's unpruned baselines:
+      they ignore those three and refuse ``dpor``.
+    * ``tracer`` and ``metrics`` are attached.
+    * ``sanitizer`` (a :class:`~repro.core.sanitizer.Sanitizer`) watches
+      the explorer's pruning classes.
+    """
+    schedule = tuple(events)
+    compiled = None
+    if faults is not None and not faults.is_empty():
+        span = tracer.begin("fault-compile") if tracer.enabled else None
+        compiled = faults.compile(schedule)
+        if span is not None:
+            tracer.end(span, fault_events=len(compiled.fault_events))
+        schedule = compiled.events
+    explorer: Explorer
+    if mode == "erpi":
+        pipeline = list(pruners)
+        if dpor:
+            pipeline.append(DPORPruner())
+        explorer = ERPiExplorer(
+            schedule,
+            meter=meter,
+            spec_groups=spec_groups,
+            pruners=pipeline,
+            order=order,
+        )
+    elif dpor:
+        raise ValueError(f"--dpor requires the erpi mode, not {mode!r}")
+    elif mode == "dfs":
+        explorer = DFSExplorer(schedule, meter=meter)
+    elif mode == "rand":
+        explorer = RandomExplorer(schedule, meter=meter, seed=seed)
+    else:
+        raise ValueError(f"unknown exploration mode {mode!r}")
+    if compiled is not None:
+        explorer.order_constraints = compiled.order_constraints
+        explorer.fault_events = compiled.fault_events
+        explorer.fault_plan_description = faults.describe()
+    explorer.tracer = tracer
+    explorer.metrics = metrics
+    if sanitizer is not None:
+        sanitizer.watch(explorer)
+    return explorer

@@ -31,7 +31,8 @@ from repro.core.assertions import (
     is_settled,
 )
 from repro.core.explorers import ERPiExplorer
-from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
+from repro.core.replay import Assertion, ReplayEngine
+from repro.faults.quarantine import QuarantinedReplay
 from repro.net.cluster import Cluster
 from repro.proxy.recorder import EventRecorder
 
@@ -158,7 +159,9 @@ class WorkloadFuzzer:
         cap_per_run: int = 200,
     ) -> FuzzReport:
         """Fuzz ``runs`` workloads; explore up to ``cap_per_run`` interleavings
-        of each; collect every violation."""
+        of each on the shared explore loop; collect every violation.  A
+        replay that raises is quarantined and reported as a finding that
+        names the error type."""
         report = FuzzReport(runs=runs, total_interleavings=0)
         for run_index in range(runs):
             rng = random.Random((self.seed, run_index).__hash__())
@@ -171,8 +174,6 @@ class WorkloadFuzzer:
             events = tuple(recorder.stop())
             if not events:
                 continue
-            explorer = ERPiExplorer(events)
-            assertions = self.assertion_factory()
             replica_ids = cluster.replica_ids()
             recorded_order: Dict[str, List[str]] = {}
             for event in events:
@@ -196,26 +197,30 @@ class WorkloadFuzzer:
                             event.event_id
                         )
                 return per_replica == recorded_order
-            explored = 0
+
             violations: List[str] = []
-            violating_ids: List[str] = []
+            violating_ids: Tuple[str, ...] = ()
             settled_reference: Optional[Tuple[Any, Tuple[str, ...]]] = None
-            for interleaving in explorer.candidates():
-                if explored >= cap_per_run:
-                    break
-                outcome = engine.replay(interleaving, assertions)
-                explored += 1
+
+            def commit(interleaving, outcome) -> bool:
+                nonlocal settled_reference, violating_ids
+                ids = tuple(e.event_id for e in interleaving)
+                if isinstance(outcome, QuarantinedReplay):
+                    violations.append(
+                        f"replay raised {outcome.error_type}: {outcome.message}"
+                    )
+                    violating_ids = ids
+                    return True
                 if outcome.violated:
                     violations.extend(outcome.violations)
-                    violating_ids = [e.event_id for e in interleaving]
-                    break
+                    violating_ids = ids
+                    return True
                 if (
                     self.cross_check_stability
                     and is_settled(outcome, replica_ids)
                     and preserves_program_order(interleaving)
                 ):
                     digest = _freeze(outcome.states)
-                    ids = tuple(e.event_id for e in interleaving)
                     if settled_reference is None:
                         settled_reference = (digest, ids)
                     elif settled_reference[0] != digest:
@@ -223,8 +228,13 @@ class WorkloadFuzzer:
                             "settled interleavings disagree on the final "
                             f"states: {ids} vs {settled_reference[1]}"
                         )
-                        violating_ids = list(ids)
-                        break
+                        violating_ids = ids
+                        return True
+                return False
+
+            explored = ERPiExplorer(events).explore(
+                engine, self.assertion_factory(), cap=cap_per_run, on_commit=commit
+            ).explored
             report.total_interleavings += explored
             if violations:
                 report.findings.append(
@@ -232,7 +242,7 @@ class WorkloadFuzzer:
                         run_index=run_index,
                         events=events,
                         violations=violations,
-                        interleaving_ids=tuple(violating_ids),
+                        interleaving_ids=violating_ids,
                     )
                 )
         return report

@@ -14,20 +14,21 @@ is JSONL, one record per line:
   the violation without re-replaying it).
 * ``lease``   — a worker slot's incarnation log: acquired / expired /
   re-leased / quarantined, with the slot and attempt number.
-* ``checkpoint`` — a durability barrier: all records up to it have been
-  rewritten to disk via atomic rename, so a torn tail can lose at most the
-  lines after the last checkpoint's rename (each append is still
-  flushed+fsynced, so in practice at most the final partial line).
 * ``final``   — the hunt completed; holds the summary.  A journal without a
   ``final`` record is resumable; with one it is just replayable.
+
+Every append is flushed and fsynced, so a killed writer loses at most the
+line it was writing.  The whole file is rewritten (temp file plus atomic
+rename) only when a journal is created and when a loaded one is reopened
+for appends, which compacts away such a torn line first.
 
 Crash tolerance on load: a truncated *trailing* line (the writer died
 mid-append) is dropped silently; corruption anywhere else raises
 :class:`JournalError` — a resumed hunt must never silently skip committed
 work, because the resumed verdict map is promised to be bit-for-bit the
 uninterrupted run's.  Record types this build no longer writes (the
-``degraded`` records of older builds) load and are ignored, so their
-journals still resume.
+``degraded`` and ``checkpoint`` records of older builds) load and are
+ignored, so their journals still resume.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class JournaledOutcome:
 class HuntJournal:
     """Append-only JSONL checkpoint of a coordinated hunt.
 
-    Appends are flushed and fsynced per record; :meth:`checkpoint`
-    additionally rewrites the whole file through a temp file + atomic
-    ``os.replace``, which both compacts away any torn tail and guarantees
-    readers never observe a half-written file at a checkpoint boundary.
+    Appends are flushed and fsynced per record.  :meth:`create` and
+    :meth:`reopen` write the whole file through a temp file + atomic
+    ``os.replace``, so a reopened journal never carries a torn tail into
+    its next append.
     """
 
     def __init__(self, path: str) -> None:
@@ -184,12 +185,6 @@ class HuntJournal:
             {"type": "lease", "slot": slot, "attempt": attempt, "status": status}
         )
 
-    def checkpoint(self, seq: int, committed: int) -> None:
-        """A durability barrier: record + full atomic-rename rewrite."""
-        self.append({"type": "checkpoint", "seq": seq, "committed": committed})
-        self._rewrite()
-        self._open_append()
-
     def final(
         self,
         found: bool,
@@ -255,10 +250,6 @@ class HuntJournal:
             (record["slot"], record["attempt"], record["status"])
             for record in self._of_type("lease")
         ]
-
-    @property
-    def checkpoints(self) -> int:
-        return len(self._of_type("checkpoint"))
 
     @property
     def final_record(self) -> Optional[Dict[str, Any]]:

@@ -86,16 +86,15 @@ class WorkerTask:
     """A picklable recipe for rebuilding one worker's exploration stack.
 
     ``build()`` runs **inside** the worker process and must return
-    ``(explorer, engine, assertions, audit_events)`` — a fresh explorer over
-    the recorded schedule, a checkpointed :class:`ReplayEngine` over a fresh
-    cluster, the scenario's assertions, and the unfaulted recorded events
-    (the grouping auditor's input when sanitizing).  Implementations must
-    not capture module-level state: everything a worker needs is derived
-    from the task's own (picklable) fields, which keeps the bootstrap safe
-    under the ``spawn`` start method as well as ``fork``.
+    ``(explorer, engine, assertions)`` — a fresh explorer over the recorded
+    schedule, a checkpointed :class:`ReplayEngine` over a fresh cluster, and
+    the scenario's assertions.  Implementations must not capture
+    module-level state: everything a worker needs is derived from the
+    task's own (picklable) fields, which keeps the bootstrap safe under the
+    ``spawn`` start method as well as ``fork``.
     """
 
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion], tuple]:
+    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion]]:
         raise NotImplementedError
 
 
@@ -111,7 +110,7 @@ class ScenarioWorkerTask(WorkerTask):
     replay_timeout_s: Optional[float] = None
     dpor: bool = False
 
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion], tuple]:
+    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion]]:
         # Imports are deferred so pickling the task never drags the bug
         # registry (or a half-initialised module under spawn) along with it.
         from repro.bench.harness import make_explorer, record_scenario
@@ -120,29 +119,14 @@ class ScenarioWorkerTask(WorkerTask):
 
         sc = scenario(self.scenario_name)
         recorded = record_scenario(sc, fixed=self.fixed)
-        schedule = None
-        order_constraints: Tuple[Tuple[str, str], ...] = ()
-        fault_plan = None
-        if self.faults:
-            fault_plan = sc.fault_plan()
-            if fault_plan is None or fault_plan.is_empty():
-                raise ValueError(
-                    f"{sc.name} declares no fault plan; hunt with faults=False"
-                )
-            compiled = fault_plan.compile(recorded.events)
-            schedule = compiled.events
-            order_constraints = compiled.order_constraints
         if self.replay_timeout_s is not None:
             recorded.engine.executor = SequentialExecutor(
                 timeout_s=self.replay_timeout_s
             )
         explorer = make_explorer(
-            recorded, self.mode, seed=self.seed, events=schedule, dpor=self.dpor,
+            recorded, self.mode, seed=self.seed, faults=self.faults, dpor=self.dpor,
         )
-        explorer.order_constraints = order_constraints
-        if fault_plan is not None:
-            explorer.fault_plan_description = fault_plan.describe()
-        return explorer, recorded.engine, sc.make_assertions(), recorded.events
+        return explorer, recorded.engine, sc.make_assertions()
 
 
 @dataclass(frozen=True)
@@ -156,7 +140,7 @@ class CallableWorkerTask(WorkerTask):
     factory: Any
     args: Tuple[Any, ...] = ()
 
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion], tuple]:
+    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion]]:
         return self.factory(*self.args)
 
 
@@ -353,10 +337,9 @@ class _WorkerRuntime:
 
 
 def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
-    from repro.core.explorers import ERPiExplorer
     from repro.core.sanitizer import Sanitizer
 
-    explorer, engine, assertions, audit_events = task.build()
+    explorer, engine, assertions = task.build()
     stream_metrics = replay_metrics = None
     if config.collect_metrics:
         # Two shards per worker: the explorer writes stream-side counters
@@ -369,15 +352,8 @@ def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
         engine.metrics = replay_metrics
     sanitizer = None
     if config.sanitize:
-        sanitizer = Sanitizer(
-            sample_k=config.sanitize_sample_k,
-            seed=config.seed,
-        )
-        if isinstance(explorer, ERPiExplorer):
-            sanitizer.watch_pruners(explorer.pipeline.pruners)
-            explorer.audit_pruners.append(
-                sanitizer.grouping_auditor(audit_events, explorer.spec_groups)
-            )
+        sanitizer = Sanitizer(sample_k=config.sanitize_sample_k, seed=config.seed)
+        sanitizer.watch(explorer)
     # Bind the semantic pruners exactly as a serial explore() would (the
     # worker loop pulls candidates() directly, bypassing explore()).
     explorer.bind_semantic((engine,), assertions)

@@ -11,19 +11,16 @@ which single-schedule profiling by definition misses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.explorers import ERPiExplorer
 from repro.core.interleavings import Interleaving
 from repro.core.pruning.base import Pruner
-from repro.core.replay import InterleavingOutcome, ReplayEngine
+from repro.core.replay import ReplayEngine
 from repro.core.resources import state_footprint
+from repro.faults.quarantine import QuarantinedReplay
 from repro.net.cluster import Cluster
 from repro.proxy.recorder import EventRecorder
-
-#: Back-compat alias — the estimator moved to :mod:`repro.core.resources`
-#: so the prefix snapshot cache can charge snapshots with the same model.
-_state_footprint = state_footprint
 
 
 @dataclass
@@ -77,6 +74,8 @@ class ProfileReport:
     """Distribution of resource usage across interleavings."""
 
     profiles: List[InterleavingProfile] = field(default_factory=list)
+    #: Replays that raised and were quarantined instead of profiled.
+    quarantined: int = 0
 
     @property
     def replayed(self) -> int:
@@ -104,12 +103,16 @@ class ProfileReport:
         duration = self.duration()
         state = self.state_bytes()
         failed = self.failed_ops()
+        quarantined = (
+            [f"quarantined replays: {self.quarantined}"] if self.quarantined else []
+        )
         # An empty distribution has no statistics: "0 ms" would be
         # indistinguishable from a real all-zero sample.
         if duration.empty:
             return "\n".join(
                 [
                     "interleavings profiled: 0",
+                    *quarantined,
                     "replay time   n/a",
                     "state size    n/a",
                     "failed ops    n/a",
@@ -118,6 +121,7 @@ class ProfileReport:
         return "\n".join(
             [
                 f"interleavings profiled: {self.replayed}",
+                *quarantined,
                 (
                     f"replay time   min {duration.minimum * 1e3:.2f} ms  "
                     f"median {duration.median * 1e3:.2f} ms  "
@@ -162,14 +166,16 @@ class ResourceProfiler:
             events, spec_groups=self.spec_groups, pruners=self.pruners
         )
         report = ProfileReport()
-        for index, interleaving in enumerate(explorer.candidates()):
-            if index >= cap:
-                break
-            outcome = self._engine.replay(interleaving)
-            sent, dropped, _, _ = self._engine.last_transport_stats
+        engine = self._engine
+
+        def profile(interleaving: Interleaving, outcome) -> bool:
+            if isinstance(outcome, QuarantinedReplay):
+                report.quarantined += 1
+                return False
+            sent, dropped, _, _ = engine.last_transport_stats
             report.profiles.append(
                 InterleavingProfile(
-                    index=index,
+                    index=len(report.profiles) + report.quarantined,
                     duration_s=outcome.duration_s,
                     failed_ops=len(outcome.failed_ops),
                     messages_sent=sent,
@@ -178,5 +184,8 @@ class ResourceProfiler:
                     event_ids=tuple(e.event_id for e in interleaving),
                 )
             )
-        self._engine.restore()
+            return False
+
+        explorer.explore(engine, (), cap=cap, on_commit=profile)
+        engine.restore()
         return report

@@ -35,7 +35,6 @@ def _run_hunt(journal_path: str, resume: bool = False):
         cap=CAP,
         workers=2,
         stop_on_violation=False,
-        checkpoint_every=16,
         journal=None if resume else journal_path,
         resume=journal_path if resume else None,
     )

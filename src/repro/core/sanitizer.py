@@ -40,6 +40,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 
 from repro.core.assertions import _freeze
 from repro.core.events import EventKind
+from repro.core.explorers import ERPiExplorer, Explorer
 from repro.core.interleavings import Interleaving, group_events, interleaving_stream
 from repro.core.pruning import (
     EventGroupPruner,
@@ -253,12 +254,13 @@ class SanitizerReport:
 class Sanitizer:
     """Owns one run's divergence log and class sampling.
 
-    Usage (what :class:`~repro.core.session.ErPi` and the bench harness do)::
+    Usage (what :func:`~repro.core.explorers.build_explorer` and the
+    process workers do)::
 
         sanitizer = Sanitizer(sample_k=2)
-        sanitizer.watch_pruners(pipeline.pruners)  # class sampling
+        sanitizer.watch(explorer)           # class sampling + grouping audit
         ... explore ...
-        report = sanitizer.finish(engine)       # differential class replay
+        report = sanitizer.finish(engine)   # differential class replay
     """
 
     def __init__(
@@ -281,6 +283,21 @@ class Sanitizer:
                 sample_k=self.sample_k, seed=self.seed + len(self._watched) + offset
             )
             self._watched.append(pruner)
+
+    def watch(self, explorer: Explorer) -> None:
+        """Sample ``explorer``'s pruning classes and audit its grouping.
+
+        Its pipeline's pruners are watched first, then an Algorithm-1
+        auditor prepared on the schedule the explorer streams (fault events
+        included) rides along as an audit pruner.  Explorers without a
+        pruning pipeline (DFS, Rand) have nothing to audit.
+        """
+        if not isinstance(explorer, ERPiExplorer):
+            return
+        self.watch_pruners(explorer.pipeline.pruners)
+        explorer.audit_pruners.append(
+            self.grouping_auditor(explorer.events, explorer.spec_groups)
+        )
 
     def grouping_auditor(
         self,

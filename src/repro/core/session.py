@@ -29,9 +29,9 @@ from repro.core.constraints import (
     pruners_from,
     spec_groups_from,
 )
-from repro.core.errors import RecordingError, ResourceExhausted
+from repro.core.errors import RecordingError
 from repro.core.events import Event
-from repro.core.explorers import DEFAULT_CAP, ERPiExplorer, ExplorationResult
+from repro.core.explorers import DEFAULT_CAP, ExplorationResult, build_explorer
 from repro.core.interleavings import GroupingResult
 from repro.core.pruning import (
     DPORPruner,
@@ -169,8 +169,6 @@ class ErPi:
         read_methods: Optional[Sequence[str]] = None,
         dpor: bool = False,
         sanitize: bool = False,
-        sanitize_sample_k: int = 2,
-        sanitize_seed: int = 0,
         faults: Optional[FaultPlan] = None,
         replay_timeout_s: Optional[float] = None,
         trace: Optional[Any] = None,
@@ -194,8 +192,8 @@ class ErPi:
         deterministic, and with ``persist=True`` its prunes land as
         ``footprint`` Datalog facts.
         ``sanitize`` enables the differential soundness sanitizer: every
-        pruner's equivalence classes are sampled (``sanitize_sample_k``
-        skipped members each) and differentially replayed at :meth:`end`.
+        pruner's equivalence classes are sampled (two skipped members each)
+        and differentially replayed at :meth:`end`.
         Divergences land in the report (and, with ``persist=True``, as
         ``divergence`` Datalog facts).
         ``faults`` attaches a :class:`~repro.faults.plan.FaultPlan`: its
@@ -238,14 +236,9 @@ class ErPi:
         self._engine.tracer = self.tracer
         self._engine.metrics = self.metrics
         self.dpor = dpor
-        self._dpor_pruner: Optional[DPORPruner] = None
-        self._sanitizer: Optional[Sanitizer] = None
-        if sanitize:
-            self._sanitizer = Sanitizer(
-                sample_k=sanitize_sample_k,
-                seed=sanitize_seed,
-                store=self.store,
-            )
+        self._sanitizer: Optional[Sanitizer] = (
+            Sanitizer(store=self.store) if sanitize else None
+        )
         self._extra_constraints: List[Constraint] = []
 
     # ------------------------------------------------------------- markers
@@ -298,7 +291,6 @@ class ErPi:
         cross_checks: Sequence[CrossInterleavingCheck] = (),
         cap: int = DEFAULT_CAP,
         order: str = "relocation",
-        extra_pruners: Sequence[Pruner] = (),
         stop_on_violation: bool = False,
         keep_outcomes: bool = True,
     ) -> SessionReport:
@@ -308,127 +300,65 @@ class ErPi:
         events = tuple(self._recorder.stop())
         self._recorder = None
 
-        # Compile the fault plan (if any) against the recorded events: the
-        # fault events join the schedule and are permuted like any other,
-        # within the plan's validity constraints.
-        fault_events: Tuple[Event, ...] = ()
-        order_constraints: Tuple[Tuple[str, str], ...] = ()
-        schedule_events = events
-        if self.faults is not None and not self.faults.is_empty():
-            if self.tracer.enabled:
-                fspan = self.tracer.begin("fault-compile")
-                compiled = self.faults.compile(events)
-                self.tracer.end(fspan, fault_events=len(compiled.fault_events))
-            else:
-                compiled = self.faults.compile(events)
-            schedule_events = compiled.events
-            fault_events = compiled.fault_events
-            order_constraints = compiled.order_constraints
-
         constraints = list(self._extra_constraints)
         if self.constraints_dir:
             constraints.extend(load_constraints_dir(self.constraints_dir))
-
-        pruners: List[Pruner] = list(extra_pruners)
+        pruners: List[Pruner] = []
         if self.replica_scope:
             if self.read_scoped:
                 pruners.append(ReadScopedPruner(self.replica_scope))
             else:
                 pruners.append(ReplicaSpecificPruner(self.replica_scope))
         pruners.extend(pruners_from(constraints))
-        self._dpor_pruner = DPORPruner() if self.dpor else None
-        if self._dpor_pruner is not None:
-            pruners.append(self._dpor_pruner)
-
-        explorer = ERPiExplorer(
-            schedule_events,
+        if self._sanitizer is not None:
+            self._sanitizer.reset_pruners()
+        # Fault compile, DPOR and the sanitizer: the same assembly a hunt
+        # gets from the same inputs.
+        explorer = build_explorer(
+            events,
             spec_groups=spec_groups_from(constraints),
             pruners=pruners,
             order=order,
+            faults=self.faults,
+            dpor=self.dpor,
+            sanitizer=self._sanitizer,
+            tracer=self.tracer,
+            metrics=self.metrics,
         )
-        explorer.order_constraints = order_constraints
-        explorer.tracer = self.tracer
-        explorer.metrics = self.metrics
-        if fault_events and self.faults is not None:
-            explorer.fault_plan_description = self.faults.describe()
-        if self._sanitizer is not None:
-            self._sanitizer.reset_pruners()
-            self._sanitizer.watch_pruners(explorer.pipeline.pruners)
-            explorer.audit_pruners.append(
-                self._sanitizer.grouping_auditor(schedule_events, explorer.spec_groups)
-            )
-        # Arm the semantic pruner (sound-or-off: bind refuses and records
-        # why when the engine cannot support it).
-        if self._dpor_pruner is not None:
-            self._dpor_pruner.bind((self._engine,), assertions)
-
+        schedule_events = explorer.events
+        fault_events = explorer.fault_events
+        store = self.store
         outcomes: List[InterleavingOutcome] = []
         violations: List[Tuple[int, str]] = []
-        quarantined: List[QuarantinedReplay] = []
-        explored = 0
-        tracer = self.tracer
-        metrics = self.metrics
-        root = tracer.begin("explore") if tracer.enabled else None
-        candidates = explorer.candidates()
-        try:
-            # Cap checked before pulling (see Explorer.explore): a capped
-            # session never generates candidates it will not replay.
-            while explored < cap:
-                if tracer.enabled:
-                    gspan = tracer.begin("generate")
-                    try:
-                        interleaving = next(candidates, None)
-                    except BaseException as exc:
-                        tracer.end(gspan, error=type(exc).__name__)
-                        raise
-                    tracer.end(gspan, exhausted=interleaving is None)
+
+        def commit(interleaving, outcome) -> bool:
+            # Persisted as it commits, in commit order.
+            quarantined = isinstance(outcome, QuarantinedReplay)
+            if store is not None:
+                il_id = store.persist_interleaving(
+                    [event.event_id for event in interleaving]
+                )
+                if quarantined:
+                    store.mark_explored(il_id, "quarantined")
+                    store.persist_quarantine(il_id, outcome.error_type)
                 else:
-                    interleaving = next(candidates, None)
-                if interleaving is None:
-                    break
-                try:
-                    outcome = self._engine.replay(interleaving, assertions)
-                except ResourceExhausted:
-                    raise
-                except Exception as exc:
-                    # Quarantine: capture the wreckage, reset the cluster, and
-                    # keep exploring instead of killing the session.
-                    if tracer.enabled:
-                        qspan = tracer.begin("quarantine")
-                        quarantined.append(explorer._quarantine(interleaving, exc))
-                        tracer.end(qspan, error_type=type(exc).__name__)
-                    else:
-                        quarantined.append(explorer._quarantine(interleaving, exc))
-                    if metrics.enabled:
-                        metrics.inc("interleavings.quarantined")
-                    explored += 1
-                    self._engine.restore()
-                    if self.store is not None:
-                        il_id = self.store.persist_interleaving(
-                            [event.event_id for event in interleaving]
-                        )
-                        self.store.mark_explored(il_id, "quarantined")
-                        self.store.persist_quarantine(il_id, type(exc).__name__)
-                    continue
-                explored += 1
-                if metrics.enabled:
-                    metrics.inc("interleavings.replayed")
-                if self.store is not None:
-                    il_id = self.store.persist_interleaving(
-                        [event.event_id for event in interleaving]
-                    )
-                    self.store.mark_explored(
+                    store.mark_explored(
                         il_id, "violation" if outcome.violated else "ok"
                     )
+            if not quarantined:
                 if keep_outcomes or outcome.violated:
                     outcomes.append(outcome)
                 for message in outcome.violations:
                     violations.append((len(outcomes) - 1, message))
-                if outcome.violated and stop_on_violation:
-                    break
-        finally:
-            if root is not None:
-                tracer.end(root, mode="erpi", explored=explored)
+            return False
+
+        result = explorer.explore(
+            self._engine,
+            assertions,
+            cap=cap,
+            stop_on_violation=stop_on_violation,
+            on_commit=commit,
+        )
 
         cross_violations: List[Tuple[str, str]] = []
         for check in cross_checks:
@@ -446,13 +376,6 @@ class ErPi:
         # be rerun (or another session started) from a clean slate.
         self._engine.restore()
 
-        pruning_stats: Dict[str, int] = {
-            "event_grouping": explorer.grouping.raw_space
-            - explorer.grouping.grouped_space
-        }
-        for name, stats in explorer.pipeline.stats().items():
-            pruning_stats[name] = stats.pruned
-
         if self.store is not None:
             for event in schedule_events:
                 self.store.persist_event(
@@ -466,9 +389,13 @@ class ErPi:
                 self.store.persist_sync_pair(first_id, second_id)
             # Semantic-pruning audit trail: each DPOR prune carries the
             # footprint-model entries behind the independence claim.
-            if self._dpor_pruner is not None:
+            dpor = next(
+                (p for p in explorer.pipeline.pruners if isinstance(p, DPORPruner)),
+                None,
+            )
+            if dpor is not None:
                 by_id = {event.event_id: event for event in schedule_events}
-                for il_key in self._dpor_pruner.prune_log:
+                for il_key in dpor.prune_log:
                     event_ids = il_key.split("|")
                     il_id = self.store.persist_interleaving(event_ids)
                     self.store.mark_pruned(il_id, "dpor")
@@ -490,12 +417,12 @@ class ErPi:
         return SessionReport(
             events=schedule_events,
             grouping=explorer.grouping,
-            explored=explored,
+            explored=result.explored,
             outcomes=outcomes,
             violations=violations,
             cross_violations=cross_violations,
-            pruning_stats=pruning_stats,
+            pruning_stats=result.pruning_stats,
             sanitizer=sanitizer_report,
             fault_events=fault_events,
-            quarantined=quarantined,
+            quarantined=result.quarantined,
         )

@@ -9,10 +9,11 @@ whether the misconception manifested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.explorers import ERPiExplorer
 from repro.core.replay import InterleavingOutcome, ReplayEngine
+from repro.faults.quarantine import QuarantinedReplay
 from repro.misconceptions.seeds import MisconceptionSeed
 from repro.proxy.recorder import EventRecorder
 
@@ -31,6 +32,8 @@ class DetectionResult:
     verdict: str
     explored: int = 0
     detail: str = ""
+    #: Replays that raised and were quarantined (counted in ``explored``).
+    quarantined: int = 0
 
     @property
     def detected(self) -> bool:
@@ -54,35 +57,37 @@ def detect(seed: MisconceptionSeed, cap: int = 600) -> DetectionResult:
     seed.workload(cluster)
     events = tuple(recorder.stop())
 
-    explorer = ERPiExplorer(events)
     assertions = seed.make_assertions()
     cross_checks = seed.make_cross_checks()
     outcomes: List[InterleavingOutcome] = []
-    explored = 0
     detail = ""
-    for interleaving in explorer.candidates():
-        if explored >= cap:
-            break
-        outcome = engine.replay(interleaving, assertions)
+
+    def classify(interleaving, outcome) -> bool:
+        nonlocal detail
+        if isinstance(outcome, QuarantinedReplay):
+            return False
         outcomes.append(outcome)
-        explored += 1
         if outcome.violated:
             detail = outcome.violations[0]
-            break
+            return True
         # Cross-checks can conclude early once two outcomes disagree.
         for check in cross_checks:
             message = check.evaluate(outcomes)
             if message is not None:
                 detail = message
-                break
-        if detail:
-            break
+                return True
+        return False
+
+    result = ERPiExplorer(events).explore(
+        engine, assertions, cap=cap, on_commit=classify
+    )
     engine.restore()
     verdict = DETECTED if detail else NOT_DETECTED
     return DetectionResult(
         subject=seed.subject,
         misconception=seed.misconception,
         verdict=verdict,
-        explored=explored,
+        explored=result.explored,
         detail=detail,
+        quarantined=len(result.quarantined),
     )

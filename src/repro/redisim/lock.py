@@ -96,31 +96,6 @@ class DistributedLock:
         self._release_token(token)
         return False
 
-    def renew(self, ttl_ms: Optional[int] = None) -> bool:
-        """Heartbeat: re-arm the TTL on a quorum via compare-and-expire.
-
-        Returns True iff a majority still held our token and the renewed
-        validity window is positive; False means the lease is lost (expired
-        or taken over) and must not be relied on further.
-        """
-        if self._token is None:
-            raise LockError("renewing a lock that is not held")
-        ttl = ttl_ms if ttl_ms is not None else self._ttl_ms
-        started = self._clock()
-        renewed = 0
-        for instance in self._farm:
-            try:
-                if instance.compare_and_expire(self._key, self._token, ttl):
-                    renewed += 1
-            except InstanceDownError:
-                continue
-        elapsed_ms = (self._clock() - started) * 1000.0
-        validity_ms = ttl - elapsed_ms - (ttl * self._drift_factor + 2.0)
-        if renewed >= self._farm.quorum and validity_ms > 0:
-            self._validity_deadline = started + validity_ms / 1000.0
-            return True
-        return False
-
     def verify(self) -> bool:
         """Re-validate against the farm: a quorum still holds our token with
         more remaining TTL than the drift allowance, and the local validity

@@ -121,16 +121,6 @@ class RedisimServer:
                 return True
             return False
 
-    def compare_and_expire(self, key: str, expected: str, px: int) -> bool:
-        """Re-arm ``key``'s TTL to ``px`` ms iff it currently holds
-        ``expected`` (the safe Redlock renewal, normally a Lua script)."""
-        with self._guard():
-            self._sweep()
-            if self._data.get(key) == expected:
-                self._expiry[key] = self._clock() + px / 1000.0
-                return True
-            return False
-
     def incr(self, key: str, amount: int = 1) -> int:
         """INCRBY: atomic counter on a string key holding an integer."""
         with self._guard():

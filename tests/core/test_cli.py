@@ -110,6 +110,7 @@ class TestSanitizeCli:
         ["hunt", "Roshi-2", "--lease-ttl", "1.0"],
         ["hunt", "Roshi-2", "--heartbeat-interval", "0.1"],
         ["hunt", "Roshi-2", "--steal-margin", "8"],
+        ["hunt", "Roshi-2", "--checkpoint-every", "16"],
     ])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit):

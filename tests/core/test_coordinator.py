@@ -36,7 +36,6 @@ def plain_stack():
         explorer,
         recorded.engine,
         recorded.scenario.make_assertions(),
-        recorded.events,
     )
 
 
@@ -82,7 +81,7 @@ class _SlowToReport(RuntimeError):
 def raise_once_stack(sentinel, raise_at, slow_report=False):
     """Worker slot 1's first incarnation raises at candidate ``raise_at``:
     it flushes a partial final, then reports the error."""
-    explorer, engine, assertions, events = plain_stack()
+    explorer, engine, assertions = plain_stack()
     inner = explorer.candidates
 
     def candidates():
@@ -101,17 +100,17 @@ def raise_once_stack(sentinel, raise_at, slow_report=False):
             yield interleaving
 
     explorer.candidates = candidates
-    return explorer, engine, assertions, events
+    return explorer, engine, assertions
 
 
 def kill_once_stack(sentinel, kill_at):
-    explorer, engine, assertions, events = plain_stack()
-    return _wrap_kill(explorer, kill_at, sentinel), engine, assertions, events
+    explorer, engine, assertions = plain_stack()
+    return _wrap_kill(explorer, kill_at, sentinel), engine, assertions
 
 
 def kill_always_stack(kill_at):
-    explorer, engine, assertions, events = plain_stack()
-    return _wrap_kill(explorer, kill_at, None), engine, assertions, events
+    explorer, engine, assertions = plain_stack()
+    return _wrap_kill(explorer, kill_at, None), engine, assertions
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +177,7 @@ class TestHappyPath:
         metrics = MetricsRegistry()
         result, _ = coordinated(
             CallableWorkerTask(plain_stack), journal=journal,
-            metrics=metrics, checkpoint_every=16,
+            metrics=metrics,
         )
         assert result.verdicts == baseline.verdicts
         assert result.explored == baseline.explored
@@ -191,7 +190,6 @@ class TestHappyPath:
         assert loaded.is_final
         assert loaded.final_record["found"] == baseline.found
         assert len(loaded.commits) == CAP
-        assert loaded.checkpoints >= 3
 
 
 class TestCrashRecovery:
@@ -208,7 +206,7 @@ class TestCrashRecovery:
         result, _ = coordinated(
             CallableWorkerTask(kill_once_stack, (sentinel, 10)),
             journal=journal, metrics=metrics,
-            backoff_base_s=0.01, batch_size=8, checkpoint_every=16,
+            backoff_base_s=0.01, batch_size=8,
         )
         assert os.path.exists(sentinel), "worker 1 never reached the kill point"
         assert result.verdicts == baseline.verdicts
@@ -238,7 +236,7 @@ class TestCrashRecovery:
         result, _ = coordinated(
             CallableWorkerTask(kill_once_stack, (sentinel, 10)),
             journal=journal, metrics=metrics,
-            backoff_base_s=0.01, batch_size=8, checkpoint_every=16,
+            backoff_base_s=0.01, batch_size=8,
         )
         assert result.explored == CAP
         assert metrics.consistent(), metrics.counters_with_prefix("interleavings")
@@ -336,7 +334,7 @@ class TestResume:
         path = str(tmp_path / "resume.jsonl")
         journal = HuntJournal.create(path, {"hunt": {"hunt_id": "resume"}})
         full, _ = coordinated(
-            CallableWorkerTask(plain_stack), journal=journal, checkpoint_every=16,
+            CallableWorkerTask(plain_stack), journal=journal,
         )
         assert full.verdicts == baseline.verdicts
         truncate_journal(path, keep_commits=20)
@@ -345,7 +343,7 @@ class TestResume:
         metrics = MetricsRegistry()
         result, _ = coordinated(
             CallableWorkerTask(plain_stack), journal=resumed_journal,
-            metrics=metrics, checkpoint_every=16,
+            metrics=metrics,
         )
         assert result.verdicts == baseline.verdicts
         assert result.explored == baseline.explored
@@ -356,13 +354,69 @@ class TestResume:
         assert final.is_final
         assert len(final.commits) == CAP
 
+    def test_checkpoint_records_of_older_builds_still_resume(
+        self, baseline, tmp_path
+    ):
+        """Older builds wrote a ``checkpoint`` record every N commits.  A
+        journal holding them loads, ignores them and resumes to the
+        uninterrupted verdict map."""
+        path = str(tmp_path / "older.jsonl")
+        journal = HuntJournal.create(path, {"hunt": {"hunt_id": "older"}})
+        coordinated(CallableWorkerTask(plain_stack), journal=journal)
+        truncate_journal(path, keep_commits=40)
+        with open(path) as handle:
+            lines = handle.read().split("\n")
+        # header, 40 commits, torn tail: a barrier after commits 16 and 32.
+        for seq, committed in ((2, 32), (1, 16)):
+            record = {"type": "checkpoint", "seq": seq, "committed": committed}
+            lines.insert(1 + committed, json.dumps(record, sort_keys=True))
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines))
+        resumed_journal = HuntJournal.load(path)
+        assert len(resumed_journal.commits) == 40
+        result, _ = coordinated(
+            CallableWorkerTask(plain_stack), journal=resumed_journal
+        )
+        assert result.verdicts == baseline.verdicts
+        assert result.coordination["resumed_commits"] == 40
+        final = HuntJournal.load(path)
+        assert final.is_final
+        assert len(final.commits) == CAP
+
+    def test_rewrites_do_not_grow_with_commits(self, tmp_path, monkeypatch):
+        """The journal is rewritten whole once when it is created and once
+        per reopen, however many verdicts the hunt commits."""
+        rewrites = []
+        rewrite = HuntJournal._rewrite
+
+        def counting(journal):
+            rewrites.append(journal.path)
+            rewrite(journal)
+
+        monkeypatch.setattr(HuntJournal, "_rewrite", counting)
+        for cap in (CAP, 4 * CAP):
+            path = str(tmp_path / f"cap{cap}.jsonl")
+            result = hunt(
+                record_scenario(scenario(NAME)), "erpi", cap=cap, workers=2,
+                journal=path, stop_on_violation=False,
+            )
+            assert result.explored == cap
+            assert rewrites.count(path) == 1
+        truncate_journal(path, keep_commits=CAP)
+        resumed = hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=4 * CAP, workers=2,
+            resume=path, stop_on_violation=False,
+        )
+        assert resumed.explored == 4 * CAP
+        assert rewrites.count(path) == 2
+
     def test_harness_resume_stops_early_on_journaled_violation(self, tmp_path):
         """stop_on_violation resume whose journal already holds the bug:
         no pool is spawned, the journaled violation is reported."""
         path = str(tmp_path / "found.jsonl")
         result = hunt(
             record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
-            journal=path, checkpoint_every=16,
+            journal=path,
         )
         assert result.found
         truncate_journal(path, keep_commits=result.explored)
@@ -411,7 +465,7 @@ class TestResume:
         path = str(tmp_path / "cached.jsonl")
         full = hunt(
             record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
-            journal=path, stop_on_violation=False, checkpoint_every=16,
+            journal=path, stop_on_violation=False,
         )
         truncate_journal(path, keep_commits=20)
         rewrite_hunt_header(path, prefix_cache=True, memo=False)
@@ -474,7 +528,7 @@ class TestCLIExitCodes:
         )
         recovered.coordination = {
             "hunt_id": "x", "lease_events": [], "releases": 1,
-            "abandoned_shards": [], "checkpoints": 2, "resumed_commits": 0,
+            "abandoned_shards": [], "resumed_commits": 0,
             "journal": str(tmp_path / "j.jsonl"),
         }
         with mock.patch("repro.bench.harness.hunt", return_value=recovered):

@@ -131,17 +131,18 @@ class TestCrashTolerance:
 
 
 class TestCheckpoint:
-    def test_checkpoint_rewrites_atomically(self, tmp_path):
+    def test_reopen_rewrites_atomically(self, tmp_path):
         journal = make_journal(tmp_path)
         journal.commit(0, "ok", "a")
-        journal.checkpoint(1, committed=1)
-        # The rewrite must leave no temp file and keep appends working.
-        assert not os.path.exists(journal.path + ".tmp")
-        journal.commit(1, "ok", "b")
         journal.close()
         loaded = HuntJournal.load(journal.path)
-        assert loaded.checkpoints == 1
-        assert len(loaded.commits) == 2
+        loaded.reopen()
+        # The compacting rewrite must leave no temp file and keep appends
+        # working.
+        assert not os.path.exists(journal.path + ".tmp")
+        loaded.commit(1, "ok", "b")
+        loaded.close()
+        assert len(HuntJournal.load(journal.path).commits) == 2
 
     def test_lease_and_degraded_events_roundtrip(self, tmp_path):
         """Lease records round-trip.  A ``degraded`` record, which older

@@ -184,7 +184,7 @@ def crashing_stack(exit_after):
     units = group_events(recorded.events).units
     candidates = list(interleaving_stream(units, "sjt", limit=40))
     explorer = _ExitingStreamExplorer(recorded.events, candidates, exit_after)
-    return explorer, recorded.engine, (), recorded.events
+    return explorer, recorded.engine, ()
 
 
 class TestWorkerCrash:

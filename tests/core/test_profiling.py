@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.profiling import Percentiles, ResourceProfiler, _state_footprint
+from repro.core.profiling import Percentiles, ResourceProfiler
+from repro.core.resources import state_footprint as _state_footprint
 from repro.net.cluster import Cluster
 from repro.rdl.crdts_lib import CRDTLibrary
 

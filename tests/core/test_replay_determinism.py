@@ -28,13 +28,7 @@ CASES = [(name, False) for name in scenario_names()] + [
 
 
 def first_candidates(recorded, faults):
-    events = None
-    constraints = ()
-    if faults:
-        compiled = recorded.scenario.fault_plan().compile(recorded.events)
-        events, constraints = compiled.events, compiled.order_constraints
-    explorer = make_explorer(recorded, "erpi", events=events)
-    explorer.order_constraints = constraints
+    explorer = make_explorer(recorded, "erpi", faults=faults)
     return list(itertools.islice(explorer.candidates(), CANDIDATES))
 
 

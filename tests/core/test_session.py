@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.bench.harness import hunt, record_scenario
+from repro.bugs.registry import fault_scenario_names, scenario, scenario_names
 from repro.core import (
     ErPi,
+    FailedOpsConstraint,
     GroupConstraint,
     IndependenceConstraint,
     RecordingError,
@@ -322,3 +325,80 @@ class TestPersistExploration:
         assert counts == {"ok": 1, "violation": 0, "quarantined": 1}
         assert store.quarantines() == [(0, "ReplayTimeout")]
         assert store.explored() == {0: "quarantined", 1: "ok"}
+
+
+def _session_like_hunt(sc, faults, dpor_and_sanitize):
+    """An ``ErPi`` session over ``sc`` built from the scenario's constraints
+    (replica scope, groups, independence, failed ops), as a developer would
+    write them."""
+    cluster = sc.build_cluster()
+    erpi = ErPi(
+        cluster,
+        replica_scope=sc.replica_scope,
+        dpor=dpor_and_sanitize,
+        sanitize=dpor_and_sanitize,
+        faults=sc.fault_plan() if faults else None,
+    )
+    if sc.spec_groups():
+        erpi.add_constraint(GroupConstraint(pairs=tuple(sc.spec_groups())))
+    for events in sc.independence_constraints():
+        erpi.add_constraint(IndependenceConstraint(events=tuple(events)))
+    for predecessors, successors in sc.failed_ops_constraints():
+        erpi.add_constraint(
+            FailedOpsConstraint(
+                predecessors=tuple(predecessors), successors=tuple(successors)
+            )
+        )
+    erpi.start()
+    sc.workload(cluster)
+    return erpi.end(
+        assertions=sc.make_assertions(), stop_on_violation=True, keep_outcomes=False
+    )
+
+
+def _sanitizer_view(report):
+    if report is None:
+        return None
+    return (
+        report.classes_checked,
+        report.members_checked,
+        report.fresh_replays,
+        report.divergences,
+    )
+
+
+def _hunt_cases():
+    cases = [(name, False) for name in scenario_names()]
+    cases += [(name, True) for name in fault_scenario_names()]
+    return cases
+
+
+class TestHuntAndSessionAreOneHunt:
+    """``hunt()`` and an ``ErPi`` session over the same inputs assemble the
+    same explorer, so they replay, prune, quarantine and sanitize alike."""
+
+    @pytest.mark.parametrize(
+        "dpor_and_sanitize", [False, True], ids=["plain", "dpor-sanitize"]
+    )
+    @pytest.mark.parametrize("name,faults", _hunt_cases())
+    def test_same_hunt(self, name, faults, dpor_and_sanitize):
+        sc = scenario(name)
+        result = hunt(
+            record_scenario(sc),
+            "erpi",
+            faults=faults,
+            dpor=dpor_and_sanitize,
+            sanitize=dpor_and_sanitize,
+        )
+        report = _session_like_hunt(sc, faults, dpor_and_sanitize)
+
+        assert report.explored == result.explored
+        assert bool(report.violations) == result.found
+        if result.found:
+            witness = report.outcomes[report.violations[0][0]]
+            assert [e.event_id for e in witness.interleaving] == [
+                e.event_id for e in result.violating.interleaving
+            ]
+        assert report.pruning_stats == result.pruning_stats
+        assert len(report.quarantined) == len(result.quarantined)
+        assert _sanitizer_view(report.sanitizer) == _sanitizer_view(result.sanitizer)

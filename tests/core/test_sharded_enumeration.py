@@ -31,9 +31,7 @@ def faulted_stack(name="Roshi-CR"):
     """An explorer whose fault schedule carries order constraints, so the
     fast path must flatten for validity checks before skipping."""
     recorded = record_scenario(scenario(name))
-    compiled = recorded.scenario.fault_plan().compile(recorded.events)
-    explorer = make_explorer(recorded, "erpi", events=compiled.events)
-    explorer.order_constraints = compiled.order_constraints
+    explorer = make_explorer(recorded, "erpi", faults=True)
     assert explorer.order_constraints
     return recorded, explorer
 
@@ -122,9 +120,7 @@ def process_hunt(name, workers, cap=150):
     """A process-backed DPOR+faults hunt at an explicit worker count
     (1 allowed, unlike the harness's serial shortcut)."""
     recorded = record_scenario(scenario(name))
-    compiled = recorded.scenario.fault_plan().compile(recorded.events)
-    explorer = make_explorer(recorded, "erpi", events=compiled.events, dpor=True)
-    explorer.order_constraints = compiled.order_constraints
+    explorer = make_explorer(recorded, "erpi", faults=True, dpor=True)
     task = ScenarioWorkerTask(
         scenario_name=name, mode="erpi", seed=0, faults=True, dpor=True,
     )

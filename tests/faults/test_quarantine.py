@@ -11,9 +11,13 @@ import time
 import pytest
 
 from repro.core import ErPi
+from repro.core.fuzzing import WorkloadFuzzer
+from repro.core.profiling import ResourceProfiler
 from repro.core.replay import ReplayEngine, SequentialExecutor
 from repro.faults.errors import ReplayTimeout
 from repro.faults.plan import CrashSpec, FaultPlan
+from repro.misconceptions.detectors import NOT_DETECTED, detect
+from repro.misconceptions.seeds import MisconceptionSeed
 from repro.net.cluster import Cluster
 
 
@@ -154,3 +158,65 @@ class TestWatchdog:
         erpi = ErPi(fragile_cluster(), replay_timeout_s=2.5)
         assert isinstance(erpi._engine.executor, SequentialExecutor)
         assert erpi._engine.executor.timeout_s == 2.5
+
+
+def add_everywhere(cluster, rng):
+    """Fuzzer op: every replica adds the same item, so once one has run,
+    every sync ships a payload (the run's closing exchange included) and
+    permuted replays that sync before it blow up."""
+    item = rng.choice(["x", "y"])
+    for rid in cluster.replica_ids():
+        cluster.rdl(rid).add(item)
+
+
+def sync_pair(cluster, rng):
+    sender = rng.choice(cluster.replica_ids())
+    receiver = "B" if sender == "A" else "A"
+    cluster.sync(sender, receiver)
+
+
+class FragileSeed(MisconceptionSeed):
+    """A one-cell Table-2 seed over the fragile subject."""
+
+    subject = "Fragile"
+    misconception = 1
+
+    def build_cluster(self):
+        return fragile_cluster()
+
+    def workload(self, cluster):
+        cluster.rdl("A").add("x")
+        cluster.sync("A", "B")
+
+
+class TestEverySinkQuarantines:
+    """The fuzzer, the profiler and the Table-2 detector run on the shared
+    explore loop, so a replay that raises is quarantined, not fatal."""
+
+    def test_fuzzer_reports_the_raising_replay_as_a_finding(self):
+        fuzzer = WorkloadFuzzer(fragile_cluster, op_pool=[add_everywhere, sync_pair])
+        report = fuzzer.run(runs=2)
+        assert report.findings
+        assert any(
+            "RuntimeError" in message
+            for finding in report.findings
+            for message in finding.violations
+        )
+
+    def test_profiler_counts_the_quarantined_replay(self):
+        cluster = fragile_cluster()
+        profiler = ResourceProfiler(cluster)
+        profiler.start()
+        cluster.rdl("A").add("x")
+        cluster.sync("A", "B")
+        report = profiler.end()
+        assert report.replayed == 1
+        assert report.quarantined == 1
+        assert "quarantined replays: 1" in report.summary()
+        assert cluster.rdl("A").value() == []
+
+    def test_detect_counts_the_quarantined_replay(self):
+        result = detect(FragileSeed())
+        assert result.verdict == NOT_DETECTED
+        assert result.explored == 2
+        assert result.quarantined == 1

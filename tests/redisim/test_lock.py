@@ -166,26 +166,6 @@ class TestRedlockValidity:
         assert not lock.held
         assert lock.remaining_validity_ms() == 0.0
 
-    def test_renew_extends_validity(self):
-        clock = _TickClock()
-        farm = RedisimFarm(3, clock=clock)
-        lock = DistributedLock(farm, "key", ttl_ms=100, clock=clock)
-        assert lock.try_acquire() is True
-        clock.advance(0.08)
-        assert lock.renew() is True
-        clock.advance(0.08)  # 160ms after acquire: dead without the renewal
-        assert lock.held
-        assert lock.verify() is True
-
-    def test_renew_after_expiry_fails(self):
-        clock = _TickClock()
-        farm = RedisimFarm(3, clock=clock)
-        lock = DistributedLock(farm, "key", ttl_ms=50, clock=clock)
-        assert lock.try_acquire() is True
-        clock.advance(0.2)
-        assert lock.renew() is False
-        assert not lock.held
-
     def test_verify_fails_on_majority_loss(self):
         clock = _TickClock()
         farm = RedisimFarm(3, clock=clock)
