@@ -55,6 +55,7 @@ from repro.core.interleavings import (
     flatten,
     group_events,
     interleaving_stream,
+    unit_order_masks,
     unit_permutation_stream,
 )
 from repro.core.pruning.base import Pruner, PrunerPipeline
@@ -136,7 +137,7 @@ class Explorer(abc.ABC):
         self.meter = meter or ResourceMeter()
         #: (before_id, after_id) validity constraints — schedules violating
         #: one (e.g. a recover before its crash) are *invalid*, not merely
-        #: equivalent: they are skipped before pruning and never replayed.
+        #: equivalent: they never reach a pruner and are never replayed.
         #: Set by fault-aware callers (see repro.faults.plan.FaultPlan).
         self.order_constraints: Tuple[Tuple[str, str], ...] = ()
         #: Human-readable fault-plan description, attached to quarantines.
@@ -149,9 +150,6 @@ class Explorer(abc.ABC):
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
         self.progress: Optional[object] = None
-
-    def _valid(self, interleaving: Interleaving) -> bool:
-        return satisfies_order_constraints(interleaving, self.order_constraints)
 
     @abc.abstractmethod
     def candidates(self) -> Iterator[Interleaving]:
@@ -324,11 +322,8 @@ class DFSExplorer(Explorer):
     def candidates(self) -> Iterator[Interleaving]:
         metrics = self.metrics
         units = tuple((event,) for event in self.events)
-        for interleaving in interleaving_stream(units, order="lexicographic"):
-            if not self._valid(interleaving):
-                if metrics.enabled:
-                    metrics.inc("interleavings.invalid")
-                continue
+        masks = unit_order_masks(units, self.order_constraints)
+        for interleaving in interleaving_stream(units, "lexicographic", masks=masks):
             # The checker server persists every explored interleaving.
             self.meter.charge("dfs_ledger", interleaving_footprint(len(self.events)))
             if metrics.enabled:
@@ -374,7 +369,8 @@ class RandomExplorer(Explorer):
             cache.add(key)
             self.meter.charge("rand_cache", interleaving_footprint(len(self.events)))
             candidate = tuple(order)
-            if not self._valid(candidate):
+            # Rand composes flat event orders, so it checks them flat.
+            if not satisfies_order_constraints(candidate, self.order_constraints):
                 if self.metrics.enabled:
                     self.metrics.inc("interleavings.invalid")
                 continue
@@ -415,20 +411,18 @@ class ERPiExplorer(Explorer):
         metrics = self.metrics
         for pruner in self.audit_pruners:
             pruner.reset()
+        # Masks are compiled per stream: callers set the constraints after
+        # construction.  The stream drops an invalid schedule (a recover
+        # before its crash) before any pruner sees it; as a class's seen
+        # representative it would mask the valid members pruned in its favour.
+        units = self.grouping.units
         for interleaving in interleaving_stream(
-            self.grouping.units,
+            units,
             order=self.order,
             meter=self.meter,
             on_degrade=self._enumeration_degraded,
+            masks=unit_order_masks(units, self.order_constraints),
         ):
-            # Validity comes before pruning: an invalid schedule (e.g. a
-            # recover before its crash) must never become a class's seen
-            # representative — the sanitizer replays pruned class members,
-            # and an invalid representative would mask a valid one.
-            if not self._valid(interleaving):
-                if metrics.enabled:
-                    metrics.inc("interleavings.invalid")
-                continue
             for pruner in self.audit_pruners:
                 pruner.is_redundant(interleaving)
             if self.pipeline.is_redundant(interleaving):
@@ -451,11 +445,10 @@ class ERPiExplorer(Explorer):
         """Enumerate the stream, flattening only this worker's positions.
 
         Ownership follows from the stream position alone, so a foreign
-        unit permutation is skipped without being flattened (unless fault
-        order constraints need the flat sequence for the validity check,
-        which comes first).  Pruners disqualify the fast path: a pruner sees
-        (and may learn from) every candidate, so with pruners attached the
-        stream falls back to the generate-then-filter default.
+        unit permutation is skipped without being flattened; invalid ones
+        never reach a position.  Pruners disqualify the fast path: a pruner
+        sees (and may learn from) every candidate, so with pruners attached
+        the stream falls back to the generate-then-filter default.
 
         Meter charges and generated-counts are identical to
         :meth:`candidates` for every stream position, so a budget crash or
@@ -472,25 +465,17 @@ class ERPiExplorer(Explorer):
         ):
             yield from super().sharded_candidates(workers, worker_index)
             return
-        self.pipeline.reset()
-        self.pipeline.tracer = self.tracer
-        self.pipeline.metrics = self.metrics
         metrics = self.metrics
         footprint = interleaving_footprint(len(self.events))
+        units = self.grouping.units
         position = 0
-        for unit_perm in unit_permutation_stream(
-            self.grouping.units,
+        for perm in unit_permutation_stream(
+            units,
             order=self.order,
             meter=self.meter,
             on_degrade=self._enumeration_degraded,
+            masks=unit_order_masks(units, self.order_constraints),
         ):
-            flat: Optional[Interleaving] = None
-            if self.order_constraints:
-                flat = flatten(unit_perm)
-                if not self._valid(flat):
-                    if metrics.enabled:
-                        metrics.inc("interleavings.invalid")
-                    continue
             self.meter.charge("erpi_seen", footprint)
             if metrics.enabled:
                 metrics.inc("interleavings.generated")
@@ -499,7 +484,7 @@ class ERPiExplorer(Explorer):
             if owner != worker_index:
                 yield None
                 continue
-            yield flat if flat is not None else flatten(unit_perm)
+            yield flatten([units[i] for i in perm])
 
     def bind_semantic(
         self, engines: Sequence[ReplayEngine], assertions: Sequence[Assertion]

@@ -134,23 +134,29 @@ class WorkloadFuzzer:
         self.cross_check_stability = cross_check_stability
         self.seed = seed
 
-    def _generate(self, cluster: Cluster, rng: random.Random, ops: int) -> None:
-        for _ in range(ops):
-            generator = rng.choice(self.op_pool)
+    def _generate(self, recorder: EventRecorder, rng: random.Random, ops: int) -> None:
+        cluster = recorder.cluster
+
+        def attempt(call: Callable[..., Any], *args: Any) -> None:
+            # A call that raises (e.g. removing from an empty set on a strict
+            # structure) is skipped with what the recorder logged for it: the
+            # fuzzer wants recorded, executable workloads, and a sync request
+            # whose execution raised would replay as a different program.
+            mark = len(recorder.events)
             try:
-                generator(cluster, rng)
+                call(*args)
             except Exception:
-                # An op that is invalid in the current state (e.g. removing
-                # from an empty set on a strict structure) is simply skipped:
-                # the fuzzer cares about recorded, executable workloads.
-                continue
+                del recorder.events[mark:]
+
+        for _ in range(ops):
+            attempt(rng.choice(self.op_pool), cluster, rng)
         # End every workload with one full exchange so the settledness gate
         # has a chance to fire.
         ids = cluster.replica_ids()
         for sender in ids:
             for receiver in ids:
                 if sender != receiver:
-                    cluster.sync(sender, receiver)
+                    attempt(cluster.sync, sender, receiver)
 
     def run(
         self,
@@ -170,7 +176,7 @@ class WorkloadFuzzer:
             engine.checkpoint()
             recorder = EventRecorder(cluster)
             recorder.start()
-            self._generate(cluster, rng, ops_per_run)
+            self._generate(recorder, rng, ops_per_run)
             events = tuple(recorder.stop())
             if not events:
                 continue

@@ -4,10 +4,8 @@ The raw search space for ``n`` events is ``n!`` (paper section 2.3).  ER-pi
 first applies *event grouping* (Algorithm 1) to fuse each sync-request with
 its matching sync-execution — and any developer-specified pairs — into atomic
 units, then permutes units rather than events.  Because real workloads can
-still have astronomically many permutations, generation is lazy: both
-enumeration orders are constant-memory iterators.
-
-Two enumeration orders are provided:
+still have astronomically many permutations, generation is lazy, and each
+enumeration order generates tuples of unit indices:
 
 * :func:`lexicographic_permutations` — the order a DFS over the interleaving
   tree produces (the paper's DFS baseline): the tail varies first, so
@@ -17,13 +15,16 @@ Two enumeration orders are provided:
   ER-pi's neighbourhood-first strategy: each successive interleaving differs
   by one adjacent transposition, so small perturbations of the recorded
   order (where integration bugs overwhelmingly live) are visited early.
+* :func:`relocation_permutations` — ER-pi's production order: the recorded
+  order, its single and double unit relocations, then the SJT rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ErPiError, ResourceExhausted
 from repro.core.events import Event, EventKind
@@ -131,6 +132,42 @@ def flatten(units: Sequence[Unit]) -> Interleaving:
     return tuple(out)
 
 
+def unit_order_masks(
+    units: Sequence[Unit], constraints: Sequence[Tuple[str, str]]
+) -> Optional[Tuple[int, ...]]:
+    """Compile ``(before_id, after_id)`` event constraints into one
+    predecessor bitmask per unit (``None`` if nothing constrains the order).
+
+    Bit ``b`` of ``masks[a]`` means unit ``b`` must come before unit ``a``,
+    so a permutation is valid iff each unit's mask is a subset of the units
+    placed before it.  A constraint that a unit's own event order breaks
+    sets the unit's own bit, which no permutation satisfies.  Ids outside
+    the schedule are ignored, as by
+    :func:`repro.faults.plan.satisfies_order_constraints`.
+    """
+    where: Dict[str, Tuple[int, int]] = {
+        event.event_id: (index, offset)
+        for index, unit in enumerate(units)
+        for offset, event in enumerate(unit)
+    }
+    masks = [0] * len(units)
+    for before, after in constraints:
+        if before in where and after in where:
+            (first, first_at), (second, second_at) = where[before], where[after]
+            if first != second or first_at > second_at:
+                masks[second] |= 1 << first
+    return tuple(masks) if any(masks) else None
+
+
+def _admits(perm: Sequence[int], masks: Sequence[int]) -> bool:
+    placed = 0
+    for unit in perm:
+        if masks[unit] & ~placed:
+            return False
+        placed |= 1 << unit
+    return True
+
+
 def lexicographic_permutations(units: Sequence[Unit]) -> Iterator[Tuple[Unit, ...]]:
     """All unit permutations in DFS (lexicographic-by-position) order.
 
@@ -138,27 +175,7 @@ def lexicographic_permutations(units: Sequence[Unit]) -> Iterator[Tuple[Unit, ..
     children are visited in recorded order: the identity first, then
     permutations that differ only in the tail.
     """
-    items = list(units)
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    indices = list(range(n))
-    cycles = list(range(n, 0, -1))
-    yield tuple(items[i] for i in indices)
-    while True:
-        for i in reversed(range(n)):
-            cycles[i] -= 1
-            if cycles[i] == 0:
-                indices[i:] = indices[i + 1 :] + indices[i : i + 1]
-                cycles[i] = n - i
-            else:
-                j = n - cycles[i]
-                indices[i], indices[j] = indices[j], indices[i]
-                yield tuple(items[k] for k in indices)
-                break
-        else:
-            return
+    return (tuple(units[i] for i in p) for p in itertools.permutations(range(len(units))))
 
 
 def sjt_permutations(units: Sequence[Unit]) -> Iterator[Tuple[Unit, ...]]:
@@ -169,31 +186,44 @@ def sjt_permutations(units: Sequence[Unit]) -> Iterator[Tuple[Unit, ...]]:
     therefore stays in the neighbourhood of the recorded interleaving, which
     is where ER-pi expects integration bugs to surface first.
     """
-    items = list(units)
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    # Work over positions 0..n-1; direction -1 = left, +1 = right.
+    return (tuple(units[i] for i in p) for p in _sjt(len(units)))
+
+
+def _sjt(n: int, masks: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, ...]]:
+    # Knuth's Algorithm P ("plain changes", TAOCP 7.2.1.2): SJT order in
+    # amortised O(1) per step.  Level ``j`` is ``count[j]`` moves into its
+    # current sweep, in direction ``step[j]``.
     perm = list(range(n))
-    direction = [-1] * n
-    yield tuple(items[i] for i in perm)
+    count = [0] * (n + 1)
+    step = [1] * (n + 1)
+    # Constraints the current order breaks (in the identity, predecessors
+    # at or after their unit); a step swaps two adjacent units, so O(1).
+    broken = sum((m >> u).bit_count() for u, m in enumerate(masks)) if masks else 0
+    if not broken:
+        yield tuple(perm)
+    if n < 2:
+        return
     while True:
-        # Find the largest mobile element (mobile: points at a smaller one).
-        mobile_index = -1
-        mobile_value = -1
-        for index, value in enumerate(perm):
-            target = index + direction[value]
-            if 0 <= target < n and perm[target] < value and value > mobile_value:
-                mobile_value = value
-                mobile_index = index
-        if mobile_index < 0:
-            return
-        target = mobile_index + direction[mobile_value]
-        perm[mobile_index], perm[target] = perm[target], perm[mobile_index]
-        for value in range(mobile_value + 1, n):
-            direction[value] = -direction[value]
-        yield tuple(items[i] for i in perm)
+        j, shift = n, 0
+        while True:
+            moved = count[j] + step[j]
+            if 0 <= moved < j:
+                break
+            if moved == j:
+                if j == 1:
+                    return
+                shift += 1
+            step[j] = -step[j]
+            j -= 1
+        low = j - max(count[j], moved) + shift - 1
+        count[j] = moved
+        perm[low], perm[low + 1] = perm[low + 1], perm[low]
+        if masks is not None:
+            # The swap put ``ahead`` in front of ``behind``.
+            ahead, behind = perm[low], perm[low + 1]
+            broken += (masks[ahead] >> behind & 1) - (masks[behind] >> ahead & 1)
+        if not broken:
+            yield tuple(perm)
 
 
 def lehmer_rank(perm: Sequence[int]) -> int:
@@ -256,19 +286,22 @@ def relocation_permutations(
     complete: every yielded permutation was recorded before yielding, and
     the SJT tail skips exactly that set.
     """
-    items = list(units)
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    seen: set = set()
-    exhausted = False
+    return (tuple(units[i] for i in p) for p in _relocation(len(units), meter, on_degrade))
 
-    def emit(perm: List[int]) -> Optional[Tuple[Unit, ...]]:
-        nonlocal exhausted
+
+def _relocation(
+    n: int, meter: Optional[object], on_degrade: Optional[Callable[[str], None]],
+    masks: Optional[Sequence[int]] = None,
+) -> Iterator[Tuple[int, ...]]:
+    seen: set = set()
+    for perm in _neighbourhood(n):
+        # An invalid permutation is never ranked, charged or remembered; the
+        # SJT tail rejects it again, so the stream stays duplicate-free.
+        if masks is not None and not _admits(perm, masks):
+            continue
         rank = lehmer_rank(perm)
         if rank in seen:
-            return None
+            continue
         if meter is not None:
             try:
                 meter.charge(SEEN_CATEGORY, SEEN_RANK_COST)
@@ -276,62 +309,35 @@ def relocation_permutations(
                 # The failed charge was recorded before raising; give it
                 # back so the meter reflects only ranks actually retained.
                 meter.release(SEEN_CATEGORY, SEEN_RANK_COST)
-                exhausted = True
                 if on_degrade is not None:
                     on_degrade(str(exc))
-                return None
+                break
         seen.add(rank)
-        return tuple(items[i] for i in perm)
-
-    def relocate(perm: List[int], src: int, dst: int) -> List[int]:
-        out = list(perm)
-        unit = out.pop(src)
-        out.insert(dst, unit)
-        return out
-
-    base = list(range(n))
-    first = emit(base)
-    if first is not None:
-        yield first
-    # Distance 1: all single relocations.
-    singles: List[List[int]] = []
-    for src in range(n):
-        if exhausted:
-            break
-        for dst in range(n):
-            if src == dst:
-                continue
-            moved = relocate(base, src, dst)
-            singles.append(moved)
-            result = emit(moved)
-            if result is not None:
-                yield result
-            elif exhausted:
-                break
-    # Distance 2: compositions of two relocations.
-    for moved in singles:
-        if exhausted:
-            break
-        for src in range(n):
-            if exhausted:
-                break
-            for dst in range(n):
-                if src == dst:
-                    continue
-                result = emit(relocate(moved, src, dst))
-                if result is not None:
-                    yield result
-                elif exhausted:
-                    break
+        yield tuple(perm)
     # Everything else: SJT over the remaining permutations.  SJT visits each
     # permutation exactly once, so only the relocation-phase set needs
     # consulting — nothing new is remembered here.
-    index_of = {id(unit): index for index, unit in enumerate(items)}
-    for perm_units in sjt_permutations(items):
-        perm_key = [index_of[id(unit)] for unit in perm_units]
-        if lehmer_rank(perm_key) in seen:
-            continue
-        yield perm_units
+    for perm in _sjt(n, masks):
+        if lehmer_rank(perm) not in seen:
+            yield perm
+
+
+def _neighbourhood(n: int) -> Iterator[List[int]]:
+    """The recorded order, its single-unit relocations, then pairs of them."""
+
+    def relocate(perm: List[int], src: int, dst: int) -> List[int]:
+        out = list(perm)
+        out.insert(dst, out.pop(src))
+        return out
+
+    base = list(range(n))
+    moves = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
+    singles = [relocate(base, src, dst) for src, dst in moves]
+    yield base
+    yield from singles
+    for moved in singles:
+        for src, dst in moves:
+            yield relocate(moved, src, dst)
 
 
 def permutation_count(unit_count: int) -> int:
@@ -343,24 +349,24 @@ def unit_permutation_stream(
     order: str = "sjt",
     meter: Optional[object] = None,
     on_degrade: Optional[Callable[[str], None]] = None,
-) -> Iterator[Tuple[Unit, ...]]:
-    """Unit permutations (pre-flatten) in the requested order.
+    masks: Optional[Sequence[int]] = None,
+) -> Iterator[Tuple[int, ...]]:
+    """The permutations of ``units`` in the requested order, as tuples of
+    unit indices.
 
-    The sharded enumeration fast path consumes this stream directly: a
-    worker can derive a candidate's shard key by walking the leading units
-    and flatten only the permutations its shard owns, instead of
-    materialising the full flat interleaving for every stream position.
-
-    ``meter`` / ``on_degrade`` pass through to
-    :func:`relocation_permutations` (the only order with retained
-    deduplication state worth charging)."""
-    if order == "sjt":
-        return sjt_permutations(units)
-    if order == "lexicographic":
-        return lexicographic_permutations(units)
+    ``masks`` (from :func:`unit_order_masks`) drops each permutation that
+    breaks an order constraint before it is ranked, charged or yielded; the
+    valid ones keep their unconstrained order.  ``meter`` / ``on_degrade``
+    pass through to :func:`relocation_permutations` (the only order with
+    retained deduplication state worth charging)."""
     if order == "relocation":
-        return relocation_permutations(units, meter=meter, on_degrade=on_degrade)
-    raise ErPiError(f"unknown enumeration order {order!r}")
+        return _relocation(len(units), meter, on_degrade, masks)
+    if order == "sjt":
+        return _sjt(len(units), masks)
+    if order != "lexicographic":
+        raise ErPiError(f"unknown enumeration order {order!r}")
+    perms = itertools.permutations(range(len(units)))
+    return perms if masks is None else (p for p in perms if _admits(p, masks))
 
 
 def interleaving_stream(
@@ -369,15 +375,16 @@ def interleaving_stream(
     limit: Optional[int] = None,
     meter: Optional[object] = None,
     on_degrade: Optional[Callable[[str], None]] = None,
+    masks: Optional[Sequence[int]] = None,
 ) -> Iterator[Interleaving]:
     """Flat event interleavings in the requested order, optionally capped.
 
     A flatten wrapper over :func:`unit_permutation_stream`, so both paths
     enumerate byte-identical permutation sequences by construction."""
     stream = unit_permutation_stream(
-        units, order=order, meter=meter, on_degrade=on_degrade
+        units, order=order, meter=meter, on_degrade=on_degrade, masks=masks
     )
-    for index, unit_perm in enumerate(stream):
+    for index, perm in enumerate(stream):
         if limit is not None and index >= limit:
             return
-        yield flatten(unit_perm)
+        yield flatten([units[i] for i in perm])

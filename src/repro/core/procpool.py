@@ -49,16 +49,17 @@ the crash-recovery coordinator (:mod:`repro.core.coordinator`) builds its
 respawn protocol on.
 
 The exploration identity ``generated == pruned + replayed + quarantined +
-discarded`` survives the shard merge: stream-side counters (generated /
-pruned / invalid) are taken from the worker that enumerated furthest (its
-stream is a superset of every other worker's, and of the committed run),
-replay-side counters are summed across workers, the parent counts
-replayed/quarantined itself at commit time, and ``discarded`` is defined as
-``furthest_yields - committed`` (non-negative because the owner of the last
-committed candidate enumerated at least that far).  Per-pruner prune counts
-are read at the commit point instead: each worker ships its counts at every
-stream position where they changed, so a hunt that stops on a violation
-reports the prunes a serial hunt made, not those of the furthest worker.
+discarded`` survives the shard merge: stream-side counters (generated,
+pruned, and invalid, which only Rand counts) are taken from the worker that
+enumerated furthest (its stream is a superset of every other worker's, and
+of the committed run), replay-side counters are summed across workers, the
+parent counts replayed/quarantined itself at commit time, and ``discarded``
+is defined as ``furthest_yields - committed`` (non-negative because the
+owner of the last committed candidate enumerated at least that far).
+Per-pruner prune counts are read at the commit point instead: each worker
+ships its counts at every stream position where they changed, so a hunt
+that stops on a violation reports the prunes a serial hunt made, not those
+of the furthest worker.
 """
 
 from __future__ import annotations
@@ -343,9 +344,9 @@ def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
     stream_metrics = replay_metrics = None
     if config.collect_metrics:
         # Two shards per worker: the explorer writes stream-side counters
-        # (generated / pruned / invalid), the engine writes replay-side ones
-        # (messages, durations).  The parent merges them under
-        # different rules — see ProcessParallelExplorer._merge_metrics.
+        # (generated / pruned; invalid only under Rand), the engine writes
+        # replay-side ones (messages, durations).  The parent merges them
+        # under different rules — see ProcessParallelExplorer._merge_metrics.
         stream_metrics = MetricsRegistry()
         replay_metrics = MetricsRegistry()
         explorer.metrics = stream_metrics

@@ -9,7 +9,8 @@ per-category byte totals land as gauges.
 The canonical metric names (asserted by the trace-smoke check and queried
 in the docs) are:
 
-* counters — ``interleavings.generated``, ``interleavings.invalid``,
+* counters — ``interleavings.generated``, ``interleavings.invalid`` (only
+  Rand counts it: ER-pi and DFS drop invalid schedules inside enumeration),
   ``interleavings.pruned``, ``pruned.<algorithm>``,
   ``interleavings.replayed``, ``interleavings.quarantined``,
   ``interleavings.discarded``, ``messages.sent``, ``messages.dropped``,

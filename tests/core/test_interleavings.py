@@ -1,14 +1,19 @@
 """Tests for grouping (Algorithm 1) and the enumeration orders."""
 
 import math
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.harness import record_scenario
+from repro.bugs.registry import scenario
 from repro.core.errors import ErPiError
 from repro.core.events import make_sync_pair, make_update
+from repro.core.explorers import ERPiExplorer
 from repro.core.interleavings import (
+    SEEN_CATEGORY,
+    SEEN_RANK_COST,
     flatten,
     group_events,
     interleaving_stream,
@@ -17,7 +22,10 @@ from repro.core.interleavings import (
     permutation_count,
     relocation_permutations,
     sjt_permutations,
+    unit_order_masks,
 )
+from repro.core.resources import ResourceMeter
+from repro.faults.plan import satisfies_order_constraints
 
 
 def sample_events():
@@ -256,3 +264,169 @@ class TestRelocationSeenSetMetering:
         assert list(relocation_permutations(units)) == list(
             relocation_permutations(units, meter=None)
         )
+
+
+def reference_sjt(n):
+    """Steinhaus-Johnson-Trotter by the largest-mobile-element rule, kept as
+    the reference for the plain-changes generator."""
+    perm = list(range(n))
+    direction = [-1] * n
+    yield tuple(perm)
+    while True:
+        mobile_index = mobile_value = -1
+        for index, value in enumerate(perm):
+            target = index + direction[value]
+            if 0 <= target < n and perm[target] < value and value > mobile_value:
+                mobile_index, mobile_value = index, value
+        if mobile_index < 0:
+            return
+        target = mobile_index + direction[mobile_value]
+        perm[mobile_index], perm[target] = perm[target], perm[mobile_index]
+        for value in range(mobile_value + 1, n):
+            direction[value] = -direction[value]
+        yield tuple(perm)
+
+
+def test_sjt_matches_the_mobile_element_reference():
+    for n in range(9):
+        assert list(sjt_permutations(range(n))) == list(reference_sjt(n))
+
+
+CR_SCENARIOS = ("Roshi-CR", "Roshi-CR2", "OrbitDB-CR", "ReplicaDB-CR", "Yorkie-CR")
+ORDERS = ("sjt", "lexicographic", "relocation")
+
+
+def faulted_schedule(name):
+    """A crash-recovery scenario's schedule with its fault plan compiled."""
+    sc = scenario(name)
+    compiled = sc.fault_plan().compile(record_scenario(sc).events)
+    return sc, compiled.events, compiled.order_constraints
+
+
+def ids(interleaving):
+    return tuple(event.event_id for event in interleaving)
+
+
+def filtered_stream(units, order, constraints):
+    """The reference: the unconstrained stream, flattened, then filtered."""
+    return (
+        il for il in interleaving_stream(units, order=order)
+        if satisfies_order_constraints(il, constraints)
+    )
+
+
+def masked_stream(units, order, constraints):
+    return interleaving_stream(
+        units, order=order, masks=unit_order_masks(units, constraints)
+    )
+
+
+class TestOrderMasks:
+    """Validity is decided on unit indices inside the stream; the valid
+    stream must be exactly the flat stream filtered by
+    ``satisfies_order_constraints``, in the same order."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("name", CR_SCENARIOS)
+    @pytest.mark.parametrize("kind", ("erpi-units", "dfs-events"))
+    def test_masked_stream_equals_filtered_stream(self, kind, name, order):
+        sc, events, constraints = faulted_schedule(name)
+        if kind == "erpi-units":
+            units = group_events(events, sc.spec_groups()).units
+        else:
+            units = tuple((event,) for event in events)
+        assert unit_order_masks(units, constraints) is not None
+        limit = 1_500
+        masked = [ids(il) for il in islice(masked_stream(units, order, constraints), limit)]
+        reference = [
+            ids(il) for il in islice(filtered_stream(units, order, constraints), limit)
+        ]
+        assert masked
+        assert masked == reference
+
+    def test_a_unit_that_breaks_a_constraint_itself_empties_the_stream(self):
+        events = sample_events()
+        units = group_events(events).units
+        # e3 -> e4 is one sync unit; demanding e4 before e3 breaks its order.
+        masks = unit_order_masks(units, (("e4", "e3"),))
+        assert masks is not None
+        for order in ORDERS:
+            assert list(interleaving_stream(units, order=order, masks=masks)) == []
+
+    def test_unknown_ids_and_satisfied_unit_internal_pairs_constrain_nothing(self):
+        units = group_events(sample_events()).units
+        assert unit_order_masks(units, ()) is None
+        assert unit_order_masks(units, (("zz", "e1"), ("e2", "f9"), ("e3", "e4"))) is None
+
+    def test_cross_unit_constraint_sets_a_predecessor_bit(self):
+        units = group_events(sample_events()).units  # e1 e2 (e3 e4) e5 e6 (e7 e8)
+        masks = unit_order_masks(units, (("e6", "e1"), ("e8", "e3")))
+        assert masks == (1 << 4, 0, 1 << 5, 0, 0, 0)
+
+
+@st.composite
+def constrained_schedules(draw):
+    """Up to six units, some multi-event, plus a random constraint set over
+    their event ids and ids outside the schedule."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=6))
+    units, counter = [], 0
+    for size in sizes:
+        unit = []
+        for _ in range(size):
+            counter += 1
+            unit.append(make_update(f"e{counter}", "A", "op"))
+        units.append(tuple(unit))
+    known = [f"e{i}" for i in range(1, counter + 1)]
+    pool = st.sampled_from(known + ["zz", "f9"])
+    constraints = draw(st.lists(st.tuples(pool, pool), max_size=5))
+    return tuple(units), tuple(constraints)
+
+
+@given(constrained_schedules())
+@settings(max_examples=150, deadline=None)
+def test_masked_stream_equals_filtered_stream_property(schedule):
+    units, constraints = schedule
+    for order in ORDERS:
+        assert [ids(il) for il in masked_stream(units, order, constraints)] == [
+            ids(il) for il in filtered_stream(units, order, constraints)
+        ]
+
+
+def relocation_phase(n):
+    """Every permutation of ``0..n-1`` at most two single-unit relocations
+    from the identity."""
+
+    def relocations(perm):
+        for src in range(n):
+            for dst in range(n):
+                if src != dst:
+                    out = list(perm)
+                    out.insert(dst, out.pop(src))
+                    yield tuple(out)
+
+    singles = set(relocations(range(n)))
+    return {tuple(range(n))} | singles | {
+        double for single in singles for double in relocations(single)
+    }
+
+
+@pytest.mark.parametrize("name", CR_SCENARIOS)
+def test_faulted_relocation_charges_only_valid_permutations(name):
+    """Invalid permutations are rejected before they are ranked or charged:
+    the relocation seen-set holds one rank per *valid* relocation-phase
+    permutation."""
+    sc, events, constraints = faulted_schedule(name)
+    meter = ResourceMeter()
+    explorer = ERPiExplorer(events, meter=meter, spec_groups=sc.spec_groups())
+    explorer.order_constraints = constraints
+    units = explorer.grouping.units
+    valid = sum(
+        1
+        for perm in relocation_phase(len(units))
+        if satisfies_order_constraints(flatten([units[i] for i in perm]), constraints)
+    )
+    # One candidate past the valid relocation-phase ones (when there is one)
+    # drives the stream into its SJT tail, after which nothing is charged.
+    list(islice(explorer.candidates(), valid + 1))
+    assert 0 < valid < len(relocation_phase(len(units)))
+    assert meter.by_category[SEEN_CATEGORY] == SEEN_RANK_COST * valid

@@ -5,7 +5,8 @@ candidate stream (foreign positions are yielded as ``None`` placeholders
 that consume an index but no flattening work).  The contract pinned here:
 the sharded streams are a partition of ``candidates()`` — same length,
 every position owned by exactly one worker, owned values identical — for
-the ERPi fast path, the constraint-checked fault path and the generic
+the ERPi fast path with and without fault order constraints (whose invalid
+permutations the stream drops on unit indices, unflattened) and the generic
 fallback wrapper alike; and full process hunts (DPOR + faults) commit the
 same verdicts regardless of worker count, with every worker replaying
 within one candidate of every other's share.
@@ -28,8 +29,8 @@ def plain_stack(name="Roshi-1"):
 
 
 def faulted_stack(name="Roshi-CR"):
-    """An explorer whose fault schedule carries order constraints, so the
-    fast path must flatten for validity checks before skipping."""
+    """An explorer whose fault schedule carries order constraints, which
+    the fast path checks on unit indices before it assigns positions."""
     recorded = record_scenario(scenario(name))
     explorer = make_explorer(recorded, "erpi", faults=True)
     assert explorer.order_constraints
@@ -114,6 +115,25 @@ class TestShardPartitionEquivalence:
         assert metrics.counter("interleavings.generated") == (
             reference_metrics.counter("interleavings.generated")
         )
+
+    def test_fault_constrained_shard_flattens_only_its_positions(self, monkeypatch):
+        """Validity is decided on unit indices, so a worker flattens its own
+        valid positions and nothing else, even with constraints armed."""
+        from repro.core import explorers
+
+        _, explorer = faulted_stack()
+        assert not explorer.pipeline.pruners
+        flattened = []
+        flatten = explorers.flatten
+
+        def counting_flatten(units):
+            flattened.append(len(units))
+            return flatten(units)
+
+        monkeypatch.setattr(explorers, "flatten", counting_flatten)
+        owned = [il for il in explorer.sharded_candidates(4, 0) if il is not None]
+        assert owned
+        assert len(flattened) == len(owned)
 
 
 def process_hunt(name, workers, cap=150):

@@ -10,8 +10,11 @@ import time
 
 import pytest
 
-from repro.core import ErPi
+from repro.core import ErPi, fuzzing
+from repro.core.events import EventKind
+from repro.core.explorers import ERPiExplorer
 from repro.core.fuzzing import WorkloadFuzzer
+from repro.core.interleavings import group_events
 from repro.core.profiling import ResourceProfiler
 from repro.core.replay import ReplayEngine, SequentialExecutor
 from repro.faults.errors import ReplayTimeout
@@ -175,6 +178,12 @@ def sync_pair(cluster, rng):
     cluster.sync(sender, receiver)
 
 
+def add_one(cluster, rng):
+    """Fuzzer op: one random replica adds an item, so a sync from the other
+    replica can still ship an empty payload and raise."""
+    cluster.rdl(rng.choice(cluster.replica_ids())).add(rng.choice(["x", "y"]))
+
+
 class FragileSeed(MisconceptionSeed):
     """A one-cell Table-2 seed over the fragile subject."""
 
@@ -202,6 +211,27 @@ class TestEverySinkQuarantines:
             for finding in report.findings
             for message in finding.violations
         )
+
+    def test_fuzzer_drops_the_events_of_an_op_that_raised(self, monkeypatch):
+        """Regression: a sync whose ``apply_sync`` raised left its sync
+        request in the workload with no execution, and a raising sync in
+        the closing all-pairs exchange aborted the whole campaign."""
+        workloads = []
+
+        class RecordingExplorer(ERPiExplorer):
+            def __init__(self, events, *args, **kwargs):
+                workloads.append(tuple(events))
+                super().__init__(events, *args, **kwargs)
+
+        monkeypatch.setattr(fuzzing, "ERPiExplorer", RecordingExplorer)
+        fuzzer = WorkloadFuzzer(fragile_cluster, op_pool=[add_one, sync_pair], seed=0)
+        report = fuzzer.run(runs=20)
+        assert report.runs == 20
+        assert workloads
+        for events in workloads:
+            paired = {first for first, _ in group_events(events).grouped_pairs}
+            requests = [e.event_id for e in events if e.kind == EventKind.SYNC_REQ]
+            assert set(requests) <= paired, [e.describe() for e in events]
 
     def test_profiler_counts_the_quarantined_replay(self):
         cluster = fragile_cluster()
