@@ -15,8 +15,9 @@ Two flavours:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.core.events import Event, EventKind
 from repro.core.replay import Assertion, InterleavingOutcome
 
 StateGetter = Callable[[InterleavingOutcome], Any]
@@ -71,42 +72,56 @@ def delivery_knowledge(outcome: InterleavingOutcome) -> Dict[str, set]:
     (``recover_before``) so every valid settled interleaving really is
     re-delivered.
     """
-    from repro.core.events import EventKind
-    from repro.core.pruning.replica_specific import _pair_positions
+    known, bits = _knowledge_masks(outcome.interleaving)
+    return {
+        rid: {uid for uid, bit in bits.items() if mask & bit}
+        for rid, mask in known.items()
+    }
 
-    interleaving = outcome.interleaving
-    pairs = _pair_positions(interleaving)
-    knowledge: Dict[str, set] = {}
-    snapshots: Dict[int, set] = {}
+
+def _knowledge_masks(
+    interleaving: Sequence[Event],
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """:func:`delivery_knowledge` in one pass over int bitmasks.
+
+    Returns replica -> knowledge mask and update id -> its bit (a fresh one
+    on first sight).  Each channel keeps a FIFO of in-flight snapshot masks:
+    an execution consumes the oldest request on its channel even when it
+    delivers nothing (the pairing replica-specific pruning uses), and a
+    suppressed send queues an empty snapshot.
+    """
+    known: Dict[str, int] = {}
+    bits: Dict[str, int] = {}
+    in_flight: Dict[Tuple[Optional[str], Optional[str]], List[int]] = {}
     down: set = set()
     cut: set = set()  # partitioned links, as frozenset pairs
-    for position, event in enumerate(interleaving):
+    for event in interleaving:
         kind = event.kind
-        if kind == EventKind.CRASH:
-            down.add(event.replica_id)
-        elif kind == EventKind.RECOVER:
-            down.discard(event.replica_id)
-        elif kind == EventKind.PARTITION:
+        replica = event.replica_id
+        if kind is EventKind.UPDATE:
+            if replica not in down:
+                bit = bits.setdefault(event.event_id, 1 << len(bits))
+                known[replica] = known.get(replica, 0) | bit
+        elif kind is EventKind.SYNC_REQ:
+            link = (event.from_replica, event.to_replica)
+            # A dead sender or a partitioned link puts nothing on the wire.
+            lost = replica in down or (cut and frozenset(link) in cut)
+            in_flight.setdefault(link, []).append(0 if lost else known.get(replica, 0))
+        elif kind is EventKind.EXEC_SYNC:
+            queue = in_flight.get((event.from_replica, event.to_replica))
+            if queue:
+                received = queue.pop(0)  # consumed even by a dead node, which loses it
+                if replica not in down:
+                    known[replica] = known.get(replica, 0) | received
+        elif kind is EventKind.CRASH:
+            down.add(replica)
+        elif kind is EventKind.RECOVER:
+            down.discard(replica)
+        elif kind is EventKind.PARTITION:
             cut.add(frozenset((event.from_replica, event.to_replica)))
-        elif kind == EventKind.HEAL:
+        elif kind is EventKind.HEAL:
             cut.discard(frozenset((event.from_replica, event.to_replica)))
-        elif kind == EventKind.UPDATE:
-            if event.replica_id not in down:
-                knowledge.setdefault(event.replica_id, set()).add(event.event_id)
-        elif kind == EventKind.SYNC_REQ:
-            if event.replica_id in down:
-                continue  # the sender is dead: nothing goes on the wire
-            if frozenset((event.from_replica, event.to_replica)) in cut:
-                continue  # partitioned link: the send is suppressed
-            snapshots[position] = set(knowledge.get(event.replica_id, set()))
-        elif kind == EventKind.EXEC_SYNC:
-            if event.replica_id in down:
-                continue  # the payload reached a dead node and is lost
-            req_position = pairs.get(position, -1)
-            if req_position >= 0:
-                received = snapshots.get(req_position, set())
-                knowledge.setdefault(event.replica_id, set()).update(received)
-    return knowledge
+    return known, bits
 
 
 def is_settled(outcome: InterleavingOutcome, replica_ids: Sequence[str]) -> bool:
@@ -116,13 +131,11 @@ def is_settled(outcome: InterleavingOutcome, replica_ids: Sequence[str]) -> bool
     deliver, so it does not count; every update id present in any replica's
     knowledge originated from a successful execution.
     """
-    knowledge = delivery_knowledge(outcome)
-    effective: set = set()
-    for known in knowledge.values():
-        effective |= known
-    return all(
-        knowledge.get(rid, set()) >= effective for rid in replica_ids
-    )
+    known, _ = _knowledge_masks(outcome.interleaving)
+    effective = 0
+    for mask in known.values():
+        effective |= mask
+    return all(known.get(rid, 0) & effective == effective for rid in replica_ids)
 
 
 def assert_convergence_when_settled(

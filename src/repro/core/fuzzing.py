@@ -83,10 +83,6 @@ def crdt_library_op_pool() -> List[OpGenerator]:
         replica = rng.choice(cluster.replica_ids())
         cluster.rdl(replica).set_add("fuzz-set", rng.choice(items))
 
-    def set_remove(cluster: Cluster, rng: random.Random) -> None:
-        replica = rng.choice(cluster.replica_ids())
-        cluster.rdl(replica).set_remove("fuzz-set", rng.choice(items))
-
     def counter_increment(cluster: Cluster, rng: random.Random) -> None:
         replica = rng.choice(cluster.replica_ids())
         cluster.rdl(replica).counter_increment("fuzz-counter", rng.randint(1, 3))
@@ -107,9 +103,9 @@ def crdt_library_op_pool() -> List[OpGenerator]:
     # interleaving) and observed-remove deletes (effect depends on which
     # concurrent adds the remover had seen) are legitimately
     # order-dependent even on a perfect library, so they would trip the
-    # cross-interleaving stability check with false positives.  Pass a
-    # custom pool (e.g. including ``set_remove``) together with
-    # workload-specific assertions to fuzz non-monotone surfaces.
+    # cross-interleaving stability check with false positives.  To fuzz
+    # non-monotone surfaces, pass a custom pool that brings its own
+    # observed-remove op, together with workload-specific assertions.
     return [set_add, counter_increment, flag_enable, sync, sync]
 
 

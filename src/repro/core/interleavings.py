@@ -186,10 +186,14 @@ def sjt_permutations(units: Sequence[Unit]) -> Iterator[Tuple[Unit, ...]]:
     therefore stays in the neighbourhood of the recorded interleaving, which
     is where ER-pi expects integration bugs to surface first.
     """
-    return (tuple(units[i] for i in p) for p in _sjt(len(units)))
+    return (tuple(units[i] for i in p) for _, p in _sjt(len(units)))
 
 
-def _sjt(n: int, masks: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, ...]]:
+def _sjt(
+    n: int, masks: Optional[Sequence[int]] = None
+) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """The permutations ``masks`` admits, in SJT order, each as
+    ``(lehmer_rank(perm), perm)``."""
     # Knuth's Algorithm P ("plain changes", TAOCP 7.2.1.2): SJT order in
     # amortised O(1) per step.  Level ``j`` is ``count[j]`` moves into its
     # current sweep, in direction ``step[j]``.
@@ -199,8 +203,14 @@ def _sjt(n: int, masks: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, .
     # Constraints the current order breaks (in the identity, predecessors
     # at or after their unit); a step swaps two adjacent units, so O(1).
     broken = sum((m >> u).bit_count() for u, m in enumerate(masks)) if masks else 0
+    # The Lehmer digits and rank, carried on every step: swapping the
+    # adjacent values ``a, b`` changes only their two digits ``(d0, d1)``,
+    # to ``(d1 + 1, d0)`` if ``a < b`` and to ``(d1, d0 - 1)`` otherwise.
+    digits = [0] * n
+    weight = [math.factorial(n - 1 - i) for i in range(n)]
+    rank = 0
     if not broken:
-        yield tuple(perm)
+        yield rank, tuple(perm)
     if n < 2:
         return
     while True:
@@ -217,13 +227,17 @@ def _sjt(n: int, masks: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, .
             j -= 1
         low = j - max(count[j], moved) + shift - 1
         count[j] = moved
-        perm[low], perm[low + 1] = perm[low + 1], perm[low]
+        a, b = perm[low], perm[low + 1]
+        perm[low], perm[low + 1] = b, a
         if masks is not None:
-            # The swap put ``ahead`` in front of ``behind``.
-            ahead, behind = perm[low], perm[low + 1]
-            broken += (masks[ahead] >> behind & 1) - (masks[behind] >> ahead & 1)
+            # The swap put ``b`` in front of ``a``.
+            broken += (masks[b] >> a & 1) - (masks[a] >> b & 1)
+        d0, d1 = digits[low], digits[low + 1]
+        e0, e1 = (d1 + 1, d0) if a < b else (d1, d0 - 1)
+        rank += (e0 - d0) * weight[low] + (e1 - d1) * weight[low + 1]
+        digits[low], digits[low + 1] = e0, e1
         if not broken:
-            yield tuple(perm)
+            yield rank, tuple(perm)
 
 
 def lehmer_rank(perm: Sequence[int]) -> int:
@@ -317,8 +331,8 @@ def _relocation(
     # Everything else: SJT over the remaining permutations.  SJT visits each
     # permutation exactly once, so only the relocation-phase set needs
     # consulting — nothing new is remembered here.
-    for perm in _sjt(n, masks):
-        if lehmer_rank(perm) not in seen:
+    for rank, perm in _sjt(n, masks):
+        if rank not in seen:
             yield perm
 
 
@@ -362,7 +376,7 @@ def unit_permutation_stream(
     if order == "relocation":
         return _relocation(len(units), meter, on_degrade, masks)
     if order == "sjt":
-        return _sjt(len(units), masks)
+        return (perm for _, perm in _sjt(len(units), masks))
     if order != "lexicographic":
         raise ErPiError(f"unknown enumeration order {order!r}")
     perms = itertools.permutations(range(len(units)))

@@ -85,8 +85,16 @@ class InterleavingOutcome:
 Assertion = Callable[["InterleavingOutcome"], Optional[str]]
 
 
+#: Compiled steps an executor keeps; past it the table starts over, so a
+#: caller that builds fresh events for every replay cannot grow it forever.
+_STEP_TABLE_LIMIT = 4096
+
+
 class SequentialExecutor:
     """Run the events of an interleaving in-line, in order.
+
+    Each event is compiled once per (executor, cluster) into a step (see
+    :func:`_compile`), so a replay skips the per-event dispatch.
 
     ``timeout_s`` arms a per-replay wall-clock watchdog: when a replay's
     elapsed time exceeds it, :class:`ReplayTimeout` is raised between
@@ -99,26 +107,35 @@ class SequentialExecutor:
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.timeout_s = timeout_s
+        self._cluster: Optional[Cluster] = None
+        #: id(event) -> (event, step) for the cluster last run on; holding
+        #: the event keeps its id from being reused while the entry lives.
+        self._steps: Dict[int, Tuple[Event, Callable[[], Any]]] = {}
 
     def run(self, cluster: Cluster, interleaving: Interleaving) -> List[EventResult]:
-        # Lamport stamps along a total order are just 1-based positions
-        # (see assign_lamport); invoking directly skips the StampedEvent
-        # allocations on the hottest loop in the engine.
+        if cluster is not self._cluster:
+            self._cluster, self._steps = cluster, {}
+        steps = self._steps
         timeout = self.timeout_s
-        if timeout is None:
-            return [
-                _invoke(cluster, event, lamport)
-                for lamport, event in enumerate(interleaving, 1)
-            ]
-        deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         results: List[EventResult] = []
+        # Lamport stamps along a total order are just 1-based positions
+        # (see assign_lamport), so no StampedEvent is allocated.
         for lamport, event in enumerate(interleaving, 1):
-            if time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 raise ReplayTimeout(
                     f"replay exceeded the {timeout}s watchdog after "
                     f"{lamport - 1} of {len(interleaving)} events"
                 )
-            results.append(_invoke(cluster, event, lamport))
+            entry = steps.get(id(event))
+            try:
+                if entry is None:
+                    if len(steps) >= _STEP_TABLE_LIMIT:
+                        steps.clear()
+                    entry = steps[id(event)] = (event, _compile(cluster, event))
+                results.append(EventResult(event, lamport, True, entry[1]()))
+            except _OP_FAILURES as exc:
+                results.append(_failed(event, lamport, exc))
         return results
 
 
@@ -204,50 +221,62 @@ class LockSteppedExecutor:
         return [slot for slot in slots if slot is not None]
 
 
+#: What a subject raises when it rejects an op under this ordering: the kind
+#: of behaviour ER-pi exists to surface, so the replay records the op as
+#: failed and goes on.
+_OP_FAILURES = (RDLError, CRDTError, KeyError, IndexError, ValueError)
+
+
+def _failed(event: Event, lamport: int, exc: Exception) -> EventResult:
+    return EventResult(
+        event=event, lamport=lamport, ok=False, error=f"{type(exc).__name__}: {exc}"
+    )
+
+
 def _invoke(cluster: Cluster, event: Event, lamport: int) -> EventResult:
-    """Re-invoke one recorded event against the cluster."""
+    """Compile one recorded event afresh and run it against the cluster."""
     try:
-        kind = event.kind
-        if kind is EventKind.SYNC_REQ:
-            result = cluster.send_sync(event.from_replica, event.to_replica)
-        elif kind is EventKind.EXEC_SYNC:
-            result = cluster.execute_sync(event.from_replica, event.to_replica)
-        elif kind is EventKind.CRASH:
-            cluster.crash(event.replica_id)
-            result = True
-        elif kind is EventKind.RECOVER:
-            cluster.recover(event.replica_id)
-            result = True
-        elif kind is EventKind.PARTITION:
-            cluster.partition(event.from_replica, event.to_replica)
-            result = True
-        elif kind is EventKind.HEAL:
-            cluster.heal(event.from_replica, event.to_replica)
-            result = True
-        else:
-            # An op against a crashed replica raises ReplicaDownError —
-            # recorded below as a failed op, like the real library's client
-            # erroring out against a dead process.
-            host = cluster.host(event.replica_id)
-            host.require_up()
-            rdl = host.rdl
-            method = getattr(rdl, event.op_name, None)
-            if method is None or not callable(method):
-                raise ReplayError(
-                    f"replica {event.replica_id!r} has no method {event.op_name!r}"
-                )
-            if event.kwargs:
-                result = method(*event.args, **dict(event.kwargs))
-            else:
-                result = method(*event.args)
-        return EventResult(event=event, lamport=lamport, ok=True, result=result)
-    except (RDLError, CRDTError, KeyError, IndexError, ValueError) as exc:
-        # The library (or the data structure beneath it) rejected the op
-        # under this ordering: that is exactly the kind of behaviour ER-pi
-        # exists to surface.  Record it as a failed op and keep replaying.
-        return EventResult(
-            event=event, lamport=lamport, ok=False, error=f"{type(exc).__name__}: {exc}"
-        )
+        return EventResult(event, lamport, True, _compile(cluster, event)())
+    except _OP_FAILURES as exc:
+        return _failed(event, lamport, exc)
+
+
+def _compile(cluster: Cluster, event: Event) -> Callable[[], Any]:
+    """One event as a zero-argument call against ``cluster``.
+
+    Resolved once: the kind's branch, the host, the channel, ``args`` and
+    the kwargs dict.  Looked up at call time: the ``Cluster`` method and the
+    subject's op, so one patched on the class or replaced on the instance
+    later is the one called.  An unknown replica raises ``ClusterError``.
+    """
+    kind = event.kind
+    sender, receiver = event.from_replica, event.to_replica
+    if kind is EventKind.SYNC_REQ:
+        return lambda: cluster.send_sync(sender, receiver)
+    if kind is EventKind.EXEC_SYNC:
+        return lambda: cluster.execute_sync(sender, receiver)
+    if event.is_fault:
+        # The kind names the Cluster method (crash, recover, partition,
+        # heal), which returns None: the step returns True.
+        fault = kind.value
+        host_fault = kind is EventKind.CRASH or kind is EventKind.RECOVER
+        replicas = (event.replica_id,) if host_fault else (sender, receiver)
+        return lambda: getattr(cluster, fault)(*replicas) or True
+    # An op against a crashed replica raises ReplicaDownError — recorded as
+    # a failed op, like the real library's client erroring out against a
+    # dead process.
+    replica, name, args = event.replica_id, event.op_name, event.args
+    host = cluster.host(replica)
+    kwargs = dict(event.kwargs)
+
+    def op() -> Any:
+        host.require_up()
+        method = getattr(host.rdl, name, None)
+        if method is None or not callable(method):
+            raise ReplayError(f"replica {replica!r} has no method {name!r}")
+        return method(*args, **kwargs)
+
+    return op
 
 
 class ReplayEngine:

@@ -1,5 +1,12 @@
 """Tests for the assertion library (per-interleaving + cross-interleaving)."""
 
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bench.harness import make_explorer, record_scenario
+from repro.bugs.registry import fault_scenario_names, scenario, scenario_names
 from repro.core.assertions import (
     FirstValueStability,
     StableReadAcrossInterleavings,
@@ -16,7 +23,18 @@ from repro.core.assertions import (
     delivery_knowledge,
     is_settled,
 )
-from repro.core.events import make_read, make_sync_pair, make_update
+from repro.core.events import (
+    Event,
+    EventKind,
+    make_crash,
+    make_heal,
+    make_partition,
+    make_read,
+    make_recover,
+    make_sync_pair,
+    make_update,
+)
+from repro.core.pruning.replica_specific import _pair_positions
 from repro.core.replay import EventResult, InterleavingOutcome
 
 
@@ -137,6 +155,186 @@ class TestSettledness:
         )
         assert check(unsettled) is None          # vacuous: sync undelivered
         assert check(settled) is not None        # real divergence
+
+
+def reference_delivery_knowledge(outcome):
+    """The set-based settledness simulation, kept as the reference for the
+    bitmask one: requests paired to executions by position, one set copy
+    per snapshot."""
+    interleaving = outcome.interleaving
+    pairs = _pair_positions(interleaving)
+    knowledge, snapshots, down, cut = {}, {}, set(), set()
+    for position, event in enumerate(interleaving):
+        kind = event.kind
+        if kind == EventKind.CRASH:
+            down.add(event.replica_id)
+        elif kind == EventKind.RECOVER:
+            down.discard(event.replica_id)
+        elif kind == EventKind.PARTITION:
+            cut.add(frozenset((event.from_replica, event.to_replica)))
+        elif kind == EventKind.HEAL:
+            cut.discard(frozenset((event.from_replica, event.to_replica)))
+        elif kind == EventKind.UPDATE:
+            if event.replica_id not in down:
+                knowledge.setdefault(event.replica_id, set()).add(event.event_id)
+        elif kind == EventKind.SYNC_REQ:
+            if event.replica_id in down:
+                continue
+            if frozenset((event.from_replica, event.to_replica)) in cut:
+                continue
+            snapshots[position] = set(knowledge.get(event.replica_id, set()))
+        elif kind == EventKind.EXEC_SYNC:
+            if event.replica_id in down:
+                continue
+            req_position = pairs.get(position, -1)
+            if req_position >= 0:
+                received = snapshots.get(req_position, set())
+                knowledge.setdefault(event.replica_id, set()).update(received)
+    return knowledge
+
+
+def reference_is_settled(outcome, replica_ids):
+    knowledge = reference_delivery_knowledge(outcome)
+    effective = set()
+    for known in knowledge.values():
+        effective |= known
+    return all(knowledge.get(rid, set()) >= effective for rid in replica_ids)
+
+
+def assert_matches_reference(interleaving, replica_ids):
+    outcome = outcome_with(interleaving=interleaving)
+    knowledge = delivery_knowledge(outcome)
+    assert knowledge == reference_delivery_knowledge(outcome)
+    settled = is_settled(outcome, replica_ids)
+    assert settled == reference_is_settled(outcome, replica_ids)
+    return knowledge, settled
+
+
+SETTLEDNESS_CANDIDATES = 400
+SETTLEDNESS_CASES = [(name, False) for name in scenario_names()] + [
+    (name, True) for name in fault_scenario_names()
+]
+
+
+class TestSettlednessMatchesTheSetReference:
+    """The bitmask simulation must give the set-based one's knowledge and
+    verdict on every schedule the explorers produce and on random ones."""
+
+    @pytest.mark.parametrize("mode", ["erpi", "dfs", "rand"])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["buggy", "fixed"])
+    @pytest.mark.parametrize(
+        "name,faults", SETTLEDNESS_CASES, ids=[name for name, _ in SETTLEDNESS_CASES]
+    )
+    def test_first_candidates_of_every_scenario(self, name, faults, fixed, mode):
+        recorded = record_scenario(scenario(name), fixed=fixed)
+        explorer = make_explorer(recorded, mode, faults=faults)
+        replica_ids = recorded.engine.cluster.replica_ids()
+        candidates = list(
+            itertools.islice(explorer.candidates(), SETTLEDNESS_CANDIDATES)
+        )
+        informed = 0
+        for interleaving in candidates:
+            knowledge, _ = assert_matches_reference(interleaving, replica_ids)
+            informed += bool(knowledge)
+        # Schedules with no effective update at all would compare nothing.
+        assert informed > len(candidates) // 2
+
+    @pytest.mark.parametrize(
+        "interleaving,expected,settled",
+        [
+            pytest.param(
+                (
+                    make_update("e1", "A", "op"),
+                    make_crash("f1", "A"),
+                    *make_sync_pair("e2", "e3", "A", "B"),
+                ),
+                {"A": {"e1"}, "B": set()},
+                False,
+                id="crashed-sender",
+            ),
+            pytest.param(
+                (
+                    make_update("e1", "A", "op"),
+                    make_sync_pair("e2", "e3", "A", "B")[0],
+                    make_crash("f1", "B"),
+                    make_sync_pair("e2", "e3", "A", "B")[1],
+                    make_recover("f2", "B"),
+                ),
+                {"A": {"e1"}},
+                False,
+                id="crashed-receiver",
+            ),
+            pytest.param(
+                (
+                    make_update("e1", "A", "op"),
+                    make_partition("f1", "A", "B"),
+                    *make_sync_pair("e2", "e3", "A", "B"),
+                    make_heal("f2", "A", "B"),
+                    *make_sync_pair("e4", "e5", "A", "B"),
+                ),
+                {"A": {"e1"}, "B": {"e1"}},
+                True,
+                id="cut-then-healed",
+            ),
+            pytest.param(
+                (
+                    make_update("e1", "A", "op"),
+                    make_sync_pair("e2", "e3", "A", "B")[1],
+                    make_sync_pair("e2", "e3", "A", "B")[0],
+                ),
+                {"A": {"e1"}},
+                False,
+                id="exec-with-no-request",
+            ),
+            pytest.param(
+                (
+                    make_update("e1", "A", "op"),
+                    make_sync_pair("e2", "e3", "A", "B")[0],
+                    make_update("e4", "A", "op"),
+                    make_sync_pair("e5", "e6", "A", "B")[0],
+                    make_sync_pair("e2", "e3", "A", "B")[1],
+                    make_read("e7", "B", "value"),
+                ),
+                {"A": {"e1", "e4"}, "B": {"e1"}},
+                False,
+                id="two-requests-in-flight",
+            ),
+        ],
+    )
+    def test_fault_and_channel_cases(self, interleaving, expected, settled):
+        knowledge, verdict = assert_matches_reference(interleaving, ["A", "B"])
+        assert knowledge == expected
+        assert verdict is settled
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_schedules_on_three_replicas(self, data):
+        interleaving = data.draw(random_schedules())
+        assert_matches_reference(interleaving, ["A", "B", "C"])
+
+
+REPLICAS = ("A", "B", "C")
+
+
+@st.composite
+def random_schedules(draw):
+    """Up to 14 events of all eight kinds on up to three replicas.  Syncs,
+    crashes and cuts are drawn independently, so a schedule may crash a
+    sender or a receiver, heal a link it never cut, execute with no request
+    pending, or put two requests in flight on one channel."""
+    replicas = REPLICAS[: draw(st.integers(min_value=1, max_value=3))]
+    replica = st.sampled_from(replicas)
+    events = []
+    for index in range(draw(st.integers(min_value=0, max_value=14))):
+        event_id = f"e{index}"
+        kind = draw(st.sampled_from(list(EventKind)))
+        if kind in (EventKind.UPDATE, EventKind.READ, EventKind.CRASH, EventKind.RECOVER):
+            events.append(Event(event_id, draw(replica), kind, kind.value))
+            continue
+        sender, receiver = draw(replica), draw(replica)
+        at = receiver if kind is EventKind.EXEC_SYNC else sender
+        events.append(Event(event_id, at, kind, kind.value, (), (), sender, receiver))
+    return tuple(events)
 
 
 class TestCrossInterleavingChecks:

@@ -1,6 +1,7 @@
 """Tests for grouping (Algorithm 1) and the enumeration orders."""
 
 import math
+import random
 from itertools import islice, permutations
 
 import pytest
@@ -14,6 +15,9 @@ from repro.core.explorers import ERPiExplorer
 from repro.core.interleavings import (
     SEEN_CATEGORY,
     SEEN_RANK_COST,
+    _admits,
+    _neighbourhood,
+    _sjt,
     flatten,
     group_events,
     interleaving_stream,
@@ -23,6 +27,7 @@ from repro.core.interleavings import (
     relocation_permutations,
     sjt_permutations,
     unit_order_masks,
+    unit_permutation_stream,
 )
 from repro.core.resources import ResourceMeter
 from repro.faults.plan import satisfies_order_constraints
@@ -430,3 +435,69 @@ def test_faulted_relocation_charges_only_valid_permutations(name):
     list(islice(explorer.candidates(), valid + 1))
     assert 0 < valid < len(relocation_phase(len(units)))
     assert meter.by_category[SEEN_CATEGORY] == SEEN_RANK_COST * valid
+
+
+def random_masks(rng, n):
+    """Up to three random predecessor bits over ``n`` units (possibly none)."""
+    masks = [0] * n
+    for _ in range(rng.randint(0, 3)):
+        unit, before = rng.randrange(n), rng.randrange(n)
+        if unit != before:
+            masks[unit] |= 1 << before
+    return masks
+
+
+def reference_relocation(n, masks=None):
+    """The relocation order with every SJT-tail permutation Lehmer-ranked
+    afresh, kept as the reference for the rank the SJT steps carry."""
+    seen = set()
+    for perm in _neighbourhood(n):
+        if masks is not None and not _admits(perm, masks):
+            continue
+        rank = lehmer_rank(perm)
+        if rank not in seen:
+            seen.add(rank)
+            yield tuple(perm)
+    for perm in reference_sjt(n):
+        if masks is not None and not _admits(perm, masks):
+            continue
+        if lehmer_rank(perm) not in seen:
+            yield perm
+
+
+class TestCarriedRank:
+    """An SJT step swaps two adjacent values and so changes two Lehmer
+    digits; the rank carried across the steps must equal a fresh rank."""
+
+    def test_every_carried_rank_equals_lehmer_rank(self):
+        rng = random.Random(20)
+        for n in range(9):
+            for masks in [None] + [random_masks(rng, n) for _ in range(4) if n]:
+                for rank, perm in _sjt(n, masks):
+                    assert rank == lehmer_rank(perm)
+
+    def test_relocation_stream_equals_the_reference_tail(self):
+        rng = random.Random(21)
+        for n in range(8):
+            assert list(unit_permutation_stream(range(n), "relocation")) == list(
+                reference_relocation(n)
+            )
+            masks = random_masks(rng, n) if n else None
+            assert list(
+                unit_permutation_stream(range(n), "relocation", masks=masks)
+            ) == list(reference_relocation(n, masks))
+
+    @pytest.mark.parametrize("name", CR_SCENARIOS)
+    def test_faulted_relocation_stream_equals_the_reference_tail(self, name):
+        sc, events, constraints = faulted_schedule(name)
+        units = group_events(events, sc.spec_groups()).units
+        masks = unit_order_masks(units, constraints)
+        limit = 5_000
+        stream = list(
+            islice(unit_permutation_stream(units, "relocation", masks=masks), limit)
+        )
+        assert stream == list(islice(reference_relocation(len(units), masks), limit))
+        # The stream went on into its SJT tail, except on Roshi-CR, whose 20
+        # valid schedules all lie in the relocation phase.
+        phase = [perm for perm in relocation_phase(len(units)) if _admits(perm, masks)]
+        assert len(stream) > len(phase) or (name, len(stream)) == ("Roshi-CR", 20)
