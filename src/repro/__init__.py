@@ -9,7 +9,7 @@ The package is organised bottom-up:
   mutex (ER-pi's replay-ordering substrate).
 * :mod:`repro.datalog` — from-scratch Datalog engine; interleaving
   persistence and pruning queries (the paper's Souffle programs).
-* :mod:`repro.net` — simulated replicas, transport, network conditions.
+* :mod:`repro.net` — simulated replicas joined by FIFO channels, partitions.
 * :mod:`repro.rdl` — the five simulated third-party subjects (Roshi,
   OrbitDB, ReplicaDB, Yorkie, CRDTs collection) with seeded defects.
 * :mod:`repro.proxy` — dynamic proxying of RDL functions (event capture).

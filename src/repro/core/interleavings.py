@@ -60,13 +60,6 @@ class GroupingResult:
         """u! over grouped units."""
         return math.factorial(self.unit_count)
 
-    @property
-    def reduction_factor(self) -> float:
-        """How many times grouping shrank the space (paper: 8!/6! = 56x)."""
-        if self.grouped_space == 0:
-            return 1.0
-        return self.raw_space / self.grouped_space
-
 
 def group_events(
     events: Sequence[Event],

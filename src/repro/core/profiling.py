@@ -167,19 +167,21 @@ class ResourceProfiler:
         )
         report = ProfileReport()
         engine = self._engine
+        cluster = self.cluster
 
         def profile(interleaving: Interleaving, outcome) -> bool:
             if isinstance(outcome, QuarantinedReplay):
                 report.quarantined += 1
                 return False
-            sent, dropped, _, _ = engine.last_transport_stats
+            # Committed straight after its replay: the cluster's counters,
+            # zeroed by the replay's restore, are still this replay's.
             report.profiles.append(
                 InterleavingProfile(
                     index=len(report.profiles) + report.quarantined,
                     duration_s=outcome.duration_s,
                     failed_ops=len(outcome.failed_ops),
-                    messages_sent=sent,
-                    messages_dropped=dropped,
+                    messages_sent=cluster.sent_syncs,
+                    messages_dropped=len(cluster.suppressed_sends),
                     state_bytes=state_footprint(outcome.states),
                     event_ids=tuple(e.event_id for e in interleaving),
                 )

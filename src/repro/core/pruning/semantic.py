@@ -10,9 +10,10 @@ normal form (the lexicographically minimal linear extension of the
 happens-before order) does.
 
 The pruner is sound-or-off: it binds to an engine only when replay is a
-pure function of the event sequence (sequential executor, deterministic
-transport), and fault events carry a barrier footprint so it never
-reorders across them.  Its soundness rests on the static footprints being
+pure function of the event sequence (a checkpoint taken, the sequential
+executor; the cluster's channels are FIFO and lossless by construction),
+and fault events carry a barrier footprint so it never reorders across
+them.  Its soundness rests on the static footprints being
 conservative; the differential sanitizer samples its classes like any
 other pruner's.
 """

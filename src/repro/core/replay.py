@@ -3,8 +3,8 @@
 For each interleaving (paper section 4.3) the engine:
 
 1. restores the cluster to the checkpoint (replica states, every host up,
-   the partitions, an empty transport), so interleavings cannot affect
-   each other;
+   the partitions, empty channels), so interleavings cannot affect each
+   other;
 2. re-invokes the recorded events in the interleaving's order, catching RDL
    errors — a failing op is *data* (it feeds failed-ops pruning), not an
    engine failure;
@@ -290,12 +290,6 @@ class ReplayEngine:
         self.cluster = cluster
         self.executor = executor or SequentialExecutor()
         self._checkpoint: Optional[ClusterCheckpoint] = None
-        #: Transport counter deltas for the most recent replay
-        #: (sent, dropped, delivered, duplicated).
-        self.last_transport_stats: Tuple[int, int, int, int] = (0, 0, 0, 0)
-        #: Sends the network suppressed (partition / drop) during the most
-        #: recent replay.
-        self.last_suppressed_count: int = 0
         #: Observability (see repro.obs): the shared null objects unless an
         #: observed run swaps real ones in.
         self.tracer = NULL_TRACER
@@ -312,13 +306,6 @@ class ReplayEngine:
             return "no checkpoint taken"
         if type(self.executor) is not SequentialExecutor:
             return f"executor {type(self.executor).__name__} is not sequential"
-        conditions = self.cluster.transport.conditions
-        if not conditions.fifo:
-            return "transport is not FIFO"
-        if conditions.drop_rate != 0 or conditions.duplicate_rate != 0:
-            return "transport has random drops/duplicates"
-        if getattr(conditions, "latency_ticks", 0):
-            return "transport has delivery latency"
         return None
 
     def replay(
@@ -375,13 +362,13 @@ class ReplayEngine:
                 tracer.end(span, error=type(exc).__name__)
             raise
         if metrics.enabled:
-            sent, dropped, _delivered, _duplicated = self.last_transport_stats
-            if sent:
-                metrics.inc("messages.sent", sent)
-            if dropped:
-                metrics.inc("messages.dropped", dropped)
-            if self.last_suppressed_count:
-                metrics.inc("messages.suppressed", self.last_suppressed_count)
+            # restore() zeroed the cluster's counters, so they hold this
+            # replay's sends and partition drops.
+            cluster = self.cluster
+            if cluster.sent_syncs:
+                metrics.inc("messages.sent", cluster.sent_syncs)
+            if cluster.suppressed_sends:
+                metrics.inc("messages.dropped", len(cluster.suppressed_sends))
             metrics.observe("replay.duration_us", outcome.duration_s * 1e6)
         if span is not None:
             tracer.end(span, violated=outcome.violated)
@@ -395,19 +382,10 @@ class ReplayEngine:
         if self._checkpoint is None:
             raise ReplayError("checkpoint() must be called before replay()")
         cluster = self.cluster
-        transport = cluster.transport
         cluster.restore(self._checkpoint)
-        # restore() resets the transport counters to zero, so the baseline
-        # for this replay's delta is taken *after* it.
-        before = transport.stats()
         started = time.perf_counter()
         event_results = self.executor.run(cluster, interleaving)
         duration = time.perf_counter() - started
-        after = transport.stats()
-        self.last_transport_stats = tuple(n - b for n, b in zip(after, before))
-        # restore() cleared the suppressed-send log, so its whole contents
-        # belong to this replay.
-        self.last_suppressed_count = len(cluster.suppressed_sends)
         outcome = InterleavingOutcome(
             interleaving=interleaving,
             event_results=event_results,

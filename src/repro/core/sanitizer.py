@@ -41,7 +41,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 from repro.core.assertions import _freeze
 from repro.core.events import EventKind
 from repro.core.explorers import ERPiExplorer, Explorer
-from repro.core.interleavings import Interleaving, group_events, interleaving_stream
+from repro.core.interleavings import Interleaving
 from repro.core.pruning import (
     EventGroupPruner,
     Pruner,
@@ -401,42 +401,3 @@ class Sanitizer:
                 divergences=len(report.divergences),
             )
         return report
-
-
-# ------------------------------------------------------------- offline entry
-
-
-def sanitize_pruning(
-    events: Sequence[Any],
-    pruners: Sequence[Pruner],
-    engine: ReplayEngine,
-    spec_groups: Sequence[Tuple[str, str]] = (),
-    order: str = "lexicographic",
-    cap: int = 300,
-    sample_k: int = 2,
-    seed: int = 0,
-    store: Optional[Any] = None,
-    include_grouping: bool = True,
-) -> SanitizerReport:
-    """The offline form of the sanitizer's invariant.
-
-    Enumerates up to ``cap`` interleavings of the (grouped) events, buckets
-    them under every pruner's class key, reservoir-samples up to ``sample_k``
-    skipped members per class, replays representative and members fresh on
-    ``engine`` (whose checkpoint must match the events' initial state), and
-    reports every observable field on which a class disagrees with its
-    representative.
-
-    The passed ``pruners`` are consumed: their seen-sets and samplers end up
-    reflecting this stream.  Pass freshly constructed pruners.
-    """
-    grouping = group_events(tuple(events), tuple(spec_groups))
-    sanitizer = Sanitizer(sample_k=sample_k, seed=seed, store=store)
-    sanitizer.watch_pruners(pruners)
-    if include_grouping:
-        sanitizer.grouping_auditor(events, spec_groups)
-    audited = sanitizer.watched_pruners
-    for interleaving in interleaving_stream(grouping.units, order=order, limit=cap):
-        for pruner in audited:
-            pruner.is_redundant(interleaving)
-    return sanitizer.finish(engine)

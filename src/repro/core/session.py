@@ -188,8 +188,8 @@ class ErPi:
         (:class:`~repro.core.pruning.semantic.DPORPruner`): permutations
         that only reorder independent events are skipped.  It is
         sound-or-off — it stays disabled (and says why in
-        ``disabled_reason``) when the executor or the network is not
-        deterministic, and with ``persist=True`` its prunes land as
+        ``disabled_reason``) when the executor is not the sequential one,
+        and with ``persist=True`` its prunes land as
         ``footprint`` Datalog facts.
         ``sanitize`` enables the differential soundness sanitizer: every
         pruner's equivalence classes are sampled (two skipped members each)

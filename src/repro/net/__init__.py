@@ -1,16 +1,11 @@
-"""Simulated network substrate: hosts, transport, conditions, cluster."""
+"""Simulated network substrate: replica hosts joined by a cluster's FIFO
+channels and partitions."""
 
 from repro.net.cluster import Cluster, ClusterError
-from repro.net.conditions import NetworkConditions
 from repro.net.replica import ReplicaHost
-from repro.net.transport import Message, Transport, TransportError
 
 __all__ = [
     "Cluster",
     "ClusterError",
-    "Message",
-    "NetworkConditions",
     "ReplicaHost",
-    "Transport",
-    "TransportError",
 ]

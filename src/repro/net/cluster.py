@@ -1,4 +1,5 @@
-"""The cluster: replicas + transport, with the two-phase sync protocol.
+"""The cluster: replicas joined by FIFO channels, with the two-phase sync
+protocol.
 
 ER-pi's event model distinguishes *sending* a sync request from *executing*
 it at the receiver (paper section 3.2, Algorithm 1 groups these pairs).  The
@@ -10,16 +11,21 @@ cluster exposes exactly those two primitives:
   payload from that sender (an ``EXEC_SYNC`` event).
 
 ``sync`` is the convenience composition of the two for non-replay code.
+
+The network model is one decision: each (sender, receiver) channel delivers
+its payloads in order and loses none, except that a partitioned pair drops
+every send.  ER-pi explores delivery order itself, by enumerating the
+``EXEC_SYNC`` events, so the network adds no nondeterminism of its own and
+replay stays a pure function of the event sequence.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.net.conditions import NetworkConditions
 from repro.net.replica import ReplicaHost
-from repro.net.transport import Transport, TransportError
 
 
 class ClusterError(Exception):
@@ -28,11 +34,10 @@ class ClusterError(Exception):
 
 @dataclass(frozen=True)
 class SuppressedSend:
-    """One sync send the network suppressed (partition or random drop)."""
+    """One sync send a partition suppressed."""
 
     sender: str
     receiver: str
-    reason: str  # "partition" | "drop"
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,18 @@ class ClusterCheckpoint:
 
 
 class Cluster:
-    """A set of replica hosts wired through one transport."""
+    """A set of replica hosts joined by one FIFO channel per ordered pair."""
 
-    def __init__(self, conditions: Optional[NetworkConditions] = None) -> None:
-        self.transport = Transport(conditions)
+    def __init__(self) -> None:
         self._hosts: Dict[str, ReplicaHost] = {}
-        #: Sends the network suppressed since construction / the last
+        #: (sender, receiver) -> the payloads in flight, oldest first.
+        self._channels: Dict[Tuple[str, str], Deque[Any]] = {}
+        #: Unordered replica pairs that cannot exchange payloads.
+        self.partitions: Set[FrozenSet[str]] = set()
+        #: Payloads put on a channel since construction / the last
+        #: :meth:`restore`.
+        self.sent_syncs = 0
+        #: Sends a partition suppressed since construction / the last
         #: :meth:`restore` — fault-window scenarios assert on these instead
         #: of having partition losses silently swallowed.
         self.suppressed_sends: List[SuppressedSend] = []
@@ -93,37 +104,38 @@ class Cluster:
     def send_sync(self, sender: str, receiver: str) -> bool:
         """Phase 1: snapshot the sender's payload and enqueue it.
 
-        Returns True iff the message made it onto the wire (partitions and
-        drops return False, exactly like a lost datagram).
+        Returns True iff the payload made it onto the channel (a partition
+        returns False, exactly like a lost datagram).
         """
         source = self.host(sender)
         source.require_up()
         payload = source.rdl.sync_payload(receiver)
-        message = self.transport.send(sender, receiver, payload)
-        if message is None:
-            reason = self.transport.last_send_outcome or "drop"
-            self.suppressed_sends.append(SuppressedSend(sender, receiver, reason))
+        if self.partitions and frozenset((sender, receiver)) in self.partitions:
+            self.suppressed_sends.append(SuppressedSend(sender, receiver))
             return False
-        source.sent_syncs += 1
+        channel = self._channels.get((sender, receiver))
+        if channel is None:
+            channel = self._channels[(sender, receiver)] = deque()
+        channel.append(payload)
+        self.sent_syncs += 1
         return True
 
     def execute_sync(self, sender: str, receiver: str) -> bool:
         """Phase 2: the receiver integrates the next payload from ``sender``.
 
-        Returns False when nothing is deliverable on that channel.
+        Returns False when nothing is in flight on that channel.
         """
         target = self.host(receiver)
-        try:
-            message = self.transport.deliver_next(sender, receiver)
-        except TransportError:
+        channel = self._channels.get((sender, receiver))
+        if not channel:
             target.require_up()
             return False
-        # The message is consumed before the liveness check: a payload that
+        # The payload is consumed before the liveness check: a payload that
         # reaches a dead node is lost, not left queued for a later execute
         # (which would silently re-pair sync requests with wrong executes).
+        payload = channel.popleft()
         target.require_up()
-        target.rdl.apply_sync(message.payload, sender)
-        target.applied_syncs += 1
+        target.rdl.apply_sync(payload, sender)
         return True
 
     def sync(self, sender: str, receiver: str) -> bool:
@@ -135,8 +147,8 @@ class Cluster:
     def sync_all(self, rounds: int = 1) -> SyncSummary:
         """Pairwise full mesh sync, ``rounds`` times (to reach convergence).
 
-        Returns a :class:`SyncSummary` so callers can see which sends the
-        network suppressed instead of having them silently swallowed.
+        Returns a :class:`SyncSummary` so callers can see which sends a
+        partition suppressed instead of having them silently swallowed.
         Replicas that are down are skipped (a mesh pass cannot reach them).
         """
         ids = self.replica_ids()
@@ -170,30 +182,59 @@ class Cluster:
         self.host(replica_id).recover()
 
     def partition(self, replica_a: str, replica_b: str) -> None:
-        self.transport.conditions.partition(replica_a, replica_b)
+        """Cut the link between two replicas, in both directions."""
+        if replica_a == replica_b:
+            # frozenset((a, a)) collapses to a size-1 set that send_sync can
+            # never match: a self-pair would be silently ineffective.
+            raise ValueError("cannot partition a replica from itself")
+        self.partitions.add(frozenset((replica_a, replica_b)))
 
     def heal(self, replica_a: Optional[str] = None, replica_b: Optional[str] = None) -> None:
-        self.transport.conditions.heal(replica_a, replica_b)
+        """Heal one pair, or everything when called without arguments."""
+        if replica_a is None and replica_b is None:
+            self.partitions.clear()
+            return
+        if replica_a is None or replica_b is None:
+            raise ValueError("heal takes zero or two replica ids")
+        if replica_a == replica_b:
+            raise ValueError("heal takes two distinct replica ids")
+        self.partitions.discard(frozenset((replica_a, replica_b)))
 
     # ------------------------------------------------------------ lifecycle
 
     def checkpoint(self) -> ClusterCheckpoint:
-        """Snapshot every replica and the partition topology (the transport
-        must be empty — replay checkpoints are taken at quiescent points)."""
+        """Snapshot every replica and the partition topology.
+
+        Replay checkpoints are taken at quiescent points: a payload in
+        flight would be lost by every :meth:`restore`, so it is refused
+        here rather than dropped silently.
+        """
+        in_flight = sorted(
+            f"{sender}->{receiver}"
+            for (sender, receiver), channel in self._channels.items()
+            if channel
+        )
+        if in_flight:
+            raise ClusterError(
+                "cannot checkpoint with sync payloads in flight on "
+                + ", ".join(in_flight)
+                + " (execute them first)"
+            )
         return ClusterCheckpoint(
             {rid: host.checkpoint() for rid, host in self._hosts.items()},
-            frozenset(self.transport.conditions.partitions),
+            frozenset(self.partitions),
         )
 
     def restore(self, checkpoint: ClusterCheckpoint) -> None:
         """Reinstate a checkpoint: replica states with every host up, the
-        partitions, and an empty transport."""
+        partitions, and empty channels and counters."""
         for rid, snapshot in checkpoint.snapshots.items():
             self.host(rid).restore(snapshot)
-        partitions = self.transport.conditions.partitions
+        partitions = self.partitions
         partitions.clear()
         partitions.update(checkpoint.partitions)
-        self.transport.reset()
+        self._channels.clear()
+        self.sent_syncs = 0
         self.suppressed_sends.clear()
 
     def states(self) -> Dict[str, Any]:

@@ -38,8 +38,6 @@ class ReplicaHost:
                 )
         self.replica_id = replica_id
         self.rdl = rdl
-        self.applied_syncs = 0
-        self.sent_syncs = 0
         self.up = True
         self._durable: Any = None
 

@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` is the quantitative side of ``repro.obs``: the
 explorers count interleavings generated / pruned-per-algorithm / replayed /
-quarantined / discarded, the replay engine counts messages sent / dropped /
-suppressed and observes per-replay durations, and the resource meter's
-per-category byte totals land as gauges.
+quarantined / discarded, the replay engine counts sync messages sent and
+dropped by partitions and observes per-replay durations, and the resource
+meter's per-category byte totals land as gauges.
 
 The canonical metric names (asserted by the trace-smoke check and queried
 in the docs) are:
@@ -13,8 +13,7 @@ in the docs) are:
   Rand counts it: ER-pi and DFS drop invalid schedules inside enumeration),
   ``interleavings.pruned``, ``pruned.<algorithm>``,
   ``interleavings.replayed``, ``interleavings.quarantined``,
-  ``interleavings.discarded``, ``messages.sent``, ``messages.dropped``,
-  ``messages.suppressed``;
+  ``interleavings.discarded``, ``messages.sent``, ``messages.dropped``;
 * gauges — ``resource.bytes.<category>``, ``sanitizer.divergences``;
 * histograms — ``replay.duration_us``.
 

@@ -59,7 +59,7 @@ class RDLReplica(abc.ABC):
 
         Contract: the returned payload must be ship-and-forget — a fresh
         object per call, never mutated afterwards by sender or receiver,
-        because the transport queues it by reference.
+        because the cluster's channel queues it by reference.
         """
 
     @abc.abstractmethod

@@ -1,7 +1,6 @@
 """In-memory Redis simulation: instances, farms, and the Redlock mutex that
 ER-pi's replay engine uses to enforce distributed event order."""
 
-from repro.redisim.client import RedisimClient
 from repro.redisim.errors import InstanceDownError, LockError, RedisimError, WrongTypeError
 from repro.redisim.farm import RedisimFarm
 from repro.redisim.lock import DistributedLock, SequenceGate
@@ -12,7 +11,6 @@ __all__ = [
     "DistributedLock",
     "InstanceDownError",
     "LockError",
-    "RedisimClient",
     "RedisimError",
     "RedisimFarm",
     "RedisimServer",

@@ -1,12 +1,11 @@
-"""Integration: subjects under degraded network conditions, plus recorder
-edge cases and the auto-grouping suggestion."""
+"""Integration: subjects under every delivery order and under partitions,
+plus recorder edge cases and the auto-grouping suggestion."""
 
-import pytest
+import itertools
 
 from repro.core import ErPi, assert_read_equals, suggest_update_sync_groups
 from repro.core.events import EventKind
 from repro.net.cluster import Cluster
-from repro.net.conditions import NetworkConditions
 from repro.proxy.recorder import EventRecorder
 from repro.rdl.crdts_lib import CRDTLibrary
 from repro.rdl.roshi import RoshiReplica
@@ -16,60 +15,46 @@ class TestSubjectsUnderReorderedTransport:
     """Misconception #1's environment: the network does NOT deliver causally.
     Proper CRDT merges shrug it off; the raw-apply seed does not."""
 
-    def run_roshi(self, defects):
-        conditions = NetworkConditions(fifo=False, seed=3)
-        cluster = Cluster(conditions)
-        for rid in ("A", "B"):
-            cluster.add_replica(rid, RoshiReplica(rid, defects=set(defects)))
-        b = cluster.rdl("B")
-        b.insert("k", "x", 10.0)
-        cluster.send_sync("B", "A")
-        b.insert("k", "x", 30.0)
-        cluster.send_sync("B", "A")
-        b.delete("k", "x", 20.0)
-        cluster.send_sync("B", "A")
-        # Deliver the three payloads in whatever order the conditions pick.
-        for _ in range(3):
-            cluster.execute_sync("B", "A")
-        return cluster.rdl("A").select("k")
+    def results_over_every_delivery_order(self, defects):
+        """A's view after B's three payloads arrive, in each of the 6 orders."""
+        results = set()
+        for order in itertools.permutations(range(3)):
+            a = RoshiReplica("A", defects=set(defects))
+            b = RoshiReplica("B", defects=set(defects))
+            payloads = []
+            b.insert("k", "x", 10.0)
+            payloads.append(b.sync_payload("A"))
+            b.insert("k", "x", 30.0)
+            payloads.append(b.sync_payload("A"))
+            b.delete("k", "x", 20.0)
+            payloads.append(b.sync_payload("A"))
+            for index in order:
+                a.apply_sync(payloads[index], "B")
+            results.add(tuple(a.select("k")))
+        return results
 
     def test_fixed_library_ignores_delivery_order(self):
-        assert self.run_roshi(set()) == ["x"]  # add@30 beats delete@20
+        # add@30 beats delete@20 in every order.
+        assert self.results_over_every_delivery_order(set()) == {("x",)}
 
     def test_raw_apply_depends_on_delivery_order(self):
-        results = set()
-        for seed in range(6):
-            conditions = NetworkConditions(fifo=False, seed=seed)
-            cluster = Cluster(conditions)
-            for rid in ("A", "B"):
-                cluster.add_replica(
-                    rid, RoshiReplica(rid, defects={"raw_apply"})
-                )
-            b = cluster.rdl("B")
-            b.insert("k", "x", 10.0)
-            cluster.send_sync("B", "A")
-            b.insert("k", "x", 30.0)
-            cluster.send_sync("B", "A")
-            b.delete("k", "x", 20.0)
-            cluster.send_sync("B", "A")
-            for _ in range(3):
-                cluster.execute_sync("B", "A")
-            results.add(tuple(cluster.rdl("A").select("k")))
-        assert len(results) > 1  # order-dependent: the misconception seed
+        # Order-dependent: the misconception seed.
+        results = self.results_over_every_delivery_order({"raw_apply"})
+        assert results == {("x",), ()}
 
     def test_crdt_library_converges_despite_drops_and_retries(self):
-        conditions = NetworkConditions(drop_rate=0.5, seed=1)
-        cluster = Cluster(conditions)
+        cluster = Cluster()
         for rid in ("A", "B"):
             cluster.add_replica(rid, CRDTLibrary(rid))
         cluster.rdl("A").set_add("s", "x")
         cluster.rdl("B").set_add("s", "y")
-        # Retry rounds until convergence (drops are common at 50%).
-        for _ in range(20):
-            cluster.sync("A", "B")
-            cluster.sync("B", "A")
-            if cluster.converged():
-                break
+        # A partition drops every send; retrying after the heal converges.
+        cluster.partition("A", "B")
+        assert not cluster.sync("A", "B")
+        assert not cluster.sync("B", "A")
+        cluster.heal()
+        cluster.sync("A", "B")
+        cluster.sync("B", "A")
         assert cluster.converged()
 
 

@@ -56,7 +56,7 @@ class TestGrouping:
         assert grouping.unit_count == 6
         assert grouping.raw_space == math.factorial(8)
         assert grouping.grouped_space == math.factorial(6)
-        assert grouping.reduction_factor == pytest.approx(56.0)
+        assert grouping.raw_space // grouping.grouped_space == 56
 
     def test_pairs_matched_per_channel_in_order(self):
         events = sample_events()

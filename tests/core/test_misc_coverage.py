@@ -49,7 +49,6 @@ class TestReplicaHost:
     def test_state_and_counters(self):
         host = ReplicaHost("A", CRDTLibrary("A"))
         assert host.state() == {}
-        assert host.sent_syncs == 0
         assert "ReplicaHost" in repr(host)
 
 

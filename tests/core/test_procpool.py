@@ -92,6 +92,19 @@ class TestShardMergeEquivalence:
                 (q.interleaving, q.error_type) for q in parallel.quarantined
             ] == [(q.interleaving, q.error_type) for q in serial.quarantined]
 
+    def test_serial_and_parallel_hunts_agree(self):
+        """A parallel hunt commits the exact serial result: the same
+        explored count and the same first witness."""
+        sc = scenario("OrbitDB-2")
+        serial = hunt(record_scenario(sc), "erpi", cap=30)
+        parallel = hunt(record_scenario(sc), "erpi", cap=30, workers=3)
+        assert parallel.found == serial.found
+        assert parallel.explored == serial.explored
+        if serial.found:
+            serial_ids = [e.event_id for e in serial.violating.interleaving]
+            parallel_ids = [e.event_id for e in parallel.violating.interleaving]
+            assert parallel_ids == serial_ids
+
     def test_spawn_start_method(self):
         """The bootstrap captures no module state: spawn workers agree too."""
         forked = run_process_hunt("Roshi-1", 2, cap=30)

@@ -13,6 +13,7 @@ import pytest
 from repro.bench.harness import hunt, record_scenario, scenario_pruners
 from repro.bugs import all_scenarios, scenario
 from repro.core.events import make_sync_pair, make_update
+from repro.core.explorers import build_explorer
 from repro.core.pruning import (
     EventIndependencePruner,
     Pruner,
@@ -21,12 +22,7 @@ from repro.core.pruning import (
 )
 from repro.core.pruning.base import ClassSampler
 from repro.core.replay import ReplayEngine
-from repro.core.sanitizer import (
-    Divergence,
-    DivergenceLog,
-    outcome_observables,
-    sanitize_pruning,
-)
+from repro.core.sanitizer import Divergence, DivergenceLog, Sanitizer
 from repro.core.session import ErPi
 from repro.datalog.export import export_program
 from repro.datalog.store import InterleavingStore
@@ -45,6 +41,22 @@ def make_engine(replicas=("A", "B")):
     engine = ReplayEngine(make_cluster(replicas))
     engine.checkpoint()
     return engine
+
+
+def sanitize(events, pruners, engine, spec_groups=(), cap=300, **sanitizer_kwargs):
+    """A sanitized lexicographic explore of ``events``, as a sanitized hunt
+    runs it: the sanitizer watches the explorer's pruning classes (plus an
+    Algorithm-1 grouping auditor) and differentially replays them."""
+    sanitizer = Sanitizer(**sanitizer_kwargs)
+    explorer = build_explorer(
+        events,
+        spec_groups=spec_groups,
+        pruners=pruners,
+        sanitizer=sanitizer,
+        order="lexicographic",
+    )
+    explorer.explore(engine, (), cap=cap)
+    return sanitizer.finish(engine)
 
 
 class FrozensetPruner(Pruner):
@@ -85,7 +97,7 @@ class TestOfflineSanitize:
             make_update("e2", "B", "set_add", "s2", "y"),
             make_update("e3", "A", "set_add", "s1", "z"),
         ]
-        report = sanitize_pruning(
+        report = sanitize(
             events, [EventIndependencePruner(["e1", "e2"])], make_engine()
         )
         assert report.ok
@@ -101,9 +113,7 @@ class TestOfflineSanitize:
             make_update("e1", "A", "text_insert", "t", 0, "a"),
             make_update("e2", "A", "text_insert", "t", 0, "b"),
         ]
-        report = sanitize_pruning(
-            events, [FrozensetPruner()], make_engine(), include_grouping=False
-        )
+        report = sanitize(events, [FrozensetPruner()], make_engine())
         assert not report.ok
         divergence = report.divergences[0]
         assert divergence.source == "unsound_frozenset"
@@ -116,13 +126,7 @@ class TestOfflineSanitize:
             make_update("e2", "A", "text_insert", "t", 0, "b"),
         ]
         store = InterleavingStore()
-        report = sanitize_pruning(
-            events,
-            [FrozensetPruner()],
-            make_engine(),
-            include_grouping=False,
-            store=store,
-        )
+        report = sanitize(events, [FrozensetPruner()], make_engine(), store=store)
         assert not report.ok
         facts = store.divergences()
         assert facts and facts[0][3] == "state[A]"
@@ -133,7 +137,7 @@ class TestOfflineSanitize:
             make_update("e1", "A", "set_add", "s", "x"),
             *make_sync_pair("e2", "e3", "A", "B"),
         ]
-        report = sanitize_pruning(events, [], make_engine())
+        report = sanitize(events, [], make_engine())
         assert report.ok
 
     def test_scoped_pruners_compared_on_scoped_observables_only(self):
@@ -145,11 +149,10 @@ class TestOfflineSanitize:
             make_update("e2", "B", "set_add", "s", "y"),
             make_update("e3", "A", "text_insert", "t", 0, "b"),
         ]
-        report = sanitize_pruning(
+        report = sanitize(
             events,
             [ReplicaSpecificPruner("B"), ReadScopedPruner("B")],
             make_engine(),
-            include_grouping=False,
             sample_k=4,
         )
         assert report.ok
@@ -213,7 +216,7 @@ def test_property_same_key_means_same_observables(name):
     scope = sc.replica_scope or recorded.events[0].replica_id
     pruners.append(ReplicaSpecificPruner(scope))
     pruners.append(ReadScopedPruner(scope))
-    report = sanitize_pruning(
+    report = sanitize(
         recorded.events,
         pruners,
         recorded.engine,

@@ -62,7 +62,7 @@ class TestHostLifecycle:
         cluster.partition("A", "B")
         cluster.restore(snapshot)
         assert all(cluster.host(rid).up for rid in cluster.replica_ids())
-        assert not cluster.transport.conditions.partitions
+        assert not cluster.partitions
         cluster.rdl("A").set_add("k", 1)  # must not raise
         assert cluster.sync("A", "B")
 
@@ -72,7 +72,7 @@ class TestHostLifecycle:
         snapshot = cluster.checkpoint()
         cluster.heal()
         cluster.restore(snapshot)
-        assert cluster.transport.conditions.is_partitioned("A", "B")
+        assert cluster.partitions == {frozenset({"A", "B"})}
 
 
 class TestYorkieDurability:

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.net.cluster import Cluster, ClusterError
-from repro.net.conditions import NetworkConditions
+from repro.core import ErPi
+from repro.net.cluster import Cluster, ClusterError, SuppressedSend
 from repro.rdl.crdts_lib import CRDTLibrary
 
 
-def make_cluster(n=2, conditions=None):
-    cluster = Cluster(conditions)
+def make_cluster(n=2):
+    cluster = Cluster()
     for rid in ("A", "B", "C")[:n]:
         cluster.add_replica(rid, CRDTLibrary(rid))
     return cluster
@@ -73,9 +73,8 @@ class TestTwoPhaseSync:
         assert cluster.rdl("A").set_value("s") == frozenset({"a", "b", "c"})
 
     def test_partitioned_sync_fails(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        cluster = make_cluster(conditions=conditions)
+        cluster = make_cluster()
+        cluster.partition("A", "B")
         cluster.rdl("A").set_add("s", "x")
         assert cluster.sync("A", "B") is False
 
@@ -83,8 +82,10 @@ class TestTwoPhaseSync:
         cluster = make_cluster()
         cluster.rdl("A").set_add("s", "x")
         cluster.sync("A", "B")
-        assert cluster.host("A").sent_syncs == 1
-        assert cluster.host("B").applied_syncs == 1
+        cluster.partition("A", "B")
+        cluster.sync("B", "A")
+        assert cluster.sent_syncs == 1
+        assert cluster.suppressed_sends == [SuppressedSend("B", "A")]
 
 
 class TestLifecycle:
@@ -105,6 +106,28 @@ class TestLifecycle:
         cluster.send_sync("A", "B")
         cluster.restore(snapshot)
         assert cluster.execute_sync("A", "B") is False
+
+    def test_checkpoint_refuses_in_flight_payloads(self):
+        # Every restore empties the channels, so a payload in flight at the
+        # checkpoint would be lost by every replay.
+        cluster = make_cluster(3)
+        cluster.rdl("A").set_add("s", "x")
+        cluster.send_sync("A", "B")
+        cluster.send_sync("C", "B")
+        with pytest.raises(ClusterError, match="A->B, C->B"):
+            cluster.checkpoint()
+        cluster.execute_sync("A", "B")
+        cluster.execute_sync("C", "B")
+        cluster.checkpoint()
+
+    def test_session_cannot_start_between_send_and_execute(self):
+        # The recorded order would replay with the payload already gone:
+        # the read below would see nothing in every interleaving.
+        cluster = make_cluster()
+        cluster.rdl("A").set_add("s", "x")
+        cluster.send_sync("A", "B")
+        with pytest.raises(ClusterError, match="in flight on A->B"):
+            ErPi(cluster).start()
 
     def test_states_and_converged(self):
         cluster = make_cluster()

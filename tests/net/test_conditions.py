@@ -1,98 +1,41 @@
-"""NetworkConditions: per-purpose random streams and partition validation."""
+"""Partition validation on the cluster."""
 
 import pytest
 
-from repro.bench.harness import hunt, record_scenario
-from repro.bugs import scenario
-from repro.net.conditions import NetworkConditions
+from repro.net.cluster import Cluster
+from repro.rdl.crdts_lib import CRDTLibrary
 
 
-class TestPerPurposeStreams:
-    def test_drop_decisions_survive_enabling_duplication(self):
-        """Turning another condition on must not shift the drop stream.
-
-        With a single shared RNG, every should_duplicate() call would
-        consume a draw that the drop stream was going to use, silently
-        changing *which* messages get dropped for the same seed.
-        """
-        conditions = NetworkConditions(drop_rate=0.4, seed=7)
-        drops_alone = [conditions.should_drop() for _ in range(60)]
-
-        noisy = NetworkConditions(drop_rate=0.4, duplicate_rate=0.5, seed=7)
-        drops_interleaved = []
-        for _ in range(60):
-            noisy.should_duplicate()  # consumes only the duplicate stream
-            drops_interleaved.append(noisy.should_drop())
-        assert drops_alone == drops_interleaved
-
-    def test_reorder_stream_independent_of_drop_stream(self):
-        quiet = NetworkConditions(fifo=False, seed=3)
-        picks_alone = [quiet.pick_index(5) for _ in range(60)]
-
-        dropping = NetworkConditions(fifo=False, drop_rate=0.5, seed=3)
-        picks_interleaved = []
-        for _ in range(60):
-            dropping.should_drop()
-            picks_interleaved.append(dropping.pick_index(5))
-        assert picks_alone == picks_interleaved
-
-    def test_same_seed_reproduces_all_streams(self):
-        first = NetworkConditions(
-            fifo=False, drop_rate=0.3, duplicate_rate=0.3, seed=11
-        )
-        second = NetworkConditions(
-            fifo=False, drop_rate=0.3, duplicate_rate=0.3, seed=11
-        )
-        for _ in range(40):
-            assert first.should_drop() == second.should_drop()
-            assert first.should_duplicate() == second.should_duplicate()
-            assert first.pick_index(4) == second.pick_index(4)
-
-    def test_reseed_restarts_the_streams(self):
-        conditions = NetworkConditions(drop_rate=0.5, seed=2)
-        first_run = [conditions.should_drop() for _ in range(20)]
-        conditions.reseed(2)
-        assert [conditions.should_drop() for _ in range(20)] == first_run
+def make_cluster():
+    cluster = Cluster()
+    for rid in ("A", "B", "C"):
+        cluster.add_replica(rid, CRDTLibrary(rid))
+    return cluster
 
 
 class TestPartitionValidation:
     def test_partition_rejects_self_pair(self):
-        conditions = NetworkConditions()
+        cluster = make_cluster()
         with pytest.raises(ValueError):
-            conditions.partition("A", "A")
-        assert not conditions.partitions
+            cluster.partition("A", "A")
+        assert not cluster.partitions
 
     def test_heal_rejects_self_pair(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
+        cluster = make_cluster()
+        cluster.partition("A", "B")
         with pytest.raises(ValueError):
-            conditions.heal("A", "A")
+            cluster.heal("A", "A")
 
     def test_heal_rejects_single_argument(self):
-        conditions = NetworkConditions()
+        cluster = make_cluster()
         with pytest.raises(ValueError):
-            conditions.heal("A")
+            cluster.heal("A")
 
     def test_heal_pair_and_heal_all(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        conditions.partition("B", "C")
-        conditions.heal("B", "A")
-        assert not conditions.is_partitioned("A", "B")
-        assert conditions.is_partitioned("B", "C")
-        conditions.heal()
-        assert not conditions.partitions
-
-
-def test_serial_and_parallel_hunts_agree_after_rng_split():
-    """The per-purpose stream split must not disturb replay determinism:
-    a parallel hunt still commits the exact serial result."""
-    sc = scenario("OrbitDB-2")
-    serial = hunt(record_scenario(sc), "erpi", cap=30)
-    parallel = hunt(record_scenario(sc), "erpi", cap=30, workers=3)
-    assert parallel.found == serial.found
-    assert parallel.explored == serial.explored
-    if serial.found:
-        serial_ids = [e.event_id for e in serial.violating.interleaving]
-        parallel_ids = [e.event_id for e in parallel.violating.interleaving]
-        assert parallel_ids == serial_ids
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        cluster.partition("B", "C")
+        cluster.heal("B", "A")
+        assert cluster.partitions == {frozenset({"B", "C"})}
+        cluster.heal()
+        assert not cluster.partitions

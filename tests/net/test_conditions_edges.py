@@ -1,101 +1,63 @@
-"""NetworkConditions edge cases: heal validation, latency+reorder, partial heals."""
+"""Partition edge cases on the cluster: heal validation and partial heals."""
 
 import pytest
 
-from repro.net.conditions import NetworkConditions
-from repro.net.transport import Transport, TransportError
+from repro.net.cluster import Cluster
+from repro.rdl.crdts_lib import CRDTLibrary
+
+
+def make_cluster():
+    cluster = Cluster()
+    for rid in ("A", "B", "C"):
+        cluster.add_replica(rid, CRDTLibrary(rid))
+    return cluster
 
 
 class TestHealValidation:
     def test_heal_everything_with_no_arguments(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        conditions.partition("B", "C")
-        conditions.heal()
-        assert not conditions.partitions
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        cluster.partition("B", "C")
+        cluster.heal()
+        assert not cluster.partitions
 
     def test_heal_with_one_argument_rejected(self):
-        conditions = NetworkConditions()
+        cluster = make_cluster()
         with pytest.raises(ValueError, match="zero or two"):
-            conditions.heal("A")
+            cluster.heal("A")
         with pytest.raises(ValueError, match="zero or two"):
-            conditions.heal(None, "B")
+            cluster.heal(None, "B")
 
     def test_heal_same_replica_twice_rejected(self):
-        conditions = NetworkConditions()
+        cluster = make_cluster()
         with pytest.raises(ValueError, match="distinct"):
-            conditions.heal("A", "A")
+            cluster.heal("A", "A")
 
     def test_heal_unpartitioned_pair_is_a_noop(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        conditions.heal("A", "C")
-        assert conditions.is_partitioned("A", "B")
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        cluster.heal("A", "C")
+        assert cluster.partitions == {frozenset({"A", "B"})}
 
     def test_self_partition_rejected(self):
-        conditions = NetworkConditions()
+        cluster = make_cluster()
         with pytest.raises(ValueError, match="itself"):
-            conditions.partition("A", "A")
+            cluster.partition("A", "A")
 
 
 class TestPartialHeals:
     def test_is_partitioned_after_partial_heal(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        conditions.partition("A", "C")
-        conditions.heal("A", "B")
-        assert not conditions.is_partitioned("A", "B")
-        assert not conditions.is_partitioned("B", "A")  # symmetric
-        assert conditions.is_partitioned("A", "C")
-        assert conditions.is_partitioned("C", "A")
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        cluster.partition("A", "C")
+        cluster.heal("A", "B")
+        assert cluster.send_sync("A", "B")
+        assert cluster.send_sync("B", "A")  # symmetric
+        assert not cluster.send_sync("A", "C")
+        assert not cluster.send_sync("C", "A")
 
     def test_partition_is_order_insensitive(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        conditions.heal("B", "A")
-        assert not conditions.is_partitioned("A", "B")
-
-
-class TestLatencyReorderInteraction:
-    def test_reorder_picks_only_among_deliverable_messages(self):
-        # m1 is past the latency window, m2 is not: even with reordering
-        # enabled, deliver_next must only consider m1.
-        conditions = NetworkConditions(fifo=False, latency_ticks=2, seed=3)
-        transport = Transport(conditions)
-        transport.send("A", "B", "m1")
-        transport.tick(2)
-        transport.send("A", "B", "m2")
-        message = transport.deliver_next("A", "B")
-        assert message.payload == "m1"
-
-    def test_nothing_deliverable_inside_latency_window(self):
-        conditions = NetworkConditions(fifo=False, latency_ticks=3, seed=3)
-        transport = Transport(conditions)
-        transport.send("A", "B", "m1")
-        with pytest.raises(TransportError, match="no deliverable"):
-            transport.deliver_next("A", "B")
-        transport.tick(3)
-        assert transport.deliver_next("A", "B").payload == "m1"
-
-    def test_reorder_across_equally_delayed_messages_is_seeded(self):
-        def deliveries(seed):
-            conditions = NetworkConditions(fifo=False, latency_ticks=1, seed=seed)
-            transport = Transport(conditions)
-            for index in range(6):
-                transport.send("A", "B", index)
-            transport.tick(1)
-            return [transport.deliver_next("A", "B").payload for _ in range(6)]
-
-        assert deliveries(5) == deliveries(5)  # reproducible
-        shuffled = deliveries(5)
-        assert sorted(shuffled) == [0, 1, 2, 3, 4, 5]
-
-    def test_deliver_all_stops_at_latency_boundary(self):
-        conditions = NetworkConditions(latency_ticks=2)
-        transport = Transport(conditions)
-        transport.send("A", "B", "old")
-        transport.tick(2)
-        transport.send("A", "B", "new")
-        delivered = transport.deliver_all("A", "B")
-        assert [m.payload for m in delivered] == ["old"]
-        assert transport.pending("A", "B") == 1
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        cluster.heal("B", "A")
+        assert not cluster.partitions

@@ -1,81 +1,39 @@
-"""At-least-once delivery: duplicated messages and CRDT idempotence."""
+"""Duplicate delivery: every subject's ``apply_sync`` is idempotent.
 
-import pytest
+A duplicated delivery hands the receiver the same payload object twice,
+so each test applies one ``sync_payload`` twice through ``apply_sync``.
+"""
 
-from repro.net.cluster import Cluster
-from repro.net.conditions import NetworkConditions
-from repro.net.transport import Transport
 from repro.rdl.crdts_lib import CRDTLibrary
 from repro.rdl.orbitdb import OrbitDBStore
 from repro.rdl.replicadb import ReplicaDBJob
 
 
-class TestTransportDuplication:
-    def test_duplicate_enqueued(self):
-        transport = Transport(NetworkConditions(duplicate_rate=1.0))
-        transport.send("A", "B", "payload")
-        assert transport.pending("A", "B") == 2
-        assert transport.duplicated_count == 1
-        first = transport.deliver_next("A", "B")
-        second = transport.deliver_next("A", "B")
-        assert first.payload == second.payload
-        assert first.msg_id != second.msg_id
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            NetworkConditions(duplicate_rate=2.0)
-
-    def test_zero_rate_never_duplicates(self):
-        transport = Transport(NetworkConditions(duplicate_rate=0.0))
-        for _ in range(20):
-            transport.send("A", "B", "x")
-        assert transport.duplicated_count == 0
-
-
-def duplicating_cluster(factory):
-    cluster = Cluster(NetworkConditions(duplicate_rate=1.0))
-    for rid in ("A", "B"):
-        cluster.add_replica(rid, factory(rid))
-    return cluster
-
-
-def drain_channel(cluster, sender, receiver):
-    while cluster.execute_sync(sender, receiver):
-        pass
+def deliver_twice(sender, receiver):
+    payload = sender.sync_payload(receiver.replica_id)
+    receiver.apply_sync(payload, sender.replica_id)
+    receiver.apply_sync(payload, sender.replica_id)
 
 
 class TestIdempotence:
     def test_crdt_library_tolerates_duplicates(self):
-        cluster = duplicating_cluster(CRDTLibrary)
-        cluster.rdl("A").set_add("s", "x")
-        cluster.rdl("A").counter_increment("c", 5)
-        cluster.send_sync("A", "B")
-        drain_channel(cluster, "A", "B")  # applies the payload twice
-        assert cluster.rdl("B").set_value("s") == frozenset({"x"})
-        assert cluster.rdl("B").structure("c").value() == 5
+        a, b = CRDTLibrary("A"), CRDTLibrary("B")
+        a.set_add("s", "x")
+        a.counter_increment("c", 5)
+        deliver_twice(a, b)
+        assert b.set_value("s") == frozenset({"x"})
+        assert b.structure("c").value() == 5
 
     def test_orbitdb_tolerates_duplicates(self):
-        cluster = Cluster(NetworkConditions(duplicate_rate=1.0))
-        a = OrbitDBStore("A")
-        b = OrbitDBStore("B")
-        cluster.add_replica("A", a)
-        cluster.add_replica("B", b)
+        a, b = OrbitDBStore("A"), OrbitDBStore("B")
         a.grant_access("B")
         b.grant_access("A")
         a.append("entry-1")
-        cluster.send_sync("A", "B")
-        drain_channel(cluster, "A", "B")
+        deliver_twice(a, b)
         assert b.value() == ["entry-1"]
 
     def test_replicadb_tolerates_duplicates(self):
-        cluster = duplicating_cluster(ReplicaDBJob)
-        cluster.rdl("A").source_insert(1, {"v": "x"})
-        cluster.send_sync("A", "B")
-        drain_channel(cluster, "A", "B")
-        assert cluster.rdl("B").source_rows() == {1: {"v": "x"}}
-
-    def test_duplicated_counter_visible_on_cluster(self):
-        cluster = duplicating_cluster(CRDTLibrary)
-        cluster.rdl("A").set_add("s", "x")
-        cluster.send_sync("A", "B")
-        assert cluster.transport.duplicated_count == 1
+        a, b = ReplicaDBJob("A"), ReplicaDBJob("B")
+        a.source_insert(1, {"v": "x"})
+        deliver_twice(a, b)
+        assert b.source_rows() == {1: {"v": "x"}}

@@ -1,12 +1,11 @@
-"""Suppressed-send reporting: partitions and drops are visible, not silent."""
+"""Suppressed-send reporting: partition drops are visible, not silent."""
 
 from repro.net.cluster import Cluster, SuppressedSend
-from repro.net.conditions import NetworkConditions
 from repro.rdl.crdts_lib import CRDTLibrary
 
 
-def build(n=3, conditions=None):
-    cluster = Cluster(conditions)
+def build(n=3):
+    cluster = Cluster()
     for rid in ("A", "B", "C")[:n]:
         cluster.add_replica(rid, CRDTLibrary(rid))
     return cluster
@@ -17,14 +16,7 @@ def test_partition_suppression_recorded():
     cluster.partition("A", "B")
     cluster.rdl("A").set_add("k", 1)
     assert not cluster.sync("A", "B")
-    assert cluster.suppressed_sends == [SuppressedSend("A", "B", "partition")]
-
-
-def test_random_drop_recorded_with_reason():
-    cluster = build(2, NetworkConditions(drop_rate=1.0))
-    cluster.rdl("A").set_add("k", 1)
-    assert not cluster.sync("A", "B")
-    assert cluster.suppressed_sends[0].reason == "drop"
+    assert cluster.suppressed_sends == [SuppressedSend("A", "B")]
 
 
 def test_sync_all_returns_summary():
@@ -39,7 +31,6 @@ def test_sync_all_returns_summary():
         ("A", "B"),
         ("B", "A"),
     }
-    assert all(s.reason == "partition" for s in summary.suppressed)
 
 
 def test_sync_all_skips_down_replicas():

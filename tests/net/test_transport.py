@@ -1,123 +1,85 @@
-"""Tests for transport and network conditions."""
+"""The cluster's channels: FIFO delivery, counters and partitions."""
 
 import pytest
 
-from repro.net.conditions import NetworkConditions
-from repro.net.transport import Transport, TransportError
+from repro.faults.errors import ReplicaDownError
+from repro.net.cluster import Cluster
+from repro.rdl.crdts_lib import CRDTLibrary
+
+
+def make_cluster():
+    cluster = Cluster()
+    for rid in ("A", "B", "C"):
+        cluster.add_replica(rid, CRDTLibrary(rid))
+    return cluster
 
 
 class TestBasicDelivery:
     def test_send_and_deliver_fifo(self):
-        transport = Transport()
-        transport.send("A", "B", "first")
-        transport.send("A", "B", "second")
-        assert transport.deliver_next("A", "B").payload == "first"
-        assert transport.deliver_next("A", "B").payload == "second"
+        cluster = make_cluster()
+        a, b = cluster.rdl("A"), cluster.rdl("B")
+        a.text_insert("t", 0, "first")
+        cluster.send_sync("A", "B")
+        a.text_insert("t", 5, " second")
+        cluster.send_sync("A", "B")
+        cluster.execute_sync("A", "B")
+        assert b.text_value("t") == "first"
+        cluster.execute_sync("A", "B")
+        assert b.text_value("t") == "first second"
+
+    def test_channels_are_directed(self):
+        cluster = make_cluster()
+        cluster.rdl("A").set_add("s", "x")
+        cluster.send_sync("A", "B")
+        assert cluster.execute_sync("B", "A") is False
+        assert cluster.execute_sync("A", "B") is True
 
     def test_deliver_on_empty_channel_raises(self):
-        with pytest.raises(TransportError):
-            Transport().deliver_next("A", "B")
-
-    def test_pending_counts(self):
-        transport = Transport()
-        transport.send("A", "B", 1)
-        transport.send("C", "B", 2)
-        assert transport.pending("A", "B") == 1
-        assert transport.pending_for("B") == 2
-
-    def test_deliver_all(self):
-        transport = Transport()
-        for index in range(3):
-            transport.send("A", "B", index)
-        payloads = [m.payload for m in transport.deliver_all("A", "B")]
-        assert payloads == [0, 1, 2]
-
-    def test_drain_covers_every_channel(self):
-        transport = Transport()
-        transport.send("A", "B", "ab")
-        transport.send("B", "A", "ba")
-        assert {m.payload for m in transport.drain()} == {"ab", "ba"}
+        # An empty channel returns False to a live receiver and raises for
+        # a dead one.
+        cluster = make_cluster()
+        assert cluster.execute_sync("A", "B") is False
+        cluster.crash("B")
+        with pytest.raises(ReplicaDownError):
+            cluster.execute_sync("A", "B")
 
     def test_counters(self):
-        transport = Transport()
-        transport.send("A", "B", 1)
-        transport.deliver_next("A", "B")
-        assert transport.sent_count == 1
-        assert transport.delivered_count == 1
+        cluster = make_cluster()
+        cluster.send_sync("A", "B")
+        cluster.execute_sync("A", "B")
+        assert cluster.sent_syncs == 1
+        assert cluster.suppressed_sends == []
 
     def test_reset_clears_queues(self):
-        transport = Transport()
-        transport.send("A", "B", 1)
-        transport.reset()
-        assert transport.pending("A", "B") == 0
+        cluster = make_cluster()
+        snapshot = cluster.checkpoint()
+        cluster.send_sync("A", "B")
+        cluster.restore(snapshot)
+        assert cluster.execute_sync("A", "B") is False
 
 
 class TestConditions:
     def test_partition_blocks_send(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        transport = Transport(conditions)
-        assert transport.send("A", "B", 1) is None
-        assert transport.dropped_count == 1
-        conditions.heal("A", "B")
-        assert transport.send("A", "B", 1) is not None
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        assert cluster.send_sync("A", "B") is False
+        assert len(cluster.suppressed_sends) == 1
+        cluster.heal("A", "B")
+        assert cluster.send_sync("A", "B") is True
 
     def test_partition_is_symmetric(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        transport = Transport(conditions)
-        assert transport.send("B", "A", 1) is None
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        assert cluster.send_sync("B", "A") is False
 
     def test_heal_everything(self):
-        conditions = NetworkConditions()
-        conditions.partition("A", "B")
-        conditions.partition("B", "C")
-        conditions.heal()
-        assert not conditions.partitions
+        cluster = make_cluster()
+        cluster.partition("A", "B")
+        cluster.partition("B", "C")
+        cluster.heal()
+        assert not cluster.partitions
 
     def test_heal_one_argument_rejected(self):
-        conditions = NetworkConditions()
+        cluster = make_cluster()
         with pytest.raises(ValueError):
-            conditions.heal("A")
-
-    def test_drop_rate_all(self):
-        transport = Transport(NetworkConditions(drop_rate=1.0))
-        assert transport.send("A", "B", 1) is None
-
-    def test_drop_rate_validation(self):
-        with pytest.raises(ValueError):
-            NetworkConditions(drop_rate=1.5)
-
-    def test_latency_defers_delivery(self):
-        transport = Transport(NetworkConditions(latency_ticks=2))
-        transport.send("A", "B", "slow")
-        with pytest.raises(TransportError):
-            transport.deliver_next("A", "B")
-        transport.tick(2)
-        assert transport.deliver_next("A", "B").payload == "slow"
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkConditions(latency_ticks=-1)
-
-    def test_non_fifo_is_seeded_deterministic(self):
-        def run(seed):
-            transport = Transport(NetworkConditions(fifo=False, seed=seed))
-            for index in range(5):
-                transport.send("A", "B", index)
-            return [m.payload for m in transport.deliver_all("A", "B")]
-
-        assert run(7) == run(7)
-
-    def test_non_fifo_can_reorder(self):
-        orders = set()
-        for seed in range(10):
-            transport = Transport(NetworkConditions(fifo=False, seed=seed))
-            for index in range(4):
-                transport.send("A", "B", index)
-            orders.add(tuple(m.payload for m in transport.deliver_all("A", "B")))
-        assert len(orders) > 1
-
-    def test_cannot_tick_backwards(self):
-        with pytest.raises(ValueError):
-            Transport().tick(-1)
+            cluster.heal("A")

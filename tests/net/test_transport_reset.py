@@ -1,63 +1,22 @@
-"""Regression: Transport.reset() must zero counters and reseed RNG streams.
+"""Regression: Cluster.restore() must zero the per-replay counters.
 
-A "reset" transport that keeps the previous session's stats and continues
-mid-stream random draws makes replays non-reproducible: the same
-interleaving could see different drop/reorder decisions on each replay.
+A restore that kept the previous replay's sends would make every replay's
+``messages.sent`` and the profiler's message counts cumulative.
 """
 
-from repro.net.conditions import NetworkConditions
-from repro.net.transport import Transport
+from repro.net.cluster import Cluster
+from repro.rdl.crdts_lib import CRDTLibrary
 
 
 def test_reset_zeroes_counters():
-    transport = Transport()
-    transport.send("A", "B", "p1")
-    transport.deliver_next("A", "B")
-    assert transport.stats() != (0, 0, 0, 0)
-    transport.reset()
-    assert transport.stats() == (0, 0, 0, 0)
-    assert transport.last_send_outcome is None
-
-
-def test_reset_reseeds_the_random_streams():
-    conditions = NetworkConditions(drop_rate=0.5, duplicate_rate=0.5, fifo=False, seed=7)
-    transport = Transport(conditions)
-    reference = [
-        (conditions.should_drop(), conditions.should_duplicate(), conditions.pick_index(5))
-        for _ in range(20)
-    ]
-    # Consume an odd number of extra draws, then reset: the streams must
-    # restart from the seed, not continue mid-stream.
-    conditions.should_drop()
-    conditions.pick_index(3)
-    transport.reset()
-    replay = [
-        (conditions.should_drop(), conditions.should_duplicate(), conditions.pick_index(5))
-        for _ in range(20)
-    ]
-    assert replay == reference
-
-
-def test_reset_clears_queues_and_time():
-    transport = Transport(NetworkConditions(latency_ticks=2))
-    transport.send("A", "B", "p1")
-    transport.tick(5)
-    transport.reset()
-    assert transport.pending("A", "B") == 0
-    assert transport.tick_now == 0
-
-
-def test_same_drop_pattern_across_replays():
-    conditions = NetworkConditions(drop_rate=0.3, seed=11)
-    transport = Transport(conditions)
-
-    def run():
-        sent = []
-        for index in range(30):
-            sent.append(transport.send("A", "B", index) is not None)
-        return sent
-
-    first = run()
-    transport.reset()
-    second = run()
-    assert first == second
+    cluster = Cluster()
+    for rid in ("A", "B"):
+        cluster.add_replica(rid, CRDTLibrary(rid))
+    snapshot = cluster.checkpoint()
+    cluster.sync("A", "B")
+    cluster.partition("A", "B")
+    cluster.sync("B", "A")
+    assert (cluster.sent_syncs, len(cluster.suppressed_sends)) == (1, 1)
+    cluster.restore(snapshot)
+    assert (cluster.sent_syncs, len(cluster.suppressed_sends)) == (0, 0)
+    assert not cluster.partitions

@@ -4,7 +4,6 @@ topologies — coverage beyond the bug-scenario happy paths."""
 import pytest
 
 from repro.net.cluster import Cluster
-from repro.net.conditions import NetworkConditions
 from repro.rdl.base import RDLError
 from repro.rdl.crdts_lib import CRDTLibrary
 from repro.rdl.orbitdb import OrbitDBStore
@@ -220,15 +219,14 @@ class TestCRDTLibraryDepth:
         assert snapshot["t"] == "hi"
 
     def test_partitioned_then_healed_convergence(self):
-        conditions = NetworkConditions()
-        cluster = Cluster(conditions)
+        cluster = Cluster()
         for rid in ("A", "B"):
             cluster.add_replica(rid, CRDTLibrary(rid))
-        conditions.partition("A", "B")
+        cluster.partition("A", "B")
         cluster.rdl("A").set_add("s", "during-partition-a")
         cluster.rdl("B").set_add("s", "during-partition-b")
         assert cluster.sync("A", "B") is False
-        conditions.heal()
+        cluster.heal()
         cluster.sync("A", "B")
         cluster.sync("B", "A")
         assert cluster.converged()
