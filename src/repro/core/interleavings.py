@@ -330,7 +330,12 @@ def _relocation(
 
 
 def _neighbourhood(n: int) -> Iterator[List[int]]:
-    """The recorded order, its single-unit relocations, then pairs of them."""
+    """The recorded order, its single-unit relocations, then pairs of them.
+
+    Three kinds are never built, because each repeats an earlier candidate:
+    a move one step left (the swap its left neighbour's step right made
+    first), the pairs starting with one, and a second move of the unit the
+    first move placed (the recorded order or a single)."""
 
     def relocate(perm: List[int], src: int, dst: int) -> List[int]:
         out = list(perm)
@@ -338,13 +343,15 @@ def _neighbourhood(n: int) -> Iterator[List[int]]:
         return out
 
     base = list(range(n))
-    moves = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
-    singles = [relocate(base, src, dst) for src, dst in moves]
+    moves = [(src, dst) for src in range(n) for dst in range(n) if src not in (dst, dst + 1)]
+    singles = [(dst, relocate(base, src, dst)) for src, dst in moves]
     yield base
-    yield from singles
-    for moved in singles:
+    for _, moved in singles:
+        yield moved
+    for placed, moved in singles:
         for src, dst in moves:
-            yield relocate(moved, src, dst)
+            if src != placed:
+                yield relocate(moved, src, dst)
 
 
 def permutation_count(unit_count: int) -> int:

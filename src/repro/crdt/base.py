@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Any, Generic, TypeVar
+from typing import Any, Dict, Generic, Tuple, TypeVar
 
-from repro.fastcopy import copy_state, fast_copy
+from repro.fastcopy import copy_state, fast_copy, slot_names
 
 S = TypeVar("S", bound="StateCRDT")
 
@@ -78,6 +78,19 @@ class StateCRDT(abc.ABC):
         return f"{self.__class__.__name__}(replica_id={self.replica_id!r}, value={self.value()!r})"
 
 
+#: ``rehome``'s plan per type, worked out once: atom, mapping, collection or
+#: other (an index into ``_KINDS``), whether it is a StateCRDT, its slots.
+_KINDS = ((type(None), str, int, float, bool, bytes), dict, (list, tuple, set, frozenset), object)
+_ATOM, _MAPPING, _SEQUENCE = 0, 1, 2
+_REHOME_PLANS: Dict[type, Tuple[int, bool, Tuple[str, ...]]] = {}
+
+
+def _rehome_plan(cls: type) -> Tuple[int, bool, Tuple[str, ...]]:
+    kind = next(index for index, bases in enumerate(_KINDS) if issubclass(cls, bases))
+    plan = _REHOME_PLANS[cls] = (kind, issubclass(cls, StateCRDT), slot_names(cls))
+    return plan
+
+
 def rehome(root: Any, replica_id: str) -> None:
     """Re-assign ownership of every CRDT reachable from ``root``.
 
@@ -91,22 +104,20 @@ def rehome(root: Any, replica_id: str) -> None:
     stack = [root]
     while stack:
         obj = stack.pop()
-        if obj is None or isinstance(obj, (str, int, float, bool, bytes)):
-            continue
-        if id(obj) in seen:
+        cls = type(obj)
+        kind, is_crdt, slots = _REHOME_PLANS.get(cls) or _rehome_plan(cls)
+        if kind == _ATOM or id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, StateCRDT):
+        if is_crdt:
             obj.replica_id = replica_id
         if hasattr(obj, "__dict__"):
             stack.extend(obj.__dict__.values())
-        for klass in type(obj).__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                if hasattr(obj, slot):
-                    stack.append(getattr(obj, slot))
-        if isinstance(obj, dict):
+        for slot in slots:  # an unset slot pushes None, an atom
+            stack.append(getattr(obj, slot, None))
+        if kind == _MAPPING:
             stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
+        elif kind == _SEQUENCE:
             stack.extend(obj)
 
 

@@ -31,7 +31,8 @@ keys are shared rather than copied.
 from __future__ import annotations
 
 import copy as _stdlib_copy
-from typing import Any, Dict, Optional
+import functools
+from typing import Any, Dict, Optional, Tuple
 
 _MISSING = object()
 
@@ -71,6 +72,20 @@ _DEEP = 8
 
 _KIND_CACHE: Dict[type, int] = {}
 _HOOK_CACHE: Dict[type, Any] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def slot_names(cls: type) -> Tuple[str, ...]:
+    """The ``__slots__`` that ``cls`` and its bases declare, in MRO order,
+    without ``__dict__``/``__weakref__``: scanned once per class for
+    :func:`fast_copy`, :func:`repro.crdt.base.rehome` and
+    :mod:`repro.statehash`."""
+    return tuple(
+        slot
+        for klass in cls.__mro__
+        for slot in klass.__dict__.get("__slots__", ())
+        if slot not in ("__dict__", "__weakref__")
+    )
 
 
 def register_atomic(*classes: type) -> None:
@@ -184,13 +199,10 @@ def _copy_plain_object(obj: Any, cls: type, memo: Dict[int, Any]) -> Any:
         fresh = new.__dict__
         for key, value in state.items():
             fresh[key] = fast_copy(value, memo)
-    for klass in cls.__mro__:
-        for slot in klass.__dict__.get("__slots__", ()):
-            if slot in ("__dict__", "__weakref__"):
-                continue
-            value = getattr(obj, slot, _MISSING)
-            if value is not _MISSING:
-                object.__setattr__(new, slot, fast_copy(value, memo))
+    for slot in slot_names(cls):
+        value = getattr(obj, slot, _MISSING)
+        if value is not _MISSING:
+            object.__setattr__(new, slot, fast_copy(value, memo))
     return new
 
 

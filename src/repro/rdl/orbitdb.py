@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.rdl.base import RDLError, RDLReplica
@@ -56,14 +57,49 @@ from repro.rdl.base import RDLError, RDLReplica
 #: Entries whose clock exceeds this bound trip the future-clock guard.
 MAX_REASONABLE_CLOCK = 1_000_000
 
+#: Content hashes the memo keeps; past it the memo starts over.
+_HASH_MEMO_LIMIT = 4096
+_hash_memo: Dict[Tuple[int, str, str, Tuple[str, ...]], str] = {}
+_hash_memo_lock = threading.Lock()
 
-def _entry_hash(clock_time: int, identity: str, payload: Any, parents: Tuple[str, ...]) -> str:
+
+def _json_default(value: Any) -> Any:
+    # Sets as lists sorted by their members' encodings, so that no hash
+    # follows the process's hash seed; anything else through ``str``.
+    if isinstance(value, (set, frozenset)):
+        return sorted(
+            value, key=lambda item: json.dumps(item, sort_keys=True, default=_json_default)
+        )
+    return str(value)
+
+
+def _content_hash(clock_time: Any, identity: Any, payload: Any, parents: Tuple[str, ...]) -> str:
     blob = json.dumps(
         {"t": clock_time, "id": identity, "p": payload, "prev": sorted(parents)},
         sort_keys=True,
-        default=str,
+        default=_json_default,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _entry_hash(clock_time: int, identity: str, payload: Any, parents: Tuple[str, ...]) -> str:
+    """The entry's content hash, memoised only where equal keys mean equal
+    JSON: an ``int`` clock, ``str`` identity and payload, ``str`` parents
+    (``1``, ``True`` and ``1.0`` are equal keys that encode differently)."""
+    key = (clock_time, identity, payload, parents)
+    if not (
+        type(clock_time) is int and type(identity) is type(payload) is str
+        and type(parents) is tuple and all(type(parent) is str for parent in parents)
+    ):
+        return _content_hash(*key)
+    digest = _hash_memo.get(key)
+    if digest is None:
+        digest = _content_hash(*key)
+        with _hash_memo_lock:
+            if len(_hash_memo) >= _HASH_MEMO_LIMIT:
+                _hash_memo.clear()
+            _hash_memo[key] = digest
+    return digest
 
 
 class OrbitDBStore(RDLReplica):

@@ -23,6 +23,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any, List
 
+from repro.fastcopy import slot_names
+
 __all__ = ["canonical_repr", "state_digest", "combine_digests"]
 
 #: Digest length in hex chars — 64 bits, plenty for state keys while
@@ -122,16 +124,10 @@ def _write(value: Any, parts: List[str], stack: set) -> None:
 
 
 def _slot_values(value: Any) -> Any:
-    collected = {}
-    found = False
-    for klass in type(value).__mro__:
-        for slot in klass.__dict__.get("__slots__", ()):
-            if slot in ("__dict__", "__weakref__"):
-                continue
-            found = True
-            if hasattr(value, slot):
-                collected[slot] = getattr(value, slot)
-    return collected if found else None
+    names = slot_names(type(value))
+    if not names:
+        return None
+    return {slot: getattr(value, slot) for slot in names if hasattr(value, slot)}
 
 
 def state_digest(value: Any) -> str:

@@ -30,9 +30,27 @@ TABLE_1 = {
 }
 
 
+#: Replays ER-pi's production order takes to reproduce each bug.  Pinned
+#: exactly: any change to the stream's order, the pruners or a subject's
+#: behaviour that moves a first violation shows here.
+REPLAYS_TO_REPRODUCE = {
+    "Roshi-1": 17,
+    "Roshi-2": 2,
+    "Roshi-3": 2,
+    "OrbitDB-1": 2,
+    "OrbitDB-2": 4,
+    "OrbitDB-3": 33,
+    "OrbitDB-4": 3_812,
+    "OrbitDB-5": 86,
+    "ReplicaDB-1": 29,
+    "ReplicaDB-2": 2_763,
+    "Yorkie-1": 52,
+    "Yorkie-2": 46,
+}
+
 class TestRegistry:
     def test_all_twelve_scenarios_registered(self):
-        assert ALL_NAMES == list(TABLE_1)
+        assert ALL_NAMES == list(TABLE_1) == list(REPLAYS_TO_REPRODUCE)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError):
@@ -81,6 +99,7 @@ class TestReproduction:
         result = hunt(recorded, "erpi", cap=10_000)
         assert result.found, f"ER-pi failed to reproduce {name}"
         assert result.explored <= 10_000
+        assert result.explored == REPLAYS_TO_REPRODUCE[name]
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_fixed_library_has_no_false_positives(self, name):

@@ -465,6 +465,67 @@ def reference_relocation(n, masks=None):
             yield perm
 
 
+def reference_neighbourhood(n):
+    """The neighbourhood phases as they were before they skipped the
+    relocations that repeat an earlier one by construction."""
+
+    def relocate(perm, src, dst):
+        out = list(perm)
+        out.insert(dst, out.pop(src))
+        return out
+
+    base = list(range(n))
+    moves = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
+    singles = [relocate(base, src, dst) for src, dst in moves]
+    yield base
+    yield from singles
+    for moved in singles:
+        for src, dst in moves:
+            yield relocate(moved, src, dst)
+
+
+def deduplicated(neighbourhood, n, masks=None):
+    """What ``_relocation`` keeps of a neighbourhood stream, and how many
+    candidates it ranks to get there."""
+    seen, kept, ranked = set(), [], 0
+    for perm in neighbourhood(n):
+        if masks is not None and not _admits(perm, masks):
+            continue
+        rank = lehmer_rank(perm)
+        ranked += 1
+        if rank not in seen:
+            seen.add(rank)
+            kept.append(tuple(perm))
+    return kept, ranked
+
+
+class TestNeighbourhood:
+    """``_neighbourhood`` never builds a relocation that repeats an earlier
+    one by construction; the seen-set must still keep the same sequence."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_deduplicated_sequence_is_unchanged(self, n):
+        rng = random.Random(22 + n)
+        for masks in [None] + [random_masks(rng, n) for _ in range(3) if n]:
+            kept, ranked = deduplicated(_neighbourhood, n, masks)
+            reference, reference_ranked = deduplicated(reference_neighbourhood, n, masks)
+            assert kept == reference
+            assert ranked <= reference_ranked
+            stream = unit_permutation_stream(range(n), "relocation", masks=masks)
+            assert list(islice(stream, len(reference))) == reference
+
+    def test_structural_duplicates_are_not_built(self):
+        # Singles: (n-1)^2 moves, not n(n-1); pairs skip a second move of
+        # the unit the first one placed.
+        n = 12
+        built = list(_neighbourhood(n))
+        singles = (n - 1) ** 2
+        assert built[1 : 1 + singles] == [
+            list(perm) for perm in deduplicated(_neighbourhood, n)[0][1 : 1 + singles]
+        ]
+        assert len(built) < len(list(reference_neighbourhood(n))) * 0.8
+
+
 class TestCarriedRank:
     """An SJT step swaps two adjacent values and so changes two Lehmer
     digits; the rank carried across the steps must equal a fresh rank."""

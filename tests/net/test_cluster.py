@@ -88,6 +88,34 @@ class TestTwoPhaseSync:
         assert cluster.suppressed_sends == [SuppressedSend("B", "A")]
 
 
+class TestPartitions:
+    """Links are cut and healed as unordered pairs. The input checks and the
+    heal-everything rule are in ``test_conditions.py``,
+    ``test_conditions_edges.py`` and ``test_transport.py``."""
+
+    def test_partition_is_symmetric(self):
+        cluster = make_cluster(3)
+        cluster.partition("A", "B")
+        assert cluster.send_sync("B", "A") is False
+        assert cluster.send_sync("A", "B") is False
+
+    def test_partial_heal_keeps_the_other_cut(self):
+        cluster = make_cluster(3)
+        cluster.partition("A", "B")
+        cluster.partition("A", "C")
+        cluster.heal("A", "B")
+        assert cluster.send_sync("A", "B")
+        assert cluster.send_sync("B", "A")
+        assert not cluster.send_sync("A", "C")
+        assert not cluster.send_sync("C", "A")
+
+    def test_heal_of_an_uncut_pair_is_a_noop(self):
+        cluster = make_cluster(3)
+        cluster.partition("A", "B")
+        cluster.heal("A", "C")
+        assert cluster.partitions == {frozenset({"A", "B"})}
+
+
 class TestLifecycle:
     def test_checkpoint_restore_round_trip(self):
         cluster = make_cluster()

@@ -25,6 +25,7 @@ class TestPartitionValidation:
         cluster.partition("A", "B")
         with pytest.raises(ValueError):
             cluster.heal("A", "A")
+        assert cluster.partitions == {frozenset({"A", "B"})}
 
     def test_heal_rejects_single_argument(self):
         cluster = make_cluster()

@@ -1,4 +1,5 @@
-"""Partition edge cases on the cluster: heal validation and partial heals."""
+"""Partition edge cases on the cluster: heal validation and heal order (a
+partial heal and the heal of an uncut pair are in ``test_cluster.py``)."""
 
 import pytest
 
@@ -33,12 +34,6 @@ class TestHealValidation:
         with pytest.raises(ValueError, match="distinct"):
             cluster.heal("A", "A")
 
-    def test_heal_unpartitioned_pair_is_a_noop(self):
-        cluster = make_cluster()
-        cluster.partition("A", "B")
-        cluster.heal("A", "C")
-        assert cluster.partitions == {frozenset({"A", "B"})}
-
     def test_self_partition_rejected(self):
         cluster = make_cluster()
         with pytest.raises(ValueError, match="itself"):
@@ -46,16 +41,6 @@ class TestHealValidation:
 
 
 class TestPartialHeals:
-    def test_is_partitioned_after_partial_heal(self):
-        cluster = make_cluster()
-        cluster.partition("A", "B")
-        cluster.partition("A", "C")
-        cluster.heal("A", "B")
-        assert cluster.send_sync("A", "B")
-        assert cluster.send_sync("B", "A")  # symmetric
-        assert not cluster.send_sync("A", "C")
-        assert not cluster.send_sync("C", "A")
-
     def test_partition_is_order_insensitive(self):
         cluster = make_cluster()
         cluster.partition("A", "B")

@@ -1,4 +1,5 @@
-"""The cluster's channels: FIFO delivery, counters and partitions."""
+"""The cluster's channels: FIFO delivery, counters and partitions (partition
+symmetry is in ``test_cluster.py``)."""
 
 import pytest
 
@@ -66,11 +67,6 @@ class TestConditions:
         assert len(cluster.suppressed_sends) == 1
         cluster.heal("A", "B")
         assert cluster.send_sync("A", "B") is True
-
-    def test_partition_is_symmetric(self):
-        cluster = make_cluster()
-        cluster.partition("A", "B")
-        assert cluster.send_sync("B", "A") is False
 
     def test_heal_everything(self):
         cluster = make_cluster()
