@@ -107,6 +107,9 @@ class TestAblationExecutor:
         started = time.perf_counter()
         seq_outcome = sequential.replay(interleaving)
         seq_time = time.perf_counter() - started
+        # Both engines replay on one cluster: the sequential outcome's
+        # states are read before the lock-stepped replay restores it.
+        seq_outcome.keep_states()
 
         threaded_engine = ReplayEngine(recorded.cluster, LockSteppedExecutor())
         threaded_engine._checkpoint = recorded.engine._checkpoint

@@ -6,9 +6,12 @@ from typing import List, Optional, Tuple
 
 from repro.bugs.registry import BugScenario, register
 from repro.core.assertions import assert_no_failed_op_matching, assert_predicate
+from repro.core.events import EventKind
 from repro.core.replay import Assertion, InterleavingOutcome
 from repro.net.cluster import Cluster
 from repro.rdl.replicadb import ReplicaDBJob
+
+_SYNC_KINDS = frozenset({EventKind.SYNC_REQ, EventKind.EXEC_SYNC})
 
 
 @register
@@ -122,38 +125,24 @@ class ReplicaDB2(BugScenario):
 
     def make_assertions(self) -> List[Assertion]:
         def sink_consistent(outcome: InterleavingOutcome) -> bool:
-            reads = outcome.reads()
-            verdict: Optional[bool] = reads.get("e14")
+            # One pass: where the consistency probe (e14) ran and what it
+            # read, and A's last transfer and last source change.
+            verdict: Optional[bool] = None
+            probe = last_transfer = last_source_change = -1
+            for index, res in enumerate(outcome.event_results):
+                event = res.event
+                if event.event_id == "e14":  # the READ probe
+                    probe, verdict = index, res.result
+                if event.replica_id == "A":
+                    name = event.op_name
+                    if name == "replicate":
+                        last_transfer = index
+                    if event.kind in _SYNC_KINDS or name.startswith("source_"):
+                        last_source_change = index
             if verdict is None:
                 return True  # the consistency probe did not run: vacuous
             # The probe may legitimately report False when it ran before the
             # last transfer; only a False *after* every replicate counts.
-            positions = {
-                res.event.event_id: index
-                for index, res in enumerate(outcome.event_results)
-            }
-            last_transfer = max(
-                (
-                    index
-                    for index, res in enumerate(outcome.event_results)
-                    if res.event.replica_id == "A"
-                    and res.event.op_name == "replicate"
-                ),
-                default=-1,
-            )
-            last_source_change = max(
-                (
-                    index
-                    for index, res in enumerate(outcome.event_results)
-                    if res.event.replica_id == "A"
-                    and (
-                        res.event.is_sync
-                        or res.event.op_name.startswith("source_")
-                    )
-                ),
-                default=-1,
-            )
-            probe = positions.get("e14", -1)
             if probe < last_transfer or last_transfer < last_source_change:
                 return True  # stale probe or un-replicated source change
             return bool(verdict)

@@ -258,9 +258,13 @@ class Explorer(abc.ABC):
                     metrics.inc("interleavings.replayed")
                 if progress is not None:
                     progress.tick(metrics)
-                stop = on_commit is not None and on_commit(interleaving, outcome)
+                # Sinks, and the result's violating outcome, outlive the
+                # next replay's restore, so their states are read now.
+                stop = on_commit is not None and on_commit(
+                    interleaving, outcome.keep_states()
+                )
                 if outcome.violated:
-                    violating = outcome
+                    violating = outcome.keep_states()
                     stop = stop or stop_on_violation
                 if stop:
                     break

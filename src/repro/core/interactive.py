@@ -149,7 +149,8 @@ class InteractiveSession:
                     exhausted = False
                     break
                 replayed_keys.add(key)
-                outcome = self._engine.replay(interleaving, assertions)
+                # Kept in the report past the next replay: states read now.
+                outcome = self._engine.replay(interleaving, assertions).keep_states()
                 report.outcomes.append(outcome)
                 round_outcomes.append(outcome)
                 fresh += 1

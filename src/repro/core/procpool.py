@@ -454,7 +454,9 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                     # Shipping the whole outcome keeps the parent's result
                     # identical to a serial run's.  It rides the frame as
                     # pickle bytes the parent defers deserialising until
-                    # (unless) this index actually commits.
+                    # (unless) this index actually commits.  Pickling reads
+                    # its states before the next replay, and never ships
+                    # the cluster.
                     record(index, _KIND_VIOLATION, positions,
                            other=pickle.dumps(
                                outcome, protocol=pickle.HIGHEST_PROTOCOL))

@@ -53,15 +53,65 @@ class EventResult:
     error: Optional[str] = None
 
 
-@dataclass(slots=True, eq=False)
 class InterleavingOutcome:
-    """The full result of replaying one interleaving."""
+    """The full result of replaying one interleaving.
 
-    interleaving: Interleaving
-    event_results: List[EventResult]
-    states: Dict[str, Any]
-    violations: List[str]
-    duration_s: float
+    ``states`` maps each replica id to its ``value()`` after the replay.
+    An outcome the engine hands out reads them from its cluster on first
+    access and keeps them.  The cluster's next restore (the engine's next
+    replay, or :meth:`ReplayEngine.restore`) closes the outcome: an unread
+    ``states`` then raises :class:`ReplayError` rather than return another
+    replay's states, so a caller that keeps an outcome reads it first.  A
+    pickled outcome carries its states, never the cluster.
+    """
+
+    __slots__ = (
+        "interleaving", "event_results", "violations", "duration_s",
+        "_states", "_cluster", "_restores",
+    )
+
+    def __init__(
+        self,
+        interleaving: Interleaving,
+        event_results: List[EventResult],
+        states: Optional[Dict[str, Any]],
+        violations: List[str],
+        duration_s: float,
+    ) -> None:
+        self.interleaving = interleaving
+        self.event_results = event_results
+        self.violations = violations
+        self.duration_s = duration_s
+        self._states = states
+        self._cluster: Optional[Cluster] = None
+        self._restores = 0
+
+    @property
+    def states(self) -> Dict[str, Any]:
+        if self._states is None:
+            self.keep_states()
+        return self._states
+
+    def keep_states(self) -> "InterleavingOutcome":
+        """Read the states now, so this outcome can be kept past its
+        cluster's next restore."""
+        if self._states is None:
+            cluster = self._cluster
+            if cluster is None or cluster.restores != self._restores:
+                raise ReplayError(
+                    "the outcome's states were not read before its cluster "
+                    "was restored for another replay"
+                )
+            self._states = cluster.states()
+            self._cluster = None
+        return self
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        fields = (
+            self.interleaving, self.event_results, self.states,
+            self.violations, self.duration_s,
+        )
+        return (InterleavingOutcome, fields)
 
     @property
     def violated(self) -> bool:
@@ -333,11 +383,14 @@ class ReplayEngine:
 
         Runs exactly what :meth:`replay` runs, but observed runs trace it
         as a ``replay:fresh`` span, so the differential sanitizer's replays
-        stay distinguishable from pipeline replays.
+        stay distinguishable from pipeline replays.  The sanitizer reuses
+        these outcomes after later replays, so their states are read here.
         """
         if not (self.tracer.enabled or self.metrics.enabled):
-            return self._replay_checked(interleaving, assertions)
-        return self._replay_observed("replay:fresh", interleaving, assertions)
+            outcome = self._replay_checked(interleaving, assertions)
+        else:
+            outcome = self._replay_observed("replay:fresh", interleaving, assertions)
+        return outcome.keep_states()
 
     def restore(self) -> None:
         """Reset the cluster to the checkpoint (used after the final replay)."""
@@ -386,13 +439,10 @@ class ReplayEngine:
         started = time.perf_counter()
         event_results = self.executor.run(cluster, interleaving)
         duration = time.perf_counter() - started
-        outcome = InterleavingOutcome(
-            interleaving=interleaving,
-            event_results=event_results,
-            states=cluster.states(),
-            violations=[],
-            duration_s=duration,
-        )
+        outcome = InterleavingOutcome(interleaving, event_results, None, [], duration)
+        # States are read on first access, until the cluster's next restore.
+        outcome._cluster = cluster
+        outcome._restores = cluster.restores
         for assertion in assertions:
             message = assertion(outcome)
             if message is not None:

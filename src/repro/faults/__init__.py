@@ -6,10 +6,11 @@ compiles them into ``CRASH``/``RECOVER`` events with ordering constraints
 (crash before its matching recover, no double-crash), and the explorers
 interleave them exhaustively alongside the recorded updates and syncs.
 
-What a crash destroys is the subject's business: each RDL replica declares
-its persistent slice via ``durable_snapshot()``/``recover(snapshot)`` on
-:class:`repro.rdl.base.RDLReplica` — Yorkie loses un-pushed local changes,
-OrbitDB reloads from its persisted log, Roshi's Redis-backed state survives.
+What a crash destroys is the subject's business.  A down replica cannot
+change, so recovery restarts it in place: each RDL replica's ``restart()``
+on :class:`repro.rdl.base.RDLReplica` resets what it keeps only in memory —
+Yorkie loses un-pushed local changes, OrbitDB reopens its persisted log,
+Roshi's Redis-backed state survives.
 """
 
 from repro.faults.errors import FaultError, ReplayTimeout, ReplicaDownError

@@ -74,6 +74,9 @@ class Cluster:
         #: :meth:`restore` — fault-window scenarios assert on these instead
         #: of having partition losses silently swallowed.
         self.suppressed_sends: List[SuppressedSend] = []
+        #: :meth:`restore` calls so far; a replay outcome reads its states
+        #: only while this is unchanged.
+        self.restores = 0
 
     # ------------------------------------------------------------- topology
 
@@ -173,12 +176,12 @@ class Cluster:
     # ---------------------------------------------------------------- faults
 
     def crash(self, replica_id: str) -> None:
-        """Kill one replica: its durable snapshot is captured, volatile
-        state is lost, and further ops/syncs raise ``ReplicaDownError``."""
+        """Kill one replica: further ops/syncs raise ``ReplicaDownError``,
+        and its volatile state is lost when it restarts."""
         self.host(replica_id).crash()
 
     def recover(self, replica_id: str) -> None:
-        """Restart a crashed replica from its durable snapshot."""
+        """Restart a crashed replica in place from what survived."""
         self.host(replica_id).recover()
 
     def partition(self, replica_a: str, replica_b: str) -> None:
@@ -236,6 +239,7 @@ class Cluster:
         self._channels.clear()
         self.sent_syncs = 0
         self.suppressed_sends.clear()
+        self.restores += 1
 
     def states(self) -> Dict[str, Any]:
         return {rid: host.state() for rid, host in self._hosts.items()}

@@ -22,10 +22,11 @@ from repro.faults.errors import FaultError, ReplicaDownError
 class ReplicaHost:
     """One cluster node: id + the RDL replica it runs.
 
-    Hosts have a crash/recover lifecycle: :meth:`crash` captures the RDL's
-    durable snapshot and marks the node down (ops and syncs then raise
-    :class:`ReplicaDownError`); :meth:`recover` rebuilds the RDL from that
-    snapshot — volatile state is lost, exactly like a process restart.
+    Hosts have a crash/recover lifecycle: :meth:`crash` marks the node
+    down (ops and syncs then raise :class:`ReplicaDownError`, so the RDL
+    cannot change while it is down); :meth:`recover` restarts the RDL in
+    place through its ``restart()``, when it has one — volatile state is
+    lost, exactly like a process restart.
     """
 
     def __init__(self, replica_id: str, rdl: Any) -> None:
@@ -39,29 +40,23 @@ class ReplicaHost:
         self.replica_id = replica_id
         self.rdl = rdl
         self.up = True
-        self._durable: Any = None
 
     # ---------------------------------------------------------- crash/recover
 
     def crash(self) -> None:
-        """Kill the node: durable state is captured, volatile state is lost."""
+        """Kill the node; its volatile state is lost when it restarts."""
         if not self.up:
             raise FaultError(f"replica {self.replica_id!r} is already down")
-        durable = getattr(self.rdl, "durable_snapshot", None)
-        self._durable = durable() if callable(durable) else self.rdl.checkpoint()
         self.up = False
 
     def recover(self) -> None:
-        """Restart the node from the durable snapshot captured at crash."""
+        """Restart the node in place; a restart that raises leaves it down."""
         if self.up:
             raise FaultError(f"replica {self.replica_id!r} is not down")
-        recover = getattr(self.rdl, "recover", None)
-        if callable(recover):
-            recover(self._durable)
-        else:
-            self.rdl.restore(self._durable)
+        restart = getattr(self.rdl, "restart", None)
+        if callable(restart):
+            restart()
         self.up = True
-        self._durable = None
 
     def require_up(self) -> None:
         if not self.up:
@@ -78,7 +73,6 @@ class ReplicaHost:
         # checkpoint restore also resets the crash/recover lifecycle.
         self.rdl.restore(snapshot)
         self.up = True
-        self._durable = None
 
     def __repr__(self) -> str:
         return f"ReplicaHost({self.replica_id!r}, rdl={type(self.rdl).__name__})"

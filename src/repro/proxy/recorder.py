@@ -45,8 +45,8 @@ DEFAULT_READ_METHODS = frozenset(
 )
 
 #: Methods never recorded (host-protocol plumbing, not app-visible events).
-#: ``durable_snapshot``/``recover`` belong to the crash–recovery protocol
-#: driven by fault events, never to the recorded workload.
+#: ``restart`` belongs to the crash–recovery protocol driven by fault
+#: events, never to the recorded workload.
 DEFAULT_IGNORED_METHODS = frozenset(
     {
         "sync_payload",
@@ -54,8 +54,7 @@ DEFAULT_IGNORED_METHODS = frozenset(
         "checkpoint",
         "restore",
         "has_defect",
-        "durable_snapshot",
-        "recover",
+        "restart",
     }
 )
 

@@ -85,7 +85,7 @@ class RDLReplica(abc.ABC):
 
     def _snapshot(self, **overrides: Any) -> bytes:
         """Pickle this replica's state with ``overrides`` replacing fields
-        (e.g. volatile state reset for a durable snapshot).  Recording
+        (e.g. Yorkie's push watermark left out of itself).  Recording
         proxies are left out, see :func:`~repro.proxy.interceptor.own_state`.
         """
         state = own_state(self)
@@ -112,21 +112,17 @@ class RDLReplica(abc.ABC):
     # --- crash/recover protocol ------------------------------------------
     #
     # A crash discards the replica process; what survives is whatever the
-    # real library persists (a log on disk, a backing Redis, nothing).
-    # ``durable_snapshot`` captures exactly that persistent slice, and
-    # ``recover`` rebuilds a fresh replica from it — volatile state
-    # (in-memory caches, un-flushed buffers) must come back at its
-    # post-restart value, not its pre-crash one.  The defaults model a
-    # library whose whole state is durable; subjects with genuinely
-    # volatile state override both.
+    # real library persists (a log on disk, a backing Redis, nothing).  A
+    # down replica cannot change: its host refuses ops and sends, and a
+    # payload that reaches it is dropped before ``apply_sync``.  So the
+    # state at recovery is the state at the crash, and ``restart`` brings
+    # the replica back in place by resetting what the library keeps only
+    # in memory (caches, un-flushed buffers) to its post-restart value.
+    # The default models a library whose whole state is durable; subjects
+    # with genuinely volatile state override it.
 
-    def durable_snapshot(self) -> bytes:
-        """The state that survives a crash of this replica's process."""
-        return self.checkpoint()
-
-    def recover(self, snapshot: bytes) -> None:
-        """Rebuild this replica from a ``durable_snapshot`` after a crash."""
-        self.restore(snapshot)
+    def restart(self) -> None:
+        """Come back from a crash, in place: volatile state is reset."""
 
     def __repr__(self) -> str:
         flags = f", defects={sorted(self.defects)}" if self.defects else ""

@@ -40,9 +40,9 @@ Defect flags (bug scenarios in :mod:`repro.bugs.orbitdb_bugs`):
   relative to a clean ``close_store`` — an interleaving property.
 
 Durability model: every log entry is content-addressed and written through to
-disk (IPFS blocks) as it is created, so ``durable_snapshot`` keeps the whole
-log, ACL and clock; only the process state is volatile — the store comes
-back *closed* and must be reopened during recovery.
+disk (IPFS blocks) as it is created, so ``restart`` keeps the whole log, ACL
+and clock; only the process state is volatile — the store comes back
+*closed* and must be reopened during recovery.
 """
 
 from __future__ import annotations
@@ -252,19 +252,16 @@ class OrbitDBStore(RDLReplica):
         arrival order, ACL, clock, and the open/lock process flags."""
         return self.__dict__
 
-    def durable_snapshot(self) -> bytes:
-        """What survives a crash: the persisted log, plus the lock *file*.
+    def restart(self) -> None:
+        """Reopen the store from its persisted log after a crash.
 
         Entries, ACL and clock are written through to disk as they are
-        created.  The process state is volatile — the store comes back
-        closed — but the repo folder lock is on disk, so a crash while the
-        store is open leaves it behind.
+        created, so they stay.  The process state is volatile — the store
+        comes back closed — but the repo folder lock is on disk, so a crash
+        while the store was open leaves it behind.
         """
-        return self._snapshot(_open=False, _repo_locked=self._open or self._repo_locked)
-
-    def recover(self, snapshot: bytes) -> None:
-        """Reload the store from its persisted log and reopen it."""
-        self.restore(snapshot)
+        self._repo_locked = self._open or self._repo_locked
+        self._open = False
         if not self.has_defect("crash_lock_leak"):
             # Fixed behaviour: no live process owns the lock after a crash,
             # so recovery breaks the stale lock file before reopening.

@@ -27,7 +27,7 @@ Defect flags (bug scenarios in :mod:`repro.bugs.replicadb_bugs`):
 
 Durability model: the source and sink are real database tables and survive a
 crash; the job runner's counters (rows transferred, peak memory) are process
-state and reset on recovery.
+state, and ``restart`` resets them.
 """
 
 from __future__ import annotations
@@ -160,17 +160,17 @@ class ReplicaDBJob(RDLReplica):
         and the job-runner counters."""
         return self.__dict__
 
-    def durable_snapshot(self) -> bytes:
-        """What survives a crash: the source and sink tables (databases).
+    def restart(self) -> None:
+        """Come back from a crash: the source and sink tables (databases)
+        stay, and the job-runner counters (process state) reset.
 
-        Job-runner counters are process state.  With the
-        ``volatile_tombstones`` defect the delete-tombstone table is also
-        memory-only, so recovery forgets which rows were deleted.
+        With the ``volatile_tombstones`` defect the delete-tombstone table
+        is also memory-only, so recovery forgets which rows were deleted.
         """
-        tombstones = {} if self.has_defect("volatile_tombstones") else self._source_deleted
-        return self._snapshot(
-            rows_transferred=0, peak_memory_rows=0, _source_deleted=tombstones
-        )
+        self.rows_transferred = 0
+        self.peak_memory_rows = 0
+        if self.has_defect("volatile_tombstones"):
+            self._source_deleted = {}
 
     def sync_payload(self, target_replica_id: str) -> Dict[str, Any]:
         """Upstream-database replication: ship source rows and tombstones."""

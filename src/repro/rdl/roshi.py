@@ -26,10 +26,10 @@ Defect flags (see :mod:`repro.bugs.roshi_bugs`):
 
 Durability model: the Redis farm is the durable store — its sorted sets
 survive a replica crash.  The Go process's arrival-order bookkeeping
-(``_last_op``/``_arrival``) is in-memory only and is lost, which matters
-under the arrival-order defects: a recovered replica resolves a timestamp
-tie differently than it did before the crash (crash–recovery amplification
-of issue #11).
+(``_last_op``/``_arrival``) is in-memory only, and ``restart`` clears it.
+That matters under the arrival-order defects: a recovered replica resolves a
+timestamp tie differently than it did before the crash (crash–recovery
+amplification of issue #11).
 """
 
 from __future__ import annotations
@@ -237,7 +237,8 @@ class RoshiReplica(RDLReplica):
     # the farm's contents instead of its ``__dict__``.
 
     def checkpoint(self) -> bytes:
-        return self._pickled(self._last_op, self._arrival)
+        state = (self.farm.snapshot(), self._keys, self._last_op, self._arrival)
+        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
 
     def restore(self, snapshot: bytes) -> None:
         farm, self._keys, self._last_op, self._arrival = pickle.loads(snapshot)
@@ -255,13 +256,8 @@ class RoshiReplica(RDLReplica):
             "arrival": self._arrival,
         }
 
-    def durable_snapshot(self) -> bytes:
-        """What survives a crash: the Redis farm (and the key index derived
-        from it).  The process's arrival-order bookkeeping is volatile."""
-        return self._pickled(last_op={}, arrival={})
-
-    def _pickled(
-        self, last_op: Dict[Tuple[str, str], str], arrival: Dict[str, List[str]]
-    ) -> bytes:
-        state = (self.farm.snapshot(), self._keys, last_op, arrival)
-        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+    def restart(self) -> None:
+        """Come back from a crash: the Redis farm (and the key index derived
+        from it) stays; the process's arrival-order bookkeeping is lost."""
+        self._last_op = {}
+        self._arrival = {}

@@ -26,7 +26,7 @@ Defect flags (bug scenarios in :mod:`repro.bugs.yorkie_bugs`):
   the array orders diverge permanently.
 
 Durability model: Yorkie is client–server — a change pack becomes durable
-when pushed.  ``durable_snapshot`` therefore returns the replica's state as
+when pushed.  ``restart`` therefore brings the replica back to its state as
 of its most recent ``sync_payload`` (the push watermark); everything edited
 since the last push is volatile and lost on crash.
 """
@@ -152,25 +152,21 @@ class YorkieDocument(RDLReplica):
         state["_durable_checkpoint"] = pickle.loads(self._durable_checkpoint)
         return state
 
-    def durable_snapshot(self) -> bytes:
-        """What survives a client crash: the state as of the last push.
+    def restart(self) -> None:
+        """Come back from a client crash at the state of the last push.
 
         Un-pushed local changes are volatile and lost.  With the
         ``durable_seen_cache`` defect the move-dedup cache is persisted
         eagerly (its *current* value) even though the moves it remembers
-        roll back with the document — the seeded crash–recovery bug.
+        roll back with the document — the seeded crash–recovery bug.  The
+        restored state is also the new watermark.
         """
-        if not self.has_defect("durable_seen_cache"):
-            return self._durable_checkpoint
-        state = pickle.loads(self._durable_checkpoint)
-        state["_seen_moves"] = set(self._seen_moves)
-        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
-
-    def recover(self, snapshot: bytes) -> None:
-        # The snapshot is push-watermark state, so it is also the new
-        # watermark.
-        self.restore(snapshot)
-        self._durable_checkpoint = snapshot
+        seen, watermark = self._seen_moves, self._durable_checkpoint
+        self.restore(watermark)
+        if self.has_defect("durable_seen_cache"):
+            self._seen_moves = seen
+            watermark = self._push_checkpoint()
+        self._durable_checkpoint = watermark
 
     def apply_sync(self, payload: Dict[str, Any], from_replica_id: str) -> None:
         if payload["doc_key"] != self.doc_key:

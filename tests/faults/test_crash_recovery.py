@@ -186,6 +186,18 @@ class TestReplicaDBDurability:
     def test_fixed_tombstones_survive_the_crash(self):
         assert self._resurrection(set()) == {}
 
+    def test_job_counters_reset_and_tables_survive(self):
+        cluster = Cluster()
+        cluster.add_replica("A", ReplicaDBJob("A"))
+        a = cluster.rdl("A")
+        a.source_insert("r1", {"v": 1})
+        a.replicate("complete")
+        assert a.rows_transferred == a.peak_memory_rows == 1
+        cluster.crash("A")
+        cluster.recover("A")
+        assert a.rows_transferred == a.peak_memory_rows == 0
+        assert a.value() == {"source": {"r1": {"v": 1}}, "sink": {"r1": {"v": 1}}}
+
 
 class TestRoshiDurability:
     def test_farm_survives_crash(self):

@@ -14,6 +14,27 @@ from repro.core.events import EventKind
 
 CR_NAMES = ["Roshi-CR", "Roshi-CR2", "OrbitDB-CR", "ReplicaDB-CR", "Yorkie-CR"]
 
+#: Replays to the first violation and the violating schedule's event ids,
+#: per scenario, with its fault plan compiled in.
+FIRST_VIOLATION = {
+    "Roshi-CR": (5, "e1 e2 e3 f1 f2 e4 e5"),
+    "Roshi-CR2": (10, "e1 e2 e3 e4 f1 f2 e5 e6"),
+    "OrbitDB-CR": (22, "e1 e2 e3 e4 e5 f1 f2 e6 e7 e8"),
+    "ReplicaDB-CR": (
+        498, "e1 e4 e5 e6 e2 e3 f1 f2 e7 e8 e9 e10 e11 e12 e13 e14"
+    ),
+    "Yorkie-CR": (86, "e1 e2 e3 e4 e5 e6 f1 f2 e7 e8"),
+}
+
+#: Fixed-build sweeps at cap 700: the three small spaces are exhausted.
+FIXED_SWEEP = {
+    "Roshi-CR": 20,
+    "Roshi-CR2": 100,
+    "OrbitDB-CR": 700,
+    "ReplicaDB-CR": 700,
+    "Yorkie-CR": 210,
+}
+
 
 def test_fault_scenario_registry():
     assert fault_scenario_names() == CR_NAMES
@@ -33,6 +54,8 @@ def test_erpi_finds_the_bug_with_faults(name):
     # The violating schedule really contains the injected faults.
     kinds = {event.kind for event in result.violating.interleaving}
     assert EventKind.CRASH in kinds
+    witness = " ".join(event.event_id for event in result.violating.interleaving)
+    assert (result.explored, witness) == FIRST_VIOLATION[name]
 
 
 @pytest.mark.parametrize("name", CR_NAMES)
@@ -45,6 +68,7 @@ def test_fixed_library_survives_the_fault_exploration(name):
         f"{name} fixed build violated: " f"{result.violating and result.violating.violations}"
     )
     assert not result.quarantined
+    assert result.explored == FIXED_SWEEP[name]
 
 
 @pytest.mark.parametrize("name", CR_NAMES)

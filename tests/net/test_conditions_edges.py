@@ -24,10 +24,12 @@ class TestHealValidation:
 
     def test_heal_with_one_argument_rejected(self):
         cluster = make_cluster()
+        cluster.partition("A", "B")
         with pytest.raises(ValueError, match="zero or two"):
             cluster.heal("A")
         with pytest.raises(ValueError, match="zero or two"):
             cluster.heal(None, "B")
+        assert cluster.partitions == {frozenset({"A", "B"})}
 
     def test_heal_same_replica_twice_rejected(self):
         cluster = make_cluster()
