@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Any, Dict, Generic, Tuple, TypeVar
+from typing import Any, Generic, TypeVar
 
 from repro.fastcopy import copy_state, fast_copy, slot_names
 
@@ -78,17 +78,8 @@ class StateCRDT(abc.ABC):
         return f"{self.__class__.__name__}(replica_id={self.replica_id!r}, value={self.value()!r})"
 
 
-#: ``rehome``'s plan per type, worked out once: atom, mapping, collection or
-#: other (an index into ``_KINDS``), whether it is a StateCRDT, its slots.
-_KINDS = ((type(None), str, int, float, bool, bytes), dict, (list, tuple, set, frozenset), object)
-_ATOM, _MAPPING, _SEQUENCE = 0, 1, 2
-_REHOME_PLANS: Dict[type, Tuple[int, bool, Tuple[str, ...]]] = {}
-
-
-def _rehome_plan(cls: type) -> Tuple[int, bool, Tuple[str, ...]]:
-    kind = next(index for index, bases in enumerate(_KINDS) if issubclass(cls, bases))
-    plan = _REHOME_PLANS[cls] = (kind, issubclass(cls, StateCRDT), slot_names(cls))
-    return plan
+#: Values that hold no CRDT, so ``rehome`` never looks inside them.
+ATOMS = (type(None), str, int, float, bool, bytes)
 
 
 def rehome(root: Any, replica_id: str) -> None:
@@ -104,20 +95,18 @@ def rehome(root: Any, replica_id: str) -> None:
     stack = [root]
     while stack:
         obj = stack.pop()
-        cls = type(obj)
-        kind, is_crdt, slots = _REHOME_PLANS.get(cls) or _rehome_plan(cls)
-        if kind == _ATOM or id(obj) in seen:
+        if isinstance(obj, ATOMS) or id(obj) in seen:
             continue
         seen.add(id(obj))
-        if is_crdt:
+        if isinstance(obj, StateCRDT):
             obj.replica_id = replica_id
         if hasattr(obj, "__dict__"):
             stack.extend(obj.__dict__.values())
-        for slot in slots:  # an unset slot pushes None, an atom
+        for slot in slot_names(type(obj)):  # an unset slot pushes None, an atom
             stack.append(getattr(obj, slot, None))
-        if kind == _MAPPING:
+        if isinstance(obj, dict):
             stack.extend(obj.values())
-        elif kind == _SEQUENCE:
+        elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
 
 

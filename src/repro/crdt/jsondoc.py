@@ -16,7 +16,7 @@ import copy
 import json
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.crdt.base import CRDTError, StateCRDT, rehome
+from repro.crdt.base import ATOMS, CRDTError, StateCRDT, rehome
 from repro.fastcopy import copy_state
 from repro.crdt.clock import LamportClock, Stamp
 from repro.crdt.rga import RGAList
@@ -168,7 +168,23 @@ class JSONDocument(StateCRDT):
         # Arrays adopted from the peer still carry the peer's identity; any
         # stamp this replica mints on them afterwards would collide with the
         # peer's own operations, so re-home everything we now own.
-        rehome(self._root, self.replica_id)
+        self._rehome()
+
+    def _rehome(self) -> None:
+        """Point every array at this replica, walking only the edges that can
+        reach a CRDT: object children and array elements' payloads (stamps,
+        clocks, order trees and move registers hold only ints, strings and
+        stamps).  Any other non-atomic leaf gets the generic :func:`rehome`."""
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _ObjNode):
+                stack.extend(node.children.values())
+            elif isinstance(node, RGAList):
+                node.replica_id = self.replica_id
+                stack.extend(element.payload for element in node._nodes.values())
+            elif not isinstance(node, ATOMS):
+                rehome(node, self.replica_id)
 
     def _merge_obj(self, mine: _ObjNode, theirs: _ObjNode) -> None:
         for key, their_child in theirs.children.items():

@@ -212,14 +212,18 @@ class RGAList(StateCRDT):
 
     def merge(self, other: "RGAList") -> None:
         """Semilattice join: union nodes/tombstones, LWW-max move registers,
-        then derive the order tree from the joined state."""
+        then derive the order tree from the joined state, if the merge
+        brought a node or won a register: tombstones, lineage and the clock
+        never enter the tree, and every other input change rebuilds it."""
         move_origins = set()
+        changed = False
         for element_id, node in other._nodes.items():
             if element_id not in self._nodes:
                 # Deep-copy payloads so replicas never alias mutable subtrees.
                 self._integrate_insert(
                     element_id, copy_state(node.payload), node.origin_anchor
                 )
+                changed = True
             if node.tombstone:
                 self._nodes[element_id].tombstone = True
             if node.origin_id is not None:
@@ -231,9 +235,11 @@ class RGAList(StateCRDT):
             current = self._move_registers.get(element_id)
             if current is None or their_stamp > current[0]:
                 self._move_registers[element_id] = (their_stamp, their_anchor)
+                changed = True
         # Unmanaged (non-LWW) moves are deliberately NOT merged: their whole
         # point is that the position depends on replica-local arrival.
-        self._rebuild()
+        if changed:
+            self._rebuild()
         for origin_id in move_origins:
             self._collapse_duplicates(origin_id)
         self._clock.observe(other._clock.time)

@@ -85,7 +85,7 @@ class RDLReplica(abc.ABC):
 
     def _snapshot(self, **overrides: Any) -> bytes:
         """Pickle this replica's state with ``overrides`` replacing fields
-        (e.g. Yorkie's push watermark left out of itself).  Recording
+        (e.g. process flags as a crash leaves them).  Recording
         proxies are left out, see :func:`~repro.proxy.interceptor.own_state`.
         """
         state = own_state(self)

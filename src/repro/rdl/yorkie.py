@@ -26,21 +26,26 @@ Defect flags (bug scenarios in :mod:`repro.bugs.yorkie_bugs`):
   the array orders diverge permanently.
 
 Durability model: Yorkie is client–server — a change pack becomes durable
-when pushed.  ``restart`` therefore brings the replica back to its state as
-of its most recent ``sync_payload`` (the push watermark); everything edited
-since the last push is volatile and lost on crash.
+when pushed.  The push watermark is literally the last pack shipped: the
+document copy and move records of the most recent ``sync_payload``, with
+the dedup set and op counter as of that push.  ``restart`` brings the
+replica back to it; everything edited since the last push is volatile and
+lost on crash.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crdt.clock import Stamp
 from repro.fastcopy import copy_state
 from repro.crdt.jsondoc import JSONDocument, PathKey
 from repro.crdt.rga import RGAList
 from repro.rdl.base import RDLError, RDLReplica
+
+MoveRecord = Tuple[str, Tuple[PathKey, ...], Stamp, Optional[Stamp], Stamp]
+#: What the last push shipped: document, move records, dedup set, op counter.
+Watermark = Tuple[JSONDocument, List[MoveRecord], set, int]
 
 
 class YorkieDocument(RDLReplica):
@@ -63,12 +68,13 @@ class YorkieDocument(RDLReplica):
         )
         # Move log: every MoveAfter this replica has seen, in arrival order.
         # Each record: (op_id, array_path, element_id, anchor_id, stamp)
-        self._move_log: List[Tuple[str, Tuple[PathKey, ...], Stamp, Optional[Stamp], Stamp]] = []
+        self._move_log: List[MoveRecord] = []
         self._seen_moves: set = set()
         self._op_counter = 0
-        # Durable push watermark: the replica's state as of the last change
-        # pack it shipped (initially: the pristine attached document).
-        self._durable_checkpoint: bytes = self._push_checkpoint()
+        # Durable push watermark: (document, move records, dedup set, op
+        # counter) as of the last change pack shipped, initially the pristine
+        # attached document.
+        self._durable_checkpoint: Watermark = (copy_state(self._doc), [], set(), 0)
 
     # ----------------------------------------------------------- Yorkie API
 
@@ -134,39 +140,39 @@ class YorkieDocument(RDLReplica):
         """A change pack: full document state plus the move log.
 
         Pushing makes everything shipped durable (the server holds it), so
-        the push watermark advances here.
+        the pack itself becomes the push watermark.  Payloads are
+        ship-and-forget and receivers only read them, so sharing the
+        document copy and move list with the watermark is safe.
         """
-        payload = {
-            "doc_key": self.doc_key,
-            "doc": copy_state(self._doc),
-            "moves": list(self._move_log),
-        }
-        self._durable_checkpoint = self._push_checkpoint()
-        return payload
+        doc, moves = copy_state(self._doc), list(self._move_log)
+        self._durable_checkpoint = (doc, moves, set(self._seen_moves), self._op_counter)
+        return {"doc_key": self.doc_key, "doc": doc, "moves": moves}
 
     def canonical_state(self) -> Any:
         """Full behavioural state: the JSON document, move log, dedup cache,
-        op counter and the durable push checkpoint (unpickled, so equal
-        states hash equal whatever their set iteration order)."""
-        state = dict(self.__dict__)
-        state["_durable_checkpoint"] = pickle.loads(self._durable_checkpoint)
-        return state
+        op counter and the push watermark's document, moves, dedup set and
+        counter."""
+        return self.__dict__
 
     def restart(self) -> None:
         """Come back from a client crash at the state of the last push.
 
-        Un-pushed local changes are volatile and lost.  With the
-        ``durable_seen_cache`` defect the move-dedup cache is persisted
-        eagerly (its *current* value) even though the moves it remembers
-        roll back with the document — the seeded crash–recovery bug.  The
-        restored state is also the new watermark.
+        Un-pushed local changes are volatile and lost: the document is
+        copied back out of the watermark.  With the ``durable_seen_cache``
+        defect the move-dedup cache is persisted eagerly (its *current*
+        value) even though the moves it remembers roll back with the
+        document — the seeded crash–recovery bug — and that set goes into
+        the new watermark.
         """
-        seen, watermark = self._seen_moves, self._durable_checkpoint
-        self.restore(watermark)
+        doc, moves, seen, counter = self._durable_checkpoint
         if self.has_defect("durable_seen_cache"):
-            self._seen_moves = seen
-            watermark = self._push_checkpoint()
-        self._durable_checkpoint = watermark
+            seen = set(self._seen_moves)
+        else:
+            self._seen_moves = set(seen)
+        self._doc = copy_state(doc)
+        self._move_log = list(moves)
+        self._op_counter = counter
+        self._durable_checkpoint = (doc, moves, seen, counter)
 
     def apply_sync(self, payload: Dict[str, Any], from_replica_id: str) -> None:
         if payload["doc_key"] != self.doc_key:
@@ -204,10 +210,6 @@ class YorkieDocument(RDLReplica):
         return self._doc.value()
 
     # ------------------------------------------------------------- internal
-
-    def _push_checkpoint(self) -> bytes:
-        """A snapshot of everything but the watermark itself."""
-        return self._snapshot(_durable_checkpoint=None)
 
     def _array(self, path: Sequence[PathKey]) -> RGAList:
         node = self._doc._resolve(list(path), create=False)

@@ -27,11 +27,6 @@ class TestPartitionValidation:
             cluster.heal("A", "A")
         assert cluster.partitions == {frozenset({"A", "B"})}
 
-    def test_heal_rejects_single_argument(self):
-        cluster = make_cluster()
-        with pytest.raises(ValueError):
-            cluster.heal("A")
-
     def test_heal_pair_and_heal_all(self):
         cluster = make_cluster()
         cluster.partition("A", "B")

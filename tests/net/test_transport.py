@@ -68,14 +68,3 @@ class TestConditions:
         cluster.heal("A", "B")
         assert cluster.send_sync("A", "B") is True
 
-    def test_heal_everything(self):
-        cluster = make_cluster()
-        cluster.partition("A", "B")
-        cluster.partition("B", "C")
-        cluster.heal()
-        assert not cluster.partitions
-
-    def test_heal_one_argument_rejected(self):
-        cluster = make_cluster()
-        with pytest.raises(ValueError):
-            cluster.heal("A")
