@@ -120,7 +120,7 @@ def make_explorer(
     )
 
 
-def _coordination_journal(
+def _open_journal(
     journal: Optional[str],
     resume: Optional[str],
     recorded: RecordedScenario,
@@ -233,14 +233,16 @@ def hunt(
     :class:`~repro.obs.progress.ProgressLine` to the whole hunt (explorer,
     replay engine, pruners and — via the engine — the sanitizer).
 
-    ``journal`` (a path) upgrades a process-backed hunt to a **coordinated**
-    one (:class:`~repro.core.coordinator.CoordinatedHuntExplorer`): verdicts
-    checkpointed to the journal as they commit, crashed workers respawned
-    in their slot.  ``resume`` (a path to an existing journal) continues a
-    previously killed hunt: the committed prefix is replayed from the
-    checkpoint, workers skip past it, and the final verdict map is identical
-    to an uninterrupted run's.  ``max_releases`` is the respawn budget per
-    slot.
+    The process pool respawns a worker that dies in its slot, up to
+    ``max_releases`` times; past that the slot's remaining positions are
+    quarantined as ``ShardAbandoned`` and the rest of the hunt completes.
+    ``journal`` (a path) checkpoints every committed verdict to a
+    :class:`~repro.core.journal.HuntJournal` as it commits; a journaled hunt
+    always runs on the pool, with one worker if ``workers`` is 1.
+    ``resume`` (a path to an existing journal) continues a previously
+    killed hunt: the committed prefix is taken from the journal, workers
+    skip past it, and the final verdict map is identical to an
+    uninterrupted run's.
 
     ``batch_size`` caps the workers' adaptive columnar IPC frames.
     """
@@ -261,8 +263,13 @@ def hunt(
     recorded.engine.tracer = observed_tracer
     recorded.engine.metrics = observed_metrics
     assertions = recorded.scenario.make_assertions()
-    coordinated = journal is not None or resume is not None
-    if workers > 1 or coordinated:
+    hunt_journal = None
+    if journal is not None or resume is not None:
+        hunt_journal = _open_journal(
+            journal, resume, recorded, mode=mode, seed=seed, cap=cap,
+            workers=workers, faults=faults, dpor=dpor,
+        )
+    if workers > 1 or hunt_journal is not None:
         from repro.core.procpool import ProcessParallelExplorer, ScenarioWorkerTask
 
         task = ScenarioWorkerTask(
@@ -274,30 +281,18 @@ def hunt(
             replay_timeout_s=replay_timeout_s,
             dpor=dpor,
         )
-        pool_kwargs = dict(
+        parallel = ProcessParallelExplorer(
+            explorer,
+            task,
             workers=workers,
             sanitize=sanitize,
             sanitize_sample_k=sanitize_sample_k,
             seed=seed,
             parent_sanitizer=sanitizer,
             batch_size=batch_size,
+            journal=hunt_journal,
+            max_releases=max_releases,
         )
-        if coordinated:
-            from repro.core.coordinator import CoordinatedHuntExplorer
-
-            hunt_journal = _coordination_journal(
-                journal, resume, recorded, mode=mode, seed=seed, cap=cap,
-                workers=workers, faults=faults, dpor=dpor,
-            )
-            parallel = CoordinatedHuntExplorer(
-                explorer,
-                task,
-                journal=hunt_journal,
-                max_releases=max_releases,
-                **pool_kwargs,
-            )
-        else:
-            parallel = ProcessParallelExplorer(explorer, task, **pool_kwargs)
         result = parallel.explore(
             recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation
         )

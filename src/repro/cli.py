@@ -112,7 +112,11 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             f"{result.pruning_stats.get('dpor', 0):,}"
         )
     coordination = getattr(result, "coordination", None)
-    if coordination is not None:
+    if coordination is not None and (
+        coordination["journal"]
+        or coordination["releases"]
+        or coordination["abandoned_shards"]
+    ):
         parts = [f"hunt {coordination['hunt_id']}"]
         if coordination["resumed_commits"]:
             parts.append(f"resumed {coordination['resumed_commits']} commit(s)")
@@ -467,15 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         default=None,
         metavar="PATH",
-        help="run a coordinated hunt: every committed verdict checkpointed "
-        "to this journal (crashed workers are respawned in their slot; a "
-        "killed hunt can --resume)",
+        help="checkpoint every committed verdict to this journal, so a "
+        "killed hunt can --resume (the hunt runs on the process pool, with "
+        "one worker unless --workers says more)",
     )
     durability.add_argument(
         "--resume",
         default=None,
         metavar="PATH",
-        help="resume a previously killed coordinated hunt from its journal: "
+        help="resume a previously killed hunt from its journal: "
         "committed verdicts are replayed from the checkpoint, workers skip "
         "past them, and the final verdict map matches an uninterrupted run",
     )
@@ -484,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="N",
-        help="respawn budget per worker slot; past it the slot's shard is "
-        "quarantined (the hunt finishes without it) instead of retrying "
-        "forever",
+        help="respawn budget per process-pool slot: a worker that dies is "
+        "respawned in its slot up to N times, then the slot's remaining "
+        "candidates are quarantined and the hunt finishes without them",
     )
     hunt.add_argument(
         "--batch-size",

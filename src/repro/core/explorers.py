@@ -79,7 +79,7 @@ def stream_owner(position: int, workers: int) -> int:
     """The worker slot that replays candidate-stream position ``position``.
 
     The one ownership rule of a multi-worker hunt: each worker skips the
-    positions it assigns elsewhere, and the coordinator uses it to find an
+    positions it assigns elsewhere, and the pool's parent uses it to find an
     abandoned slot's candidates.  Striping by index keeps every worker's
     share within one candidate of every other's.
     """
@@ -112,8 +112,8 @@ class ExplorationResult:
     #: audit through exactly this map; serial explorers leave it ``None``.
     verdicts: Optional[Dict[str, str]] = None
     #: Coordination summary (hunt id, per-slot incarnation log, re-leases,
-    #: abandoned shards, resumed commits, journal path)
-    #: from a :class:`~repro.core.coordinator.CoordinatedHuntExplorer` run.
+    #: abandoned shards, resumed commits, journal path), filled by every
+    #: :class:`~repro.core.procpool.ProcessParallelExplorer` run.
     coordination: Optional[Dict[str, object]] = None
     #: Per-worker-slot stats from a process-backed run: stream positions
     #: enumerated (``yields``), owned candidates actually materialised

@@ -1,8 +1,9 @@
 """The hunt journal: a durable, append-only checkpoint of one hunt.
 
-A coordinated hunt (:mod:`repro.core.coordinator`) survives its own
-infrastructure failing — a SIGKILLed worker, a killed parent — because every
-committed verdict is journaled *before* the hunt moves past it.  The journal
+A journaled hunt (``hunt --journal``, on
+:class:`~repro.core.procpool.ProcessParallelExplorer`) survives its own
+parent being killed, because every committed verdict is journaled *before*
+the hunt moves past it.  The journal
 is JSONL, one record per line:
 
 * ``header``  — the hunt's identity and configuration (scenario, mode, seed,
@@ -71,7 +72,7 @@ class JournaledOutcome:
 
 
 class HuntJournal:
-    """Append-only JSONL checkpoint of a coordinated hunt.
+    """Append-only JSONL checkpoint of a process-pool hunt.
 
     Appends are flushed and fsynced per record.  :meth:`create` and
     :meth:`reopen` write the whole file through a temp file + atomic

@@ -16,8 +16,9 @@ Determinism is preserved without shipping candidates at all:
   index;
 * a worker *replays* only the positions it owns: position ``i`` belongs to
   worker ``i % workers`` (:func:`~repro.core.explorers.stream_owner`, the
-  one rule the coordinator shares).  Ownership follows from the index
-  alone, so every worker's share is within one candidate of every other's.
+  same rule the parent uses for an abandoned slot's positions).  Ownership
+  follows from the index alone, so every worker's share is within one
+  candidate of every other's.
   With no pruners attached, the explorer's *sharded* fast path
   (:meth:`~repro.core.explorers.Explorer.sharded_candidates`) skips
   foreign positions without ever flattening them, while stream accounting
@@ -32,7 +33,7 @@ Determinism is preserved without shipping candidates at all:
   respawned slot are deduplicated *before* they are ever unpickled).
   Frames size themselves adaptively — start small for low latency, double
   on every full flush up to ``batch_size``, and flush early on an idle
-  deadline so a slow worker's verdicts (and a coordinator's watermark)
+  deadline so a slow worker's verdicts (and the watermark they advance)
   never sit in a half-full buffer.  The parent **commits records strictly
   in candidate order**, so the reported first violation and the explored
   count are bit-for-bit identical to a serial hunt.
@@ -44,9 +45,9 @@ mid-flush dies holding it and every surviving (and replacement) worker then
 deadlocks on its next send.  With per-slot pipes there is no shared lock to
 poison, a dead worker's half-written frame confines the damage to its own
 channel, and the kernel closing the write end turns worker death into an
-explicit EOF the parent observes instead of a silent hang — the property
-the crash-recovery coordinator (:mod:`repro.core.coordinator`) builds its
-respawn protocol on.
+explicit EOF the parent observes instead of a silent hang.  The pool's one
+failure policy builds on that EOF: a dead slot is respawned in place, and
+abandoned once it has died too often (see :class:`ProcessParallelExplorer`).
 
 The exploration identity ``generated == pruned + replayed + quarantined +
 discarded`` survives the shard merge: stream-side counters (generated,
@@ -70,15 +71,27 @@ import pickle
 import signal
 import time
 import traceback
+import uuid
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ResourceExhausted
-from repro.core.explorers import DEFAULT_CAP, ExplorationResult, Explorer
-from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
+from repro.core.explorers import (
+    DEFAULT_CAP,
+    ExplorationResult,
+    Explorer,
+    stream_owner,
+)
+from repro.core.journal import HuntJournal, JournaledOutcome
+from repro.core.replay import Assertion, ReplayEngine
 from repro.faults.quarantine import QuarantinedReplay
 from repro.obs.metrics import MetricsRegistry
+
+#: How long ``prestart`` waits for every worker to bootstrap (seconds).
+_BOOTSTRAP_TIMEOUT_S = 120.0
+#: The longest backoff before a dead slot is respawned (seconds).
+_BACKOFF_CAP_S = 2.0
 
 # -------------------------------------------------------------- worker tasks
 
@@ -278,7 +291,7 @@ class _WorkerConfig:
     stop_stride: int = 32
     #: Candidates below this global index are already committed (a resumed
     #: hunt or a respawned slot): enumerate them for stream determinism,
-    #: but skip the replay — the parent has their verdicts journaled.
+    #: but skip the replay — the parent already holds their verdicts.
     skip_below: int = 0
     #: Which incarnation of this slot the worker is (1 = original, 2+ =
     #: respawned replacements).  Stamped into the worker's metrics payload
@@ -286,10 +299,6 @@ class _WorkerConfig:
     #: when a dead predecessor's partial flush and its replacement's full
     #: flush both reach the merge.
     attempt: int = 1
-    #: Ship a partial columnar frame once it has idled this long (seconds)
-    #: since the previous flush, so trailing verdicts — and the coordinated
-    #: watermark they advance — never wait on a buffer filling up.
-    idle_flush_s: float = 0.05
 
 
 def _worker_main(task, config, conn, stop_event, go_event) -> None:
@@ -377,7 +386,7 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
     # Event-id interning table: both sides derive positions into the shared
     # schedule independently, so frames carry small ints instead of strings.
     eidx = {event.event_id: pos for pos, event in enumerate(explorer.events)}
-    batcher = AdaptiveBatcher(config.batch_size, idle_flush_s=config.idle_flush_s)
+    batcher = AdaptiveBatcher(config.batch_size)
     # Per-pruner prune counts as of each stream position, stored flat as
     # (yields, count, count, ...) runs and only when a count changed: the
     # parent reads them at its commit point, so prunes this worker made
@@ -524,35 +533,6 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
 # ------------------------------------------------------------------- parent
 
 
-class QuietWorkerDetector:
-    """Deadline-based dead-worker detection with an injectable clock.
-
-    A worker slot whose pipe reached EOF without a final flush or an error
-    is *suspect*; the crash is declared once the whole pool has stayed
-    quiet (no frame from any worker) for ``grace_s`` on the supplied clock.
-    Any frame voids every suspicion, so a busy sibling delays the verdict
-    until it goes quiet — the death is late, never lost.  The clock is a
-    constructor argument so tests can drive the grace window exactly.
-    """
-
-    def __init__(self, grace_s: float = 0.5, clock: Optional[Any] = None) -> None:
-        self.grace_s = grace_s
-        self._clock = clock or time.monotonic
-        self._suspects: Dict[int, float] = {}
-
-    def activity(self) -> None:
-        """A message arrived from the pool: every suspicion is void."""
-        self._suspects.clear()
-
-    def clear(self) -> None:
-        self._suspects.clear()
-
-    def suspect(self, widx: int) -> bool:
-        """Note one dead-looking worker; True once quiet past the grace."""
-        first_seen = self._suspects.setdefault(widx, self._clock())
-        return self._clock() - first_seen >= self.grace_s
-
-
 class ProcessParallelExplorer:
     """Drive a pool of shared-nothing exploration workers.
 
@@ -562,12 +542,26 @@ class ProcessParallelExplorer:
     matches the serial ``Explorer.explore`` signature and return type, and
     its committed results are bit-for-bit those of a serial run.
 
+    The one failure policy: a worker slot is *dead* when it sends an error
+    frame, or when its pipe reaches EOF without a final flush.  A dead slot
+    is respawned in place after an exponential backoff (``backoff_base_s``,
+    doubling per attempt, capped), up to ``max_releases`` times; past that
+    it is abandoned, and the parent commits a ``ShardAbandoned`` quarantine
+    for each position it still owned, letting every other slot finish.
+    Each step of a slot's history is a lease event (``acquired`` /
+    ``expired`` / ``re-leased`` / ``quarantined``) on
+    ``result.coordination``.
+
+    ``journal`` (a :class:`~repro.core.journal.HuntJournal`), when given,
+    records every commit and lease event as it happens.  A journal that
+    already holds commits turns the run into a resume: the journaled prefix
+    is committed from the file, and every worker starts past it.
+
     ``prestart()`` optionally spawns and bootstraps the pool up front (the
     bench uses it to keep worker startup out of the timed region); otherwise
     ``explore`` bootstraps lazily.  Shutdown is unconditional and bounded:
     the stop flag is set, final flushes are drained with a deadline, and any
-    worker still alive afterwards is terminated — a deadlocked or crashed
-    pool surfaces as a quarantined result, never as a hang.
+    worker still alive afterwards is terminated.
     """
 
     def __init__(
@@ -580,12 +574,11 @@ class ProcessParallelExplorer:
         seed: int = 0,
         batch_size: int = 64,
         start_method: Optional[str] = None,
-        bootstrap_timeout_s: float = 120.0,
         shutdown_timeout_s: float = 10.0,
         parent_sanitizer: Optional[object] = None,
-        clock: Optional[Any] = None,
-        dead_worker_grace_s: float = 0.5,
-        idle_flush_s: float = 0.05,
+        journal: Optional[HuntJournal] = None,
+        max_releases: int = 3,
+        backoff_base_s: float = 0.05,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -597,13 +590,19 @@ class ProcessParallelExplorer:
         self.seed = seed
         self.batch_size = max(1, batch_size)
         self.start_method = start_method
-        self.bootstrap_timeout_s = bootstrap_timeout_s
         self.shutdown_timeout_s = shutdown_timeout_s
         self.parent_sanitizer = parent_sanitizer
-        self.clock = clock or time.monotonic
-        self.dead_worker_grace_s = dead_worker_grace_s
-        self.idle_flush_s = idle_flush_s
+        self.journal = journal
+        self.max_releases = max(0, max_releases)
+        self.backoff_base_s = backoff_base_s
         self.mode = f"{base.mode}+proc{workers}"
+        header = journal.header.get("hunt", {}) if journal is not None else {}
+        self.hunt_id = header.get("hunt_id") or uuid.uuid4().hex[:12]
+        #: The journal's committed prefix, which a resume commits from the
+        #: file, and the watermark: every candidate below it is committed,
+        #: so every worker incarnation skips replaying it.
+        self._resumed = journal.commits if journal is not None else []
+        self._watermark = len(self._resumed)
         #: The columnar-frame interning table: workers ship event positions,
         #: the parent maps them back through the (identically derived)
         #: schedule of the base explorer.
@@ -626,6 +625,18 @@ class ProcessParallelExplorer:
         self._started = False
         self._cap: Optional[int] = None
         self._stop_on_violation: Optional[bool] = None
+        #: Slot incarnations: each slot's current attempt, the respawns
+        #: waiting out their backoff, the abandoned slots (with why), and
+        #: the lease log.
+        self._attempts: Dict[int, int] = {w: 1 for w in range(workers)}
+        self._respawn_at: Dict[int, float] = {}
+        self._abandoned: Dict[int, str] = {}
+        self._lease_log: List[Tuple[int, int, str]] = []
+        #: The parent's own candidate stream, built only once a slot is
+        #: abandoned: the event ids of every position it has enumerated.
+        self._owner_stream: Optional[Iterator[Any]] = None
+        self._owner_keys: List[Tuple[str, ...]] = []
+        self._owner_metrics: Optional[MetricsRegistry] = None
 
     # ---------------------------------------------------------------- pool
 
@@ -651,7 +662,7 @@ class ProcessParallelExplorer:
             self._procs.append(self._spawn_worker(widx))
         self._started = True
         ready = set()
-        deadline = time.monotonic() + self.bootstrap_timeout_s
+        deadline = time.monotonic() + _BOOTSTRAP_TIMEOUT_S
         while len(ready) < self.workers:
             message = self._next_message(timeout=0.1)
             if message is not None:
@@ -677,13 +688,26 @@ class ProcessParallelExplorer:
             if time.monotonic() > deadline:
                 self._shutdown(drain_finals=None)
                 raise RuntimeError(
-                    f"worker bootstrap exceeded {self.bootstrap_timeout_s:g}s"
+                    f"worker bootstrap exceeded {_BOOTSTRAP_TIMEOUT_S:g}s"
                 )
 
-    def _make_config(
-        self, widx: int, skip_below: int = 0, attempt: int = 1
-    ) -> _WorkerConfig:
-        return _WorkerConfig(
+    def _spawn_worker(self, widx: int) -> multiprocessing.Process:
+        """Start the current incarnation of one worker slot.
+
+        It skips the committed prefix (``skip_below`` is the watermark), so
+        a resumed hunt and a respawned slot both start where the parent's
+        commits end.  Each spawn gets a fresh one-writer pipe for its slot.
+        The parent closes its copy of the send end immediately after the
+        fork so the child holds the **only** write fd — that is what makes
+        process death (even SIGKILL) surface as EOF on the receive end.
+        """
+        stale = self._conns.pop(widx, None)
+        if stale is not None:
+            # A replacement is superseding a dead predecessor whose pipe was
+            # not yet harvested; its undelivered frames are re-derived by the
+            # replacement (replays are deterministic) and deduped on commit.
+            stale.close()
+        config = _WorkerConfig(
             worker_index=widx,
             workers=self.workers,
             cap=self._cap,
@@ -693,37 +717,13 @@ class ProcessParallelExplorer:
             sanitize=self.sanitize,
             sanitize_sample_k=self.sanitize_sample_k,
             seed=self.seed,
-            skip_below=skip_below,
-            attempt=attempt,
-            idle_flush_s=self.idle_flush_s,
+            skip_below=self._watermark,
+            attempt=self._attempts[widx],
         )
-
-    def _spawn_worker(
-        self, widx: int, skip_below: int = 0, attempt: int = 1
-    ) -> multiprocessing.Process:
-        """Start one worker-slot process (also the coordinator's respawn path).
-
-        Each spawn gets a fresh one-writer pipe for its slot.  The parent
-        closes its copy of the send end immediately after the fork so the
-        child holds the **only** write fd — that is what makes process death
-        (even SIGKILL) surface as EOF on the receive end.
-        """
-        stale = self._conns.pop(widx, None)
-        if stale is not None:
-            # A replacement is superseding a dead predecessor whose pipe was
-            # not yet harvested; its undelivered frames are re-derived by the
-            # replacement (replays are deterministic) and deduped on commit.
-            stale.close()
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                self.task,
-                self._make_config(widx, skip_below=skip_below, attempt=attempt),
-                send_conn,
-                self._stop,
-                self._go,
-            ),
+            args=(self.task, config, send_conn, self._stop, self._go),
             name=f"erpi-proc-{widx}",
             daemon=True,
         )
@@ -742,143 +742,229 @@ class ProcessParallelExplorer:
         cap: int = DEFAULT_CAP,
         stop_on_violation: bool = True,
     ) -> ExplorationResult:
+        started = time.perf_counter()
+        result = ExplorationResult(
+            mode=self.mode, found=False, explored=0, elapsed_s=0.0, verdicts={}
+        )
+        for index, record in enumerate(self._resumed):
+            self._commit_journaled(result, index, record)
+        if self.journal is not None:
+            self.journal.reopen()
+        if result.violating is not None and stop_on_violation:
+            # The previous incarnation of the hunt already found the bug.
+            self._shutdown(drain_finals=None)
+            return self._finish(result, started, {}, commit_point=None)
         if not self._started:
             self.prestart(cap=cap, stop_on_violation=stop_on_violation)
+            # Bootstrap is set-up, as it is when the caller prestarts:
+            # ``elapsed_s`` times the exploration alone.
+            started = time.perf_counter()
         elif cap != self._cap or stop_on_violation != self._stop_on_violation:
             raise ValueError(
                 "prestarted pool was configured with different cap/stop settings"
             )
+        for widx in range(self.workers):
+            self._record_lease(widx, "acquired")
         tracer = self.base.tracer
         metrics = self.base.metrics
-        progress = self.base.progress
-        started = time.perf_counter()
         root = tracer.begin("explore") if tracer.enabled else None
-
         pending: Dict[int, Tuple[int, str, Any]] = {}
         finals: Dict[int, Dict[str, Any]] = {}
         errors: Dict[int, str] = {}
-        verdicts: Dict[str, str] = {}
-        quarantined: List[QuarantinedReplay] = []
-        next_index = 0
-        explored = 0
-        violating: Optional[InterleavingOutcome] = None
-        crashed = False
-        crash_reason: Optional[str] = None
-
+        stopped = False
         self._go.set()
-        detector = QuietWorkerDetector(
-            grace_s=self.dead_worker_grace_s, clock=self.clock
-        )
         try:
-            done = False
-            while not done:
+            while True:
                 message = self._next_message(timeout=0.05)
-                idle = message is None
                 while message is not None:
                     self._dispatch(message, pending, finals, errors)
                     message = self._next_message(timeout=0.0)
-                # Commit strictly in candidate order.
-                while next_index in pending:
-                    index, kind, payload = pending.pop(next_index)
-                    next_index += 1
-                    if kind == "crashed":
-                        crashed = True
-                        crash_reason = payload
-                        done = True
-                        break
-                    explored += 1
-                    if kind == "quarantine":
-                        quarantined.append(payload)
-                        verdicts["|".join(payload.interleaving)] = "quarantine"
-                        if metrics.enabled:
-                            metrics.inc("interleavings.quarantined")
-                        if progress is not None:
-                            progress.tick(metrics)
-                        continue
-                    if metrics.enabled:
-                        metrics.inc("interleavings.replayed")
-                    if progress is not None:
-                        progress.tick(metrics)
-                    if kind == "ok":
-                        verdicts["|".join(payload)] = "ok"
-                        continue
-                    il_ids, outcome = payload
-                    verdicts["|".join(il_ids)] = "violation"
-                    if isinstance(outcome, (bytes, bytearray)):
-                        # Columnar frames ship the outcome as pickle bytes;
-                        # only a *committed* violation pays deserialisation.
-                        outcome = pickle.loads(outcome)
-                    violating = outcome
-                    if stop_on_violation:
-                        done = True
-                        break
-                if done:
+                self._respawn_due()
+                stopped = self._commit_ready(result, pending, stop_on_violation)
+                if stopped:
                     break
-                if errors:
-                    widx, text = sorted(errors.items())[0]
-                    quarantined.append(self._worker_crash_quarantine(widx, text))
-                    crashed = True
-                    crash_reason = f"worker {widx} crashed"
+                self._release_dead(finals, errors)
+                live = [w for w in range(self.workers) if w not in self._abandoned]
+                # Every batch precedes its worker's final on its pipe, so
+                # once every live slot has finished nothing more can arrive.
+                # An abandoned slot's positions may still be due; the next
+                # round commits them.
+                if (
+                    not self._respawn_at
+                    and all(self._finished(w, finals) for w in live)
+                    and self._abandoned_candidate(self._watermark) is None
+                ):
                     break
-                if all(self._finished(w, finals) for w in range(self.workers)):
-                    # Every batch precedes its worker's final on its pipe,
-                    # so nothing more can arrive: anything still pending is
-                    # beyond a worker's (legitimate) stopping point.
-                    break
-                if not idle:
-                    detector.activity()
-                else:
-                    widx = self._dead_worker_index(finals, errors)
-                    if widx is None:
-                        detector.clear()
-                    elif detector.suspect(widx):
-                        crash = self._worker_crash_quarantine(
-                            widx,
-                            "(no traceback: the process died "
-                            "without reporting)",
-                        )
-                        quarantined.append(crash)
-                        crashed = True
-                        crash_reason = crash.message
-                        break
         finally:
             self._shutdown(drain_finals=finals)
             if metrics.enabled:
-                self._merge_metrics(metrics, finals, explored)
-            self.base._finish_observation(root, explored, mode=self.mode)
-        # A hunt that stopped early reports the prune counts at its commit
-        # point; one that drained every worker's stream, the final counts.
-        pruning_stats = self._pruning_stats_at(
-            finals, next_index if done or crashed else None
-        )
+                self._merge_metrics(metrics, finals, result.explored)
+            self.base._finish_observation(root, result.explored, mode=self.mode)
         self._merge_sanitizer(finals)
-        if violating is None and not crashed:
+        if result.violating is None and not result.crashed:
             # A generation-side budget crash aborts a serial run too; any
             # worker that hit it reports the identical stream position.
             for flush in finals.values():
                 if flush["crash_reason"]:
-                    crashed = True
-                    crash_reason = flush["crash_reason"]
+                    result.crashed = True
+                    result.crash_reason = flush["crash_reason"]
                     break
-        if violating is not None and stop_on_violation:
-            crashed = False
-            crash_reason = None
+        # A hunt that stopped early reports the prune counts at its commit
+        # point; one that drained every worker's stream, the final counts.
+        commit_point = self._watermark if stopped else None
+        return self._finish(result, started, finals, commit_point)
+
+    # -------------------------------------------------------------- commits
+
+    def _commit_ready(
+        self,
+        result: ExplorationResult,
+        pending: Dict[int, Tuple[int, str, Any]],
+        stop_on_violation: bool,
+    ) -> bool:
+        """Commit every verdict that is next in candidate order.
+
+        An abandoned slot's positions commit as ``ShardAbandoned``
+        quarantines.  True once the run is over: a budget crash committed
+        (deterministic, so no incarnation could get past it), or a
+        violation that stops the hunt.
+        """
+        while True:
+            index = self._watermark
+            record = pending.pop(index, None)
+            if record is None:
+                ids = self._abandoned_candidate(index)
+                if ids is None:
+                    return False
+                slot = stream_owner(index, self.workers)
+                record = (index, "quarantine", QuarantinedReplay(
+                    interleaving=ids,
+                    error_type="ShardAbandoned",
+                    message=self._abandoned[slot],
+                    traceback="",
+                    fault_plan=self.base.fault_plan_description,
+                    shard=slot,
+                ))
+            _, kind, payload = record
+            if kind == "crashed":
+                self._watermark = index + 1
+                result.crashed = True
+                result.crash_reason = payload
+                return True
+            if kind == "ok":
+                self._commit(result, index, "ok", "|".join(payload))
+            elif kind == "quarantine":
+                self._commit(
+                    result, index, "quarantine", "|".join(payload.interleaving),
+                    payload,
+                )
+            else:
+                # Violations ship their outcome as pickle bytes: only the
+                # committed one pays deserialisation.
+                il_ids, outcome = payload
+                self._commit(
+                    result, index, "violation", "|".join(il_ids),
+                    pickle.loads(outcome),
+                )
+                if stop_on_violation:
+                    return True
+
+    def _commit_journaled(
+        self, result: ExplorationResult, index: int, record: Dict[str, Any]
+    ) -> None:
+        """Commit one verdict of the journal a resume started from."""
+        verdict = record["verdict"]
+        il_key = record["il"]
+        ids = tuple(il_key.split("|")) if il_key else ()
+        detail: Any = None
+        if verdict == "quarantine":
+            detail = QuarantinedReplay(
+                interleaving=ids,
+                error_type=record.get("error", "unknown"),
+                message="(resumed from journal)",
+                traceback="",
+                fault_plan=self.base.fault_plan_description,
+            )
+        elif verdict == "violation":
+            detail = JournaledOutcome(
+                ids, record.get("messages", ["(violation resumed from journal)"])
+            )
+        self._commit(result, index, verdict, il_key, detail, journaled=True)
+
+    def _commit(
+        self,
+        result: ExplorationResult,
+        index: int,
+        verdict: str,
+        il_key: str,
+        detail: Any = None,
+        journaled: bool = False,
+    ) -> None:
+        """Commit the verdict of stream position ``index``: the verdict map,
+        the journal, the metrics and the progress line, in one place.
+
+        ``detail`` is the quarantine record of a ``quarantine`` verdict and
+        the outcome of a ``violation``.  ``journaled`` verdicts come from
+        the journal a resume started from, so they are not written again.
+        """
+        self._watermark = index + 1
+        result.explored += 1
+        result.verdicts[il_key] = verdict
+        if verdict == "quarantine":
+            result.quarantined.append(detail)
+        elif verdict == "violation":
+            result.violating = detail
+        metrics = self.base.metrics
+        if metrics.enabled:
+            if journaled:
+                metrics.inc("coordinator.commits.resumed")
+            if verdict == "quarantine":
+                metrics.inc("interleavings.quarantined")
+            else:
+                metrics.inc("interleavings.replayed")
+        if self.journal is not None and not journaled:
+            self.journal.commit(
+                index=index,
+                verdict=verdict,
+                il_key=il_key,
+                error_type=detail.error_type if verdict == "quarantine" else None,
+                messages=tuple(detail.violations) if verdict == "violation" else (),
+            )
+        if self.base.progress is not None:
+            self.base.progress.tick(metrics)
+
+    def _finish(
+        self,
+        result: ExplorationResult,
+        started: float,
+        finals: Dict[int, Dict[str, Any]],
+        commit_point: Optional[int],
+    ) -> ExplorationResult:
+        result.found = result.violating is not None
+        if self.journal is not None:
+            self.journal.final(
+                found=result.found,
+                explored=result.explored,
+                crashed=result.crashed,
+                crash_reason=result.crash_reason,
+            )
+            self.journal.close()
         canonical = self._canonical_flush(finals)
-        elapsed = time.perf_counter() - started
-        return ExplorationResult(
-            mode=self.mode,
-            found=violating is not None,
-            explored=explored,
-            elapsed_s=elapsed,
-            crashed=crashed,
-            crash_reason=crash_reason,
-            violating=violating,
-            pruning_stats=pruning_stats,
-            quarantined=quarantined,
-            fault_events=canonical["fault_events"] if canonical else 0,
-            verdicts=verdicts,
-            worker_stats=self._worker_stats(finals),
-        )
+        result.pruning_stats = self._pruning_stats_at(finals, commit_point)
+        result.fault_events = canonical["fault_events"] if canonical else 0
+        result.worker_stats = self._worker_stats(finals)
+        result.coordination = {
+            "hunt_id": self.hunt_id,
+            "lease_events": list(self._lease_log),
+            "releases": sum(
+                1 for _, _, status in self._lease_log if status == "re-leased"
+            ),
+            "abandoned_shards": sorted(self._abandoned),
+            "resumed_commits": len(self._resumed),
+            "journal": self.journal.path if self.journal is not None else None,
+        }
+        result.elapsed_s = time.perf_counter() - started
+        return result
 
     @staticmethod
     def _worker_stats(finals: Dict[int, Dict[str, Any]]) -> Dict[int, Dict[str, int]]:
@@ -890,6 +976,106 @@ class ProcessParallelExplorer:
             }
             for widx, flush in sorted(finals.items())
         }
+
+    # ----------------------------------------------------------- dead slots
+
+    def _metric(self, name: str) -> None:
+        metrics = self.base.metrics
+        if metrics.enabled:
+            metrics.inc(name)
+
+    def _record_lease(self, slot: int, status: str) -> None:
+        """Log one step of a slot's incarnation history."""
+        attempt = self._attempts[slot]
+        self._lease_log.append((slot, attempt, status))
+        if self.journal is not None:
+            self.journal.lease(slot, attempt, status)
+        self._metric(f"coordinator.leases.{status}")
+
+    def _release_dead(self, finals, errors) -> None:
+        """Respawn or abandon every slot that died since the last look.
+
+        A slot is dead when it sent an error frame, or when its pipe reached
+        EOF without a final flush.  EOF comes only after every frame the
+        slot sent, so the second test needs no grace period.
+        """
+        for widx in sorted(errors):
+            # A raising worker flushes a partial final before its error
+            # frame; that final must not count as the slot finishing (its
+            # replay-side metrics still merge).
+            stale = finals.pop(widx, None)
+            if stale is not None:
+                self._stale_finals.append(stale)
+            self._release(widx, f"worker {widx} raised:\n{errors.pop(widx)}")
+        retired = self._abandoned.keys() | self._respawn_at.keys()
+        for widx in sorted(self._eof - finals.keys() - retired):
+            self._release(
+                widx,
+                f"worker {widx} died without reporting "
+                f"(exit code {self._procs[widx].exitcode})",
+            )
+
+    def _release(self, widx: int, reason: str) -> None:
+        """Retire a dead slot's incarnation: queue its respawn after a
+        backoff, or abandon the slot once it has died ``max_releases``
+        times over."""
+        proc = self._procs[widx]
+        if proc.is_alive():
+            proc.terminate()  # never two incarnations of one slot at once
+        self._record_lease(widx, "expired")
+        attempt = self._attempts[widx]
+        if attempt > self.max_releases:
+            self._abandoned[widx] = reason
+            self._record_lease(widx, "quarantined")
+            self._metric("coordinator.shards.quarantined")
+            return
+        backoff = min(self.backoff_base_s * 2 ** (attempt - 1), _BACKOFF_CAP_S)
+        self._attempts[widx] = attempt + 1
+        self._respawn_at[widx] = time.monotonic() + backoff
+
+    def _respawn_due(self) -> None:
+        now = time.monotonic()
+        for widx in [w for w, at in self._respawn_at.items() if now >= at]:
+            del self._respawn_at[widx]
+            tracer = self.base.tracer
+            span = tracer.begin("re-lease") if tracer.enabled else None
+            self._procs[widx] = self._spawn_worker(widx)
+            self._metric("coordinator.releases")
+            if span is not None:
+                tracer.end(
+                    span,
+                    slot=widx,
+                    attempt=self._attempts[widx],
+                    skip_below=self._watermark,
+                )
+
+    def _abandoned_candidate(self, index: int) -> Optional[Tuple[str, ...]]:
+        """Event ids of candidate ``index`` when an abandoned slot owns it;
+        None when a live slot owns it or the stream (or the cap) ends
+        first.  The parent enumerates the stream itself for these."""
+        owner = stream_owner(index, self.workers)
+        if owner not in self._abandoned or index >= self._cap:
+            return None
+        if self._owner_stream is None:
+            explorer, engine, assertions = self.task.build()
+            # The owner stream must make byte-identical pruning decisions to
+            # the workers' streams, so its pruners are bound the same way.
+            explorer.bind_semantic((engine,), assertions)
+            if self.base.metrics.enabled:
+                self._owner_metrics = MetricsRegistry()
+                explorer.metrics = self._owner_metrics
+            self._owner_stream = explorer.candidates()
+        while len(self._owner_keys) <= index:
+            try:
+                interleaving = next(self._owner_stream, None)
+            except ResourceExhausted:
+                interleaving = None
+            if interleaving is None:
+                return None
+            self._owner_keys.append(
+                tuple(event.event_id for event in interleaving)
+            )
+        return self._owner_keys[index]
 
     # ------------------------------------------------------------- plumbing
 
@@ -935,7 +1121,7 @@ class ProcessParallelExplorer:
         elif kind == "ready":
             # A replacement worker finished bootstrapping mid-run (initial
             # readiness is consumed by prestart before explore runs).
-            self._on_ready(message[1])
+            self._record_lease(message[1], "re-leased")
 
     def _decode_cbatch(
         self, frame
@@ -985,35 +1171,11 @@ class ProcessParallelExplorer:
             self._stale_finals.append(prior)
         finals[widx] = flush
 
-    def _on_ready(self, widx: int) -> None:
-        """Hook for respawning subclasses; a plain pool never respawns."""
-
-    def _worker_crash_quarantine(self, widx: int, detail: str) -> QuarantinedReplay:
-        return QuarantinedReplay(
-            interleaving=(),
-            error_type="WorkerCrashed",
-            message=(
-                f"worker {widx} died before flushing results "
-                f"(exit code {self._procs[widx].exitcode})"
-            ),
-            traceback=detail,
-            fault_plan=self.base.fault_plan_description,
-        )
-
     def _finished(self, widx: int, finals) -> bool:
         """A slot is finished once its final flush is in *and* its pipe has
         reached EOF.  A raising worker sends a partial final before its
         error frame, so the final alone does not prove no error follows."""
         return widx in finals and widx in self._eof
-
-    def _dead_worker_index(self, finals, errors) -> Optional[int]:
-        # EOF on a slot's pipe is definitive death — the kernel closed the
-        # only write fd — and every frame the worker did send was already
-        # drained before the EOFError surfaced (pipes deliver in order).
-        for widx in sorted(self._eof):
-            if widx not in finals and widx not in errors:
-                return widx
-        return None
 
     def _shutdown(self, drain_finals: Optional[Dict[int, Dict[str, Any]]]) -> None:
         """Stop workers, drain their final flushes, reap every process.
@@ -1099,19 +1261,28 @@ class ProcessParallelExplorer:
         return stats
 
     def _merge_metrics(self, metrics, finals, committed: int) -> None:
+        """Stream-side counters from whichever enumerator went furthest,
+        replay-side counters summed over every flush, superseded ones
+        included (their epochs merge each incarnation once)."""
         canonical = self._canonical_flush(finals)
-        if canonical is None:
-            return
-        if canonical["stream"] is not None:
-            metrics.merge_payload(canonical["stream"])
+        yields = canonical["yields"] if canonical is not None else 0
+        if self._owner_metrics is not None and len(self._owner_keys) > yields:
+            # The parent's own enumeration (for abandoned-shard commits) went
+            # furthest — every live worker died or stopped short — so its
+            # stream-side counters are the superset.
+            metrics.merge_payload(self._owner_metrics.to_payload())
+            yields = len(self._owner_keys)
+        elif canonical is not None:
+            if canonical["stream"] is not None:
+                metrics.merge_payload(canonical["stream"])
+            for category, nbytes in canonical["meter"].items():
+                metrics.set_gauge("resource.bytes." + category, nbytes)
         for flush in list(finals.values()) + self._stale_finals:
             if flush["replay"] is not None:
                 metrics.merge_payload(flush["replay"])
-        discarded = canonical["yields"] - committed
+        discarded = yields - committed
         if discarded > 0:
             metrics.inc("interleavings.discarded", discarded)
-        for category, nbytes in canonical["meter"].items():
-            metrics.set_gauge("resource.bytes." + category, nbytes)
 
     def _merge_sanitizer(self, finals) -> None:
         """Adopt the canonical worker's class samplers into the parent's

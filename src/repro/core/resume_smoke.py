@@ -1,7 +1,7 @@
 """End-to-end crash/resume smoke: ``python -m repro.core.resume_smoke``.
 
 The one scenario no in-process test can cover: the hunt **parent** dying.
-This driver runs a journaled 2-worker coordinated hunt in a child process,
+This script runs a journaled 2-worker hunt in a child process,
 SIGKILLs that child mid-hunt (after the journal shows real committed
 progress), resumes the torn journal with ``hunt(resume=...)``, and checks
 the resumed verdict map bit-for-bit against an uninterrupted run of the

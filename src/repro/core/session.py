@@ -118,7 +118,7 @@ def persist_exploration(
     Merged observability shards follow via their own persist hooks when a
     ``metrics`` registry / ``tracer`` is supplied.
 
-    A coordinated hunt additionally carries ``result.coordination``; its
+    A process-pool hunt additionally carries ``result.coordination``; its
     slots' incarnation log lands as ``lease`` facts, so "the hunt recovered
     from a crash" is auditable from the same program as the verdicts it
     recovered.

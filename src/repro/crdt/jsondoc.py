@@ -202,7 +202,7 @@ class JSONDocument(StateCRDT):
                     mine.stamps[key] = their_stamp
                 continue
             if isinstance(my_child, RGAList) and isinstance(their_child, RGAList):
-                my_child.merge(their_child)
+                self._merge_array(my_child, their_child)
                 if my_stamp is None or their_stamp > my_stamp:
                     mine.stamps[key] = their_stamp
                 continue
@@ -219,6 +219,23 @@ class JSONDocument(StateCRDT):
                 if my_stamp is None or their_stamp > my_stamp:
                     mine.children.pop(key, None)
                     mine.stamps[key] = their_stamp
+
+    def _merge_array(self, mine: RGAList, theirs: RGAList) -> None:
+        """Join two arrays: the RGA merge unions their elements, and the
+        contents of every element both already held merge as well, since
+        a write inside an element (``["tasks", 0, "done"]``) changes its
+        payload in place."""
+        shared = [
+            (mine._nodes[element_id].payload, node.payload)
+            for element_id, node in theirs._nodes.items()
+            if element_id in mine._nodes
+        ]
+        mine.merge(theirs)
+        for my_payload, their_payload in shared:
+            if isinstance(my_payload, _ObjNode) and isinstance(their_payload, _ObjNode):
+                self._merge_obj(my_payload, their_payload)
+            elif isinstance(my_payload, RGAList) and isinstance(their_payload, RGAList):
+                self._merge_array(my_payload, their_payload)
 
     # ------------------------------------------------------------- internal
 

@@ -21,8 +21,8 @@ Schema (all facts):
 * ``metric(name, value)`` — observability counter/gauge totals mirrored
   from a :class:`~repro.obs.metrics.MetricsRegistry`.
 * ``lease(slot, attempt, status)`` — a worker slot's incarnation log
-  (acquired / expired / re-leased / quarantined) from a coordinated hunt
-  (:mod:`repro.core.coordinator`).
+  (acquired / expired / re-leased / quarantined) from a process-pool hunt
+  (:class:`~repro.core.procpool.ProcessParallelExplorer`).
 * ``footprint(il_id, event_id, mode, key)`` — the static read/write
   footprint model entry that justified pruning ``il_id`` as a reordering
   of independent events (:class:`~repro.core.pruning.semantic.DPORPruner`;

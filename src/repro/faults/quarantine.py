@@ -29,7 +29,7 @@ class QuarantinedReplay:
     #: ``FaultPlan.describe()`` of the active plan, if any.
     fault_plan: Optional[str] = None
     #: Worker slot whose shard was abandoned, for ``ShardAbandoned``
-    #: records minted by the coordinated-hunt re-lease path.  ``None``
+    #: records the process pool commits for an abandoned slot.  ``None``
     #: for ordinary replay-side quarantines.
     shard: Optional[int] = None
 

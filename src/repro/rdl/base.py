@@ -77,21 +77,13 @@ class RDLReplica(abc.ABC):
         restores, and a restore is one C-level unpickle.  They are made and
         loaded in one process only: snapshots never go into a journal or
         over the worker pipes (each worker builds its own checkpoint).
+        Recording proxies are left out, see
+        :func:`~repro.proxy.interceptor.own_state`.
         """
-        return self._snapshot()
+        return pickle.dumps(own_state(self), pickle.HIGHEST_PROTOCOL)
 
     def restore(self, snapshot: bytes) -> None:
         self.__dict__ = pickle.loads(snapshot)
-
-    def _snapshot(self, **overrides: Any) -> bytes:
-        """Pickle this replica's state with ``overrides`` replacing fields
-        (e.g. process flags as a crash leaves them).  Recording
-        proxies are left out, see :func:`~repro.proxy.interceptor.own_state`.
-        """
-        state = own_state(self)
-        if overrides:
-            state = {**state, **overrides}
-        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
 
     def canonical_state(self) -> Any:
         """The replica's full semantic state, for canonical hashing.

@@ -1,11 +1,12 @@
-"""Checkpointed hunt coordination (crash recovery + resume).
+"""The process pool's one failure policy: respawn, abandon, journal, resume.
 
-The coordinator's whole contract is *recovery without divergence*: whatever
-dies — a worker SIGKILLed mid-batch or raising, or the hunt parent itself
-— the final verdict map must be bit-for-bit the map an uninterrupted run
-commits, and the exploration identity
+The pool's whole contract under failure is *recovery without divergence*:
+whatever dies — a worker SIGKILLed mid-batch or raising, or the hunt parent
+itself — the final verdict map must be bit-for-bit the map an uninterrupted
+run commits, and the exploration identity
 ``generated == pruned + replayed + quarantined + discarded`` must survive
-the recovery.  These tests kill things and assert exactly that.
+the recovery.  These tests kill things and assert exactly that, with and
+without a journal.
 """
 
 import json
@@ -18,7 +19,6 @@ import pytest
 
 from repro.bench.harness import hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
-from repro.core.coordinator import CoordinatedHuntExplorer
 from repro.core.journal import HuntJournal, JournalError
 from repro.core.procpool import CallableWorkerTask, ProcessParallelExplorer
 from repro.core.session import persist_exploration
@@ -133,7 +133,7 @@ def coordinated(task, journal=None, metrics=None, **kwargs):
     if metrics is not None:
         explorer.metrics = metrics
         recorded.engine.metrics = metrics
-    pool = CoordinatedHuntExplorer(
+    pool = ProcessParallelExplorer(
         explorer, task, workers=2, journal=journal, seed=0, **kwargs,
     )
     result = pool.explore(
@@ -221,6 +221,25 @@ class TestCrashRecovery:
         assert len(loaded.commits) == CAP
         assert (1, 2, "re-leased") in loaded.lease_events
 
+    def test_sigkilled_worker_without_journal_is_re_leased(
+        self, baseline, tmp_path
+    ):
+        """The policy does not depend on a journal: a plain pool respawns a
+        SIGKILLed worker and commits the uninterrupted verdict map."""
+        sentinel = str(tmp_path / "plain-kill.sentinel")
+        result, _ = coordinated(
+            CallableWorkerTask(kill_once_stack, (sentinel, 10)),
+            backoff_base_s=0.01, batch_size=8,
+        )
+        assert os.path.exists(sentinel), "worker 1 never reached the kill point"
+        assert not result.crashed, result.crash_reason
+        assert result.verdicts == baseline.verdicts
+        assert result.explored == baseline.explored
+        events = result.coordination["lease_events"]
+        assert [e for e in events if e[2] == "re-leased"] == [(1, 2, "re-leased")]
+        assert result.coordination["journal"] is None
+        assert result.coordination["abandoned_shards"] == []
+
     def test_kill_mid_batch_merges_metrics_exactly_once(
         self, baseline, tmp_path
     ):
@@ -290,21 +309,38 @@ class TestRaisingWorker:
     0 has finished), and a hunt that ends on the final alone commits a
     truncated verdict map without saying so."""
 
-    def test_plain_pool_reports_the_crash(self, tmp_path):
+    def test_plain_pool_reports_the_crash(self, baseline, tmp_path):
+        """With no respawns allowed, the raising slot is abandoned at once:
+        what it shipped before the raise commits as replayed, each of its
+        positions past the raise commits as ``ShardAbandoned``, and the
+        verdict map still covers the whole stream."""
         recorded = record_scenario(scenario(NAME))
         pool = ProcessParallelExplorer(
             make_explorer(recorded, "erpi"),
             CallableWorkerTask(
                 raise_once_stack, (str(tmp_path / "raise.sentinel"), 50, True)
             ),
-            workers=2, seed=0, batch_size=8,
+            workers=2, seed=0, batch_size=8, max_releases=0,
         )
         result = pool.explore(
             recorded.engine, recorded.scenario.make_assertions(),
             cap=CAP, stop_on_violation=False,
         )
-        assert result.crashed
-        assert any(q.error_type == "WorkerCrashed" for q in result.quarantined)
+        assert not result.crashed, result.crash_reason
+        assert result.explored == CAP
+        assert set(result.verdicts) == set(baseline.verdicts)
+        assert result.coordination["abandoned_shards"] == [1]
+        keys = list(baseline.verdicts)
+        abandoned = [
+            q for q in result.quarantined if q.error_type == "ShardAbandoned"
+        ]
+        assert ["|".join(q.interleaving) for q in abandoned] == [
+            keys[index] for index in range(51, CAP, 2)
+        ]
+        assert all(q.shard == 1 for q in abandoned)
+        assert "raised" in abandoned[0].message
+        for key in keys[:51]:
+            assert result.verdicts[key] == baseline.verdicts[key]
 
     @pytest.mark.parametrize("raise_at, slow_report", [(10, False), (50, True)])
     def test_coordinator_respawns_the_slot(
@@ -353,6 +389,26 @@ class TestResume:
         final = HuntJournal.load(path)
         assert final.is_final
         assert len(final.commits) == CAP
+
+    def test_resume_replays_only_past_the_journaled_prefix(self, tmp_path):
+        """Every worker of a resumed hunt starts at the watermark, the first
+        incarnations included: a 200-candidate hunt cut at 150 commits
+        replays the other 50, not all 200 again."""
+        path = str(tmp_path / "watermark.jsonl")
+        hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=200, workers=2,
+            journal=path, stop_on_violation=False,
+        )
+        truncate_journal(path, keep_commits=150)
+        metrics = MetricsRegistry()
+        resumed = hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=200, workers=2,
+            resume=path, stop_on_violation=False, metrics=metrics,
+        )
+        assert resumed.explored == 200
+        assert resumed.coordination["resumed_commits"] == 150
+        assert metrics.histogram("replay.duration_us").count == 50
+        assert metrics.consistent()
 
     def test_checkpoint_records_of_older_builds_still_resume(
         self, baseline, tmp_path
@@ -520,7 +576,7 @@ class TestCLIExitCodes:
         from repro.core.explorers import ExplorationResult
 
         recovered = ExplorationResult(
-            mode="erpi+coord2", found=True, explored=17, elapsed_s=0.1,
+            mode="erpi+proc2", found=True, explored=17, elapsed_s=0.1,
             violating=type(
                 "V", (), {"violated": True, "violations": ["boom"],
                           "interleaving": ()},
@@ -537,6 +593,27 @@ class TestCLIExitCodes:
         assert status == 0
         assert "re-leased 1 shard(s)" in out
 
+    def test_healthy_pool_hunt_prints_no_coordination_line(self, capsys):
+        """Every pool run carries ``result.coordination``; the CLI prints it
+        only for a journaled hunt or one that re-leased or abandoned a
+        slot."""
+        import unittest.mock as mock
+
+        from repro import cli
+        from repro.core.explorers import ExplorationResult
+
+        healthy = ExplorationResult(
+            mode="erpi+proc2", found=False, explored=60, elapsed_s=0.1,
+        )
+        healthy.coordination = {
+            "hunt_id": "x", "lease_events": [(0, 1, "acquired")],
+            "releases": 0, "abandoned_shards": [], "resumed_commits": 0,
+            "journal": None,
+        }
+        with mock.patch("repro.bench.harness.hunt", return_value=healthy):
+            cli.main(["hunt", NAME, "--workers", "2", "--cap", "60"])
+        assert "coordination:" not in capsys.readouterr().out
+
     def test_unrecoverable_crash_without_repro_exits_three(self, capsys):
         import unittest.mock as mock
 
@@ -544,7 +621,7 @@ class TestCLIExitCodes:
         from repro.core.explorers import ExplorationResult
 
         crashed = ExplorationResult(
-            mode="erpi+coord2", found=False, explored=5, elapsed_s=0.1,
+            mode="erpi+proc2", found=False, explored=5, elapsed_s=0.1,
             crashed=True, crash_reason="generation budget exhausted",
         )
         with mock.patch("repro.bench.harness.hunt", return_value=crashed):

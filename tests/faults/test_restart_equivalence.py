@@ -31,6 +31,8 @@ from repro.rdl.roshi import RoshiReplica
 from repro.rdl.yorkie import YorkieDocument
 from repro.statehash import state_digest
 
+from tests.snapshots import pickled_with
+
 CANDIDATES = 400
 
 #: The pickled replica fields that make up the product's watermark, in order.
@@ -54,7 +56,7 @@ class PushPickledYorkie(YorkieDocument):
 
     def _push_checkpoint(self):
         """A snapshot of everything but the watermark and these bytes."""
-        return self._snapshot(_durable_checkpoint=None, _pushed_bytes=None)
+        return pickled_with(self, _durable_checkpoint=None, _pushed_bytes=None)
 
     def canonical_state(self):
         state = dict(super().canonical_state())
@@ -65,11 +67,13 @@ class PushPickledYorkie(YorkieDocument):
 def durable_snapshot(rdl):
     """What each subject persisted across a crash, as pickled bytes."""
     if isinstance(rdl, OrbitDBStore):
-        return rdl._snapshot(_open=False, _repo_locked=rdl._open or rdl._repo_locked)
+        return pickled_with(
+            rdl, _open=False, _repo_locked=rdl._open or rdl._repo_locked
+        )
     if isinstance(rdl, ReplicaDBJob):
         tombstones = {} if rdl.has_defect("volatile_tombstones") else rdl._source_deleted
-        return rdl._snapshot(
-            rows_transferred=0, peak_memory_rows=0, _source_deleted=tombstones
+        return pickled_with(
+            rdl, rows_transferred=0, peak_memory_rows=0, _source_deleted=tombstones
         )
     if isinstance(rdl, RoshiReplica):
         state = (rdl.farm.snapshot(), rdl._keys, {}, {})

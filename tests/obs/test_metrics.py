@@ -140,7 +140,7 @@ class TestNullMetrics:
 
 
 class TestEpochIdempotentMerge:
-    """Regression: a coordinator re-lease could deliver the same worker
+    """Regression: a process-pool re-lease could deliver the same worker
     snapshot twice (the dead incarnation's final surfacing after its
     replacement already reported), double-counting every replay counter and
     breaking the exploration identity.  Epoch-tagged payloads merge once."""

@@ -113,6 +113,20 @@ class TestReplication:
         cluster.sync("A", "B")
         assert a.get(["cfg"]) == b.get(["cfg"]) == {"base": 1, "y": 2, "z": 3}
 
+    def test_writes_inside_a_shared_array_element_merge(self):
+        """Regression: an array merge united the two replicas' elements but
+        never their contents, so each replica kept only its own write
+        inside the element both held."""
+        cluster, a, b = pair()
+        a.set(["tasks"], [{"title": "t"}])
+        cluster.sync("A", "B")
+        a.set(["tasks", 0, "done"], True)
+        b.set(["tasks", 0, "owner"], "bob")
+        cluster.sync("A", "B")
+        cluster.sync("B", "A")
+        expected = {"done": True, "owner": "bob", "title": "t"}
+        assert a.get(["tasks", 0]) == b.get(["tasks", 0]) == expected
+
 
 class TestDefects:
     def test_nonconvergent_move_diverges(self):

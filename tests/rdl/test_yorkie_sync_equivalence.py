@@ -31,6 +31,8 @@ from repro.fastcopy import copy_state, slot_names
 from repro.rdl.yorkie import YorkieDocument
 from repro.statehash import state_digest
 
+from tests.snapshots import pickled_with
+
 CANDIDATES = 400
 
 #: The pickled replica fields that make up the product's watermark, in order.
@@ -42,7 +44,7 @@ PACK_FIELDS = ("_doc", "_move_log", "_seen_moves", "_op_counter")
 
 def old_push_checkpoint(self):
     """A snapshot of everything but the watermark itself."""
-    return self._snapshot(_durable_checkpoint=None)
+    return pickled_with(self, _durable_checkpoint=None)
 
 
 def old_sync_payload(self, target_replica_id):
