@@ -5,8 +5,8 @@ The package is organised bottom-up:
 
 * :mod:`repro.crdt` — from-scratch CRDT suite (counters, registers, sets,
   OR-set/map, RGA lists, JSON documents, logical clocks).
-* :mod:`repro.redisim` — in-memory Redis simulation + Redlock distributed
-  mutex (ER-pi's replay-ordering substrate).
+* :mod:`repro.redisim` — in-memory Redis simulation (the sorted sets
+  Roshi stores its LWW sets in).
 * :mod:`repro.datalog` — from-scratch Datalog engine; interleaving
   persistence and pruning queries (the paper's Souffle programs).
 * :mod:`repro.net` — simulated replicas joined by FIFO channels, partitions.

@@ -1,10 +1,8 @@
 """Benchmark harness: scenario recording, mode hunts, result formatting."""
 
 from repro.bench.harness import (
-    MODES,
     RecordedScenario,
     hunt,
-    hunt_all_modes,
     make_explorer,
     record_scenario,
     scenario_pruners,
@@ -20,14 +18,12 @@ from repro.bench.reporting import (
 
 __all__ = [
     "AggregateRatios",
-    "MODES",
     "RecordedScenario",
     "aggregate_ratios",
     "format_fig8a_row",
     "format_fig8b_row",
     "format_table",
     "hunt",
-    "hunt_all_modes",
     "log10_or_cap",
     "make_explorer",
     "record_scenario",

@@ -7,7 +7,7 @@ This is the engine behind Figures 8a, 8b, 9 and 10 and Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bugs.registry import BugScenario
 from repro.core.events import Event
@@ -29,8 +29,6 @@ from repro.core.sanitizer import Sanitizer
 from repro.net.cluster import Cluster
 from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.proxy.recorder import EventRecorder
-
-MODES = ("erpi", "dfs", "rand")
 
 
 @dataclass
@@ -225,7 +223,9 @@ def hunt(
     into the schedule: the crash/recover (and partition/heal) events are
     permuted alongside the recorded events, constrained by the plan's
     anchors.  ``replay_timeout_s`` arms the per-replay watchdog; a replay
-    that exceeds it is quarantined rather than hanging the hunt.
+    that exceeds it is quarantined rather than hanging the hunt.  The
+    watchdog is this hunt's alone: a later hunt of the same recording
+    without ``replay_timeout_s`` replays without one.
 
     ``tracer`` / ``metrics`` / ``progress`` attach a
     :class:`~repro.obs.tracer.Tracer`, a
@@ -252,8 +252,7 @@ def hunt(
         )
     observed_tracer = tracer if tracer is not None else NULL_TRACER
     observed_metrics = metrics if metrics is not None else NULL_METRICS
-    if replay_timeout_s is not None:
-        recorded.engine.executor = SequentialExecutor(timeout_s=replay_timeout_s)
+    recorded.engine.executor = SequentialExecutor(timeout_s=replay_timeout_s)
     sanitizer = Sanitizer(sample_k=sanitize_sample_k, seed=seed) if sanitize else None
     explorer = make_explorer(
         recorded, mode, seed=seed, meter=meter, faults=faults, dpor=dpor,
@@ -303,16 +302,3 @@ def hunt(
     if sanitizer is not None:
         result.sanitizer = sanitizer.finish(recorded.engine)
     return result
-
-
-def hunt_all_modes(
-    scenario: BugScenario,
-    cap: int = DEFAULT_CAP,
-    seed: int = 0,
-) -> Dict[str, ExplorationResult]:
-    """One Figure-8 row: the same recorded scenario hunted by every mode."""
-    results: Dict[str, ExplorationResult] = {}
-    for mode in MODES:
-        recorded = record_scenario(scenario)
-        results[mode] = hunt(recorded, mode, cap=cap, seed=seed)
-    return results

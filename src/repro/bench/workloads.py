@@ -1,53 +1,16 @@
-"""Parameterised workload generators for scalability and ablation benches.
+"""Parameterised workload generators for the scalability bench.
 
-The Table-1 scenarios are hand-crafted; these generators build synthetic
-workloads of arbitrary size over the CRDT-collection subject so benches can
-sweep the number of events (the Figure-10 micro-benchmark scales the
-OrbitDB-5 shape; :func:`divergence_workload` scales a Roshi-2-like shape).
+The Table-1 scenarios are hand-crafted; :func:`divergence_workload` builds
+a synthetic Roshi-2-like workload of arbitrary size so benches can sweep the
+number of events.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, List, Optional, Tuple
+from typing import Tuple
 
-from repro.core.events import Event
 from repro.net.cluster import Cluster
-from repro.rdl.crdts_lib import CRDTLibrary
 from repro.rdl.roshi import RoshiReplica
-
-
-def crdt_cluster(replica_ids: Tuple[str, ...] = ("A", "B"), defects: frozenset = frozenset()) -> Cluster:
-    cluster = Cluster()
-    for rid in replica_ids:
-        cluster.add_replica(rid, CRDTLibrary(rid, defects=set(defects)))
-    return cluster
-
-
-def set_workload(
-    cluster: Cluster,
-    updates_per_replica: int = 2,
-    sync_rounds: int = 1,
-    seed: int = 0,
-) -> None:
-    """Adds/removes on a replicated OR-set plus pairwise syncs.
-
-    Event count: ``len(replicas) * updates_per_replica`` updates plus
-    ``sync_rounds * len(replicas) * (len(replicas)-1) * 2`` sync events.
-    """
-    rng = random.Random(seed)
-    ids = cluster.replica_ids()
-    for round_index in range(updates_per_replica):
-        for rid in ids:
-            item = f"item-{rid}-{round_index}"
-            cluster.rdl(rid).set_add("s", item)
-    for _ in range(sync_rounds):
-        for sender in ids:
-            for receiver in ids:
-                if sender != receiver:
-                    cluster.sync(sender, receiver)
-    # A final read anchors read-stability detectors.
-    cluster.rdl(ids[0]).set_value("s")
 
 
 def divergence_workload(cluster: Cluster, pairs: int = 1, noise: int = 0) -> None:

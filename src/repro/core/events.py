@@ -11,8 +11,8 @@ current interleaving dictates, assigning Lamport timestamps as it goes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.fastcopy import register_atomic
 
@@ -206,29 +206,6 @@ def make_sync_pair(
     return req, execute
 
 
-@dataclass(frozen=True)
-class StampedEvent:
-    """An event with the Lamport timestamp assigned for one interleaving."""
-
-    event: Event
-    lamport: int
-
-    def __repr__(self) -> str:
-        return f"StampedEvent(t={self.lamport}, {self.event.describe()})"
-
-
-def assign_lamport(interleaving: Sequence[Event]) -> Tuple[StampedEvent, ...]:
-    """Assign Lamport timestamps along an interleaving (paper section 4.2).
-
-    The interleaving is a total order, so local ticks and message receipts
-    collapse to consecutive integers; what matters downstream is that every
-    event carries a stamp consistent with its replay position.
-    """
-    return tuple(
-        StampedEvent(event, position + 1) for position, event in enumerate(interleaving)
-    )
-
-
 # Events are frozen and shared across replays already (the recorder emits one
 # object per event for the engine to re-invoke); snapshots may share them too.
-register_atomic(EventKind, Event, StampedEvent)
+register_atomic(EventKind, Event)

@@ -11,35 +11,27 @@ For each interleaving (paper section 4.3) the engine:
 3. runs the registered per-interleaving assertions;
 4. reports an :class:`InterleavingOutcome`.
 
-Two executors enforce the event order:
-
-* :class:`SequentialExecutor` — the default: events run in-line in
-  interleaving order (deterministic and fast; correct because the simulated
-  cluster is single-process).
-* :class:`LockSteppedExecutor` — one worker thread per replica, released in
-  event order by the Redis-backed distributed lock
-  (:class:`~repro.redisim.lock.SequenceGate`) exactly as the paper's
-  middleware orders events across real machines.
+:class:`SequentialExecutor` enforces the event order: events run in-line,
+in interleaving order.  The paper orders each replayed interleaving with a
+Redis mutex because its replicas run on separate machines (section 4.3);
+here every replica lives in one process, so in-line sequential replay is
+that total order.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ReplayError
-from repro.core.events import Event, EventKind, assign_lamport
+from repro.core.events import Event, EventKind
 from repro.core.interleavings import Interleaving
 from repro.crdt.base import CRDTError
 from repro.faults.errors import ReplayTimeout
 from repro.net.cluster import Cluster, ClusterCheckpoint
 from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.rdl.base import RDLError
-from repro.redisim.errors import LockError
-from repro.redisim.farm import RedisimFarm
-from repro.redisim.lock import SequenceGate
 
 
 @dataclass(slots=True)
@@ -170,7 +162,7 @@ class SequentialExecutor:
         deadline = None if timeout is None else time.monotonic() + timeout
         results: List[EventResult] = []
         # Lamport stamps along a total order are just 1-based positions
-        # (see assign_lamport), so no StampedEvent is allocated.
+        # (paper section 4.2).
         for lamport, event in enumerate(interleaving, 1):
             if deadline is not None and time.monotonic() > deadline:
                 raise ReplayTimeout(
@@ -185,110 +177,15 @@ class SequentialExecutor:
                     entry = steps[id(event)] = (event, _compile(cluster, event))
                 results.append(EventResult(event, lamport, True, entry[1]()))
             except _OP_FAILURES as exc:
-                results.append(_failed(event, lamport, exc))
+                error = f"{type(exc).__name__}: {exc}"
+                results.append(EventResult(event, lamport, False, error=error))
         return results
-
-
-class LockSteppedExecutor:
-    """One worker per replica; the distributed lock releases them in order.
-
-    Demonstrates (and tests) the paper's Redis-mutex ordering mechanism: each
-    worker owns the events of one replica and may only execute its next event
-    when the shared cursor — maintained under the Redlock mutex on a farm of
-    redisim instances — reaches that event's global position.
-    """
-
-    def __init__(
-        self,
-        farm: Optional[RedisimFarm] = None,
-        timeout_s: float = 30.0,
-        gate_retries: int = 2,
-        gate_backoff_s: float = 0.05,
-    ) -> None:
-        self.farm = farm or RedisimFarm(size=3, name_prefix="erpi-lock")
-        self.timeout_s = timeout_s
-        #: Transient SequenceGate acquisition failures (a quorum blip on the
-        #: redisim farm) are retried this many times with exponential
-        #: backoff before the replay is declared failed.
-        self.gate_retries = max(gate_retries, 0)
-        self.gate_backoff_s = gate_backoff_s
-        self._session_counter = 0
-
-    def _wait_for_turn(self, gate: SequenceGate, position: int) -> None:
-        delay = self.gate_backoff_s
-        for attempt in range(self.gate_retries + 1):
-            try:
-                gate.wait_for_turn(position, timeout_s=self.timeout_s)
-                return
-            except LockError:
-                if attempt == self.gate_retries:
-                    raise
-                time.sleep(delay)
-                delay *= 2
-
-    def run(self, cluster: Cluster, interleaving: Interleaving) -> List[EventResult]:
-        self._session_counter += 1
-        gate = SequenceGate(self.farm, session_id=f"replay-{self._session_counter}")
-        stamped = list(assign_lamport(interleaving))
-        slots: List[Optional[EventResult]] = [None] * len(stamped)
-        per_replica: Dict[str, List[int]] = {}
-        for position, item in enumerate(stamped):
-            per_replica.setdefault(item.event.replica_id, []).append(position)
-        errors: List[BaseException] = []
-
-        def worker(positions: List[int]) -> None:
-            try:
-                for position in positions:
-                    self._wait_for_turn(gate, position)
-                    item = stamped[position]
-                    slots[position] = _invoke(cluster, item.event, item.lamport)
-                    gate.complete_turn(position)
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [
-            (replica_id, threading.Thread(target=worker, args=(positions,), daemon=True))
-            for replica_id, positions in per_replica.items()
-        ]
-        for _, thread in threads:
-            thread.start()
-        deadline = time.monotonic() + self.timeout_s * (len(stamped) + 1)
-        stuck: List[str] = []
-        for replica_id, thread in threads:
-            thread.join(timeout=max(deadline - time.monotonic(), 0.0))
-            if thread.is_alive():
-                stuck.append(replica_id)
-        if errors:
-            raise ReplayError(f"lock-stepped replay failed: {errors[0]!r}") from errors[0]
-        if stuck:
-            raise ReplayError(
-                "lock-stepped replay timed out after "
-                f"{self.timeout_s * (len(stamped) + 1):.1f}s; "
-                f"stuck replica worker(s): {', '.join(sorted(stuck))}"
-            )
-        if any(slot is None for slot in slots):
-            raise ReplayError("lock-stepped replay did not complete every event")
-        return [slot for slot in slots if slot is not None]
 
 
 #: What a subject raises when it rejects an op under this ordering: the kind
 #: of behaviour ER-pi exists to surface, so the replay records the op as
 #: failed and goes on.
 _OP_FAILURES = (RDLError, CRDTError, KeyError, IndexError, ValueError)
-
-
-def _failed(event: Event, lamport: int, exc: Exception) -> EventResult:
-    return EventResult(
-        event=event, lamport=lamport, ok=False, error=f"{type(exc).__name__}: {exc}"
-    )
-
-
-def _invoke(cluster: Cluster, event: Event, lamport: int) -> EventResult:
-    """Compile one recorded event afresh and run it against the cluster."""
-    try:
-        return EventResult(event, lamport, True, _compile(cluster, event)())
-    except _OP_FAILURES as exc:
-        return _failed(event, lamport, exc)
 
 
 def _compile(cluster: Cluster, event: Event) -> Callable[[], Any]:

@@ -43,7 +43,6 @@ from repro.core.pruning import (
 from repro.core.replay import (
     Assertion,
     InterleavingOutcome,
-    LockSteppedExecutor,
     ReplayEngine,
     SequentialExecutor,
 )
@@ -165,7 +164,6 @@ class ErPi:
         read_scoped: bool = False,
         constraints_dir: Optional[str] = None,
         persist: bool = False,
-        lock_stepped: bool = False,
         read_methods: Optional[Sequence[str]] = None,
         dpor: bool = False,
         sanitize: bool = False,
@@ -178,9 +176,6 @@ class ErPi:
         (paper: pass the replica id to the Start/End higher-order functions);
         ``read_scoped`` narrows it further to the replica's final read.
         ``persist`` mirrors interleavings into the Datalog store.
-        ``lock_stepped`` replays with one worker thread per replica ordered
-        through the Redis-backed distributed lock (the paper's cross-machine
-        deployment) instead of the fast in-line executor.
         ``read_methods`` extends the recorder's READ classification with the
         custom library's query methods (defaults cover the built-in
         subjects).
@@ -188,7 +183,9 @@ class ErPi:
         (:class:`~repro.core.pruning.semantic.DPORPruner`): permutations
         that only reorder independent events are skipped.  It is
         sound-or-off — it stays disabled (and says why in
-        ``disabled_reason``) when the executor is not the sequential one,
+        ``disabled_reason``) when replay is not provably a pure function
+        of the event sequence
+        (:meth:`~repro.core.replay.ReplayEngine.semantic_unsupported_reason`),
         and with ``persist=True`` its prunes land as
         ``footprint`` Datalog facts.
         ``sanitize`` enables the differential soundness sanitizer: every
@@ -203,8 +200,7 @@ class ErPi:
         its recover, no double-crash).
         ``replay_timeout_s`` is the per-replay wall-clock watchdog: slow or
         wedged replays raise and are quarantined instead of hanging the
-        hunt.  It also replaces the lock-stepped executor's default 30 s
-        stuck-replica timeout.
+        hunt.
         ``trace`` / ``metrics`` attach a :class:`~repro.obs.tracer.Tracer`
         and a :class:`~repro.obs.metrics.MetricsRegistry` to the whole
         pipeline (engine, explorer, pruners); with ``persist=True`` their
@@ -220,19 +216,11 @@ class ErPi:
         self._read_methods = read_methods
         self.faults = faults
         self.replay_timeout_s = replay_timeout_s
-        if lock_stepped:
-            executor: Any = (
-                LockSteppedExecutor(timeout_s=replay_timeout_s)
-                if replay_timeout_s is not None
-                else LockSteppedExecutor()
-            )
-        elif replay_timeout_s is not None:
-            executor = SequentialExecutor(timeout_s=replay_timeout_s)
-        else:
-            executor = None
         self.tracer = trace if trace is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._engine = ReplayEngine(cluster, executor)
+        self._engine = ReplayEngine(
+            cluster, SequentialExecutor(timeout_s=replay_timeout_s)
+        )
         self._engine.tracer = self.tracer
         self._engine.metrics = self.metrics
         self.dpor = dpor

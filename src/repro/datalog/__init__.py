@@ -1,7 +1,6 @@
 """From-scratch Datalog: ER-pi's deductive storage for interleavings
 (standing in for the paper's Souffle programs)."""
 
-from repro.datalog.aggregates import count, histogram, max_, min_, sum_
 from repro.datalog.export import export_program, export_to_file
 from repro.datalog.engine import Database, DatalogError, Program, query
 from repro.datalog.parser import DatalogSyntaxError, evaluate_text, parse_program
@@ -19,15 +18,10 @@ __all__ = [
     "Program",
     "Rule",
     "Variable",
-    "count",
     "evaluate_text",
     "export_program",
     "export_to_file",
-    "histogram",
-    "max_",
-    "min_",
     "parse_program",
     "query",
-    "sum_",
     "vars_",
 ]

@@ -5,14 +5,5 @@ class RedisimError(Exception):
     """Base class for redisim failures."""
 
 
-class WrongTypeError(RedisimError):
-    """Operation applied to a key holding the wrong kind of value (Redis's
-    ``WRONGTYPE`` reply)."""
-
-
 class InstanceDownError(RedisimError):
     """The targeted instance is administratively down (fault injection)."""
-
-
-class LockError(RedisimError):
-    """Distributed lock acquisition/release failed."""

@@ -1,13 +1,12 @@
 """A farm of independent Redis instances.
 
 Roshi shards its dataset over several independent Redis instances and issues
-reads/writes to all of them, repairing divergence on read.  The Redlock
-distributed mutex likewise needs N independent instances for its quorum.
+reads/writes to all of them, repairing divergence on read.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.redisim.errors import RedisimError
 from repro.redisim.server import RedisimServer
@@ -16,32 +15,15 @@ from repro.redisim.server import RedisimServer
 class RedisimFarm:
     """A fixed-size collection of :class:`RedisimServer` instances."""
 
-    def __init__(
-        self,
-        size: int = 3,
-        clock: Optional[Callable[[], float]] = None,
-        name_prefix: str = "redisim",
-    ) -> None:
+    def __init__(self, size: int = 3, name_prefix: str = "redisim") -> None:
         if size < 1:
             raise ValueError("a farm needs at least one instance")
         self.instances: List[RedisimServer] = [
-            RedisimServer(name=f"{name_prefix}-{index}", clock=clock)
-            for index in range(size)
+            RedisimServer(name=f"{name_prefix}-{index}") for index in range(size)
         ]
-
-    def __iter__(self) -> Iterator[RedisimServer]:
-        return iter(self.instances)
-
-    def __len__(self) -> int:
-        return len(self.instances)
 
     def __getitem__(self, index: int) -> RedisimServer:
         return self.instances[index]
-
-    @property
-    def quorum(self) -> int:
-        """Majority size, as Redlock requires."""
-        return len(self.instances) // 2 + 1
 
     def healthy_instances(self) -> List[RedisimServer]:
         return [instance for instance in self.instances if not instance.is_down]
@@ -54,11 +36,6 @@ class RedisimFarm:
     def heal(self) -> None:
         for instance in self.instances:
             instance.set_down(False)
-
-    def flushall(self) -> None:
-        for instance in self.instances:
-            if not instance.is_down:
-                instance.flushall()
 
     def snapshot(self) -> List[dict]:
         return [instance.snapshot() for instance in self.instances]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.harness import (
-    MODES,
     hunt,
     make_explorer,
     record_scenario,
@@ -16,7 +15,7 @@ from repro.bench.reporting import (
     format_table,
     log10_or_cap,
 )
-from repro.bench.workloads import crdt_cluster, divergence_workload, set_workload
+from repro.bench.workloads import divergence_workload
 from repro.bugs import scenario
 from repro.core.explorers import DFSExplorer, ERPiExplorer, ExplorationResult, RandomExplorer
 
@@ -48,8 +47,12 @@ class TestHarness:
         assert result.mode == "erpi"
         assert result.found
 
-    def test_modes_constant(self):
-        assert MODES == ("erpi", "dfs", "rand")
+    def test_replay_timeout_applies_to_its_own_hunt_only(self):
+        recorded = record_scenario(scenario("Roshi-1"))
+        hunt(recorded, "erpi", cap=50, replay_timeout_s=30)
+        assert recorded.engine.executor.timeout_s == 30
+        hunt(recorded, "erpi", cap=50)
+        assert recorded.engine.executor.timeout_s is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_only_the_process_backend_is_accepted(self, workers):
@@ -60,18 +63,6 @@ class TestHarness:
 
 
 class TestWorkloadGenerators:
-    def test_set_workload_event_shape(self):
-        from repro.proxy.recorder import EventRecorder
-
-        cluster = crdt_cluster(("A", "B"))
-        recorder = EventRecorder(cluster)
-        recorder.start()
-        set_workload(cluster, updates_per_replica=2, sync_rounds=1)
-        events = recorder.stop()
-        # 4 updates + 2*1*2 sync events * 2 directions + 1 read = 4+4+1... :
-        # 2 replicas: sync_rounds * 2 ordered pairs * 2 events = 4.
-        assert len(events) == 4 + 4 + 1
-
     def test_divergence_workload_scales(self):
         from repro.proxy.recorder import EventRecorder
         from repro.bench.workloads import roshi_cluster

@@ -5,7 +5,6 @@ import pytest
 from repro.core.events import (
     Event,
     EventKind,
-    assign_lamport,
     make_read,
     make_sync_pair,
     make_update,
@@ -51,13 +50,3 @@ class TestEventConstruction:
         assert "A->B" in req.describe()
         assert "exec_sync from A" in execute.describe()
 
-
-class TestLamportAssignment:
-    def test_positions_become_timestamps(self):
-        events = [make_update(f"e{i}", "A", "op") for i in range(1, 4)]
-        stamped = assign_lamport(events)
-        assert [s.lamport for s in stamped] == [1, 2, 3]
-        assert [s.event.event_id for s in stamped] == ["e1", "e2", "e3"]
-
-    def test_empty_interleaving(self):
-        assert assign_lamport([]) == ()

@@ -10,16 +10,11 @@ from repro.core import replay as replay_mod
 from repro.core.errors import ReplayError
 from repro.core.events import make_crash, make_read, make_sync_pair, make_update
 from repro.core.explorers import DFSExplorer
-from repro.core.replay import (
-    LockSteppedExecutor,
-    ReplayEngine,
-    SequentialExecutor,
-)
+from repro.core.replay import ReplayEngine, SequentialExecutor
 from repro.crdt.base import CRDTError
 from repro.net.cluster import Cluster, ClusterError
 from repro.rdl.base import RDLError
 from repro.rdl.crdts_lib import CRDTLibrary
-from repro.redisim.farm import RedisimFarm
 
 
 def make_cluster():
@@ -112,52 +107,6 @@ class TestReplayEngine:
         assert cluster.rdl("A").value() == {}
 
 
-class TestLockSteppedExecutor:
-    def test_matches_sequential_results(self):
-        events = workload_events()
-        sequential_cluster = make_cluster()
-        sequential = ReplayEngine(sequential_cluster, SequentialExecutor())
-        sequential.checkpoint()
-        expected = sequential.replay(events)
-
-        threaded_cluster = make_cluster()
-        executor = LockSteppedExecutor(farm=RedisimFarm(3))
-        threaded = ReplayEngine(threaded_cluster, executor)
-        threaded.checkpoint()
-        actual = threaded.replay(events)
-
-        assert actual.states == expected.states
-        assert actual.reads() == expected.reads()
-        assert [r.event.event_id for r in actual.event_results] == [
-            r.event.event_id for r in expected.event_results
-        ]
-
-    def test_enforces_global_order_across_replica_workers(self):
-        # An order where correctness depends on strict alternation between
-        # the two replicas' workers.
-        events = (
-            make_update("e1", "A", "set_add", "s", "a1"),
-            *make_sync_pair("e2", "e3", "A", "B"),
-            make_update("e4", "B", "set_add", "s", "b1"),
-            *make_sync_pair("e5", "e6", "B", "A"),
-            make_update("e7", "A", "set_add", "s", "a2"),
-            *make_sync_pair("e8", "e9", "A", "B"),
-            make_read("e10", "B", "set_value", "s"),
-        )
-        engine = ReplayEngine(make_cluster(), LockSteppedExecutor())
-        engine.checkpoint()
-        outcome = engine.replay(events)
-        assert outcome.reads()["e10"] == frozenset({"a1", "b1", "a2"})
-
-    def test_repeated_replays_reuse_farm(self):
-        executor = LockSteppedExecutor()
-        engine = ReplayEngine(make_cluster(), executor)
-        engine.checkpoint()
-        for _ in range(3):
-            outcome = engine.replay(workload_events())
-            assert outcome.reads()["e7"] == frozenset({"x", "y"})
-
-
 #: Every exception a replay records as a failed op, with the message the
 #: event result carries.
 OP_FAILURES = [
@@ -180,7 +129,6 @@ class RaisingLibrary(CRDTLibrary):
 EXECUTORS = {
     "plain": SequentialExecutor,
     "watchdog": lambda: SequentialExecutor(timeout_s=30),
-    "lock-stepped": lambda: LockSteppedExecutor(farm=RedisimFarm(3)),
 }
 
 
@@ -231,17 +179,17 @@ class TestCompiledSteps:
             assert [(res.ok, res.error) for res in outcome.event_results] == [
                 (False, message) for _, message in OP_FAILURES
             ]
-        with pytest.raises(RuntimeError if kind != "lock-stepped" else ReplayError):
+        with pytest.raises(RuntimeError):
             engine.replay((make_update("e9", "A", "crash_harness"),))
 
-    @pytest.mark.parametrize("kind", ["plain", "watchdog"])
+    @pytest.mark.parametrize("kind", EXECUTORS)
     def test_unknown_and_uncallable_ops_are_engine_errors(self, kind):
         engine = engine_on(make_cluster(), EXECUTORS[kind]())
         for name in ("no_such_op", "replica_id"):
             with pytest.raises(ReplayError, match=f"has no method '{name}'"):
                 engine.replay((make_update("e1", "A", name),))
 
-    @pytest.mark.parametrize("kind", ["plain", "watchdog"])
+    @pytest.mark.parametrize("kind", EXECUTORS)
     def test_an_unknown_replica_escapes_and_is_quarantined(self, kind):
         engine = engine_on(make_cluster(), EXECUTORS[kind]())
         for events in (
@@ -254,7 +202,7 @@ class TestCompiledSteps:
             result = DFSExplorer(events).explore(engine, [], cap=1)
             assert [q.error_type for q in result.quarantined] == ["ClusterError"]
 
-    @pytest.mark.parametrize("kind", ["plain", "watchdog"])
+    @pytest.mark.parametrize("kind", EXECUTORS)
     def test_an_op_on_a_crashed_replica_fails_with_replica_down(self, kind):
         engine = engine_on(make_cluster(), EXECUTORS[kind]())
         events = (make_crash("f1", "A"), make_update("e1", "A", "set_add", "s", "x"))

@@ -6,23 +6,15 @@ property-style:
 
 * a process-parallel hunt commits outcomes in candidate order, so its
   reported first violation (and explored count) match a serial hunt;
-* the lock-stepped executor fails loudly instead of hanging;
 * the relocation order's seen-set visits every permutation once.
 """
 
-import threading
-
 import pytest
 
-import repro.core.replay as replay_mod
 from repro.bench.harness import hunt, record_scenario
 from repro.bugs.registry import all_scenarios
 from repro.core.events import make_read, make_sync_pair, make_update
 from repro.core.interleavings import group_events, interleaving_stream, lehmer_rank
-from repro.core.replay import LockSteppedExecutor, ReplayEngine
-from repro.core.errors import ReplayError
-from repro.net.cluster import Cluster
-from repro.rdl.crdts_lib import CRDTLibrary
 
 
 def scenario_by_name(name):
@@ -48,37 +40,6 @@ class TestParallelMatchesSerial:
                 event.event_id for event in parallel.violating.interleaving
             ] == [event.event_id for event in serial.violating.interleaving]
             assert parallel.violating.violations == serial.violating.violations
-
-
-class TestLockSteppedTimeout:
-    def test_stuck_replica_raises_replay_error(self, monkeypatch):
-        cluster = Cluster()
-        for rid in ("A", "B"):
-            cluster.add_replica(rid, CRDTLibrary(rid))
-        engine = ReplayEngine(
-            cluster, executor=LockSteppedExecutor(timeout_s=0.05)
-        )
-        engine.checkpoint()
-
-        hang = threading.Event()
-        original = replay_mod._invoke
-
-        def stuck_invoke(cluster_, event, lamport):
-            if event.replica_id == "B":
-                hang.wait(timeout=5.0)
-            return original(cluster_, event, lamport)
-
-        monkeypatch.setattr(replay_mod, "_invoke", stuck_invoke)
-        try:
-            with pytest.raises(ReplayError, match="stuck replica"):
-                engine.replay(
-                    (
-                        make_update("e1", "A", "set_add", "s", "x"),
-                        make_update("e2", "B", "set_add", "s", "y"),
-                    )
-                )
-        finally:
-            hang.set()
 
 
 class TestLehmerRankSeenSet:

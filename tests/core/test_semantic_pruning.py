@@ -2,11 +2,11 @@
 
 The layer's contract is *sound-or-off*: a sleep-set prune may only ever
 skip replays whose outcome is provably identical to one already replayed —
-and when that proof is unavailable (no checkpoint, or the lock-stepped
-executor) the pruner disables itself instead of guessing.  These tests pin
-the digest algebra the subjects' ``canonical_state()`` feeds, the footprint
-model, and the end-to-end bug-finding behaviour across the serial and
-process backends.
+and when that proof is unavailable (no checkpoint, or an executor other
+than the sequential one) the pruner disables itself instead of guessing.
+These tests pin the digest algebra the subjects' ``canonical_state()``
+feeds, the footprint model, and the end-to-end bug-finding behaviour across
+the serial and process backends.
 """
 
 import itertools
@@ -26,11 +26,11 @@ from repro.core.events import (
     make_sync_pair,
     make_update,
 )
-from repro.core import ErPi, GroupConstraint, assert_read_equals
+from repro.core import ErPi, assert_read_equals
 from repro.core.explorers import ERPiExplorer
 from repro.core.pruning import DPORPruner, event_footprint, trace_normal_form
 from repro.core.pruning.semantic import footprints_conflict
-from repro.core.replay import LockSteppedExecutor, ReplayEngine
+from repro.core.replay import ReplayEngine, SequentialExecutor
 from repro.net.cluster import Cluster
 from repro.rdl.crdts_lib import CRDTLibrary
 from repro.statehash import canonical_repr, combine_digests, state_digest
@@ -182,15 +182,19 @@ class TestDPORPruner:
         il = (local("e1", "A"), local("e2", "B"), local("e3", "A"))
         assert DPORPruner().key(il) == DPORPruner().key(il)
 
-    def test_disarms_on_the_lock_stepped_executor(self):
-        engine = ReplayEngine(crdt_cluster(), LockSteppedExecutor())
+    def test_disarms_on_a_custom_executor(self):
+        class TracingExecutor(SequentialExecutor):
+            """A subclass may change what a replay does, so DPOR cannot
+            assume it replays as the sequential executor does."""
+
+        engine = ReplayEngine(crdt_cluster(), TracingExecutor())
         engine.checkpoint()
         pruner = DPORPruner()
         pruner.bind((engine,), ())
         assert pruner.enabled is False
-        assert "LockSteppedExecutor" in pruner.disabled_reason
+        assert "TracingExecutor" in pruner.disabled_reason
 
-    def test_lock_stepped_session_explores_as_without_dpor(self):
+    def test_session_arms_on_the_sequential_executor(self):
         def session(**options):
             cluster = crdt_cluster()
             erpi = ErPi(cluster, **options)
@@ -203,19 +207,19 @@ class TestDPORPruner:
             report = erpi.end(
                 assertions=[assert_read_equals("e5", frozenset({"x"}))], cap=40
             )
-            verdicts = [
-                ([event.event_id for event in outcome.interleaving], outcome.violated)
+            verdicts = {
+                tuple(event.event_id for event in outcome.interleaving): outcome.violated
                 for outcome in report.outcomes
-            ]
+            }
             return verdicts, report.pruning_stats.get("dpor", 0)
 
-        # Armed on the sequential executor, DPOR prunes this workload...
-        assert session(dpor=True)[1] > 0
-        # ...but on the lock-stepped one it stays off and changes nothing.
-        plain = session(lock_stepped=True)
-        armed = session(lock_stepped=True, dpor=True)
-        assert any(violated for _, violated in plain[0])
-        assert armed == plain
+        plain, plain_pruned = session()
+        armed, armed_pruned = session(dpor=True)
+        assert plain_pruned == 0 and armed_pruned > 0
+        assert any(armed.values())
+        # The whole space fits the cap, so the armed session replays a subset
+        # of the unarmed one's orders, each with its unarmed verdict.
+        assert armed.items() <= plain.items()
 
 
 # ------------------------------------------- DPOR key vs the normal form

@@ -177,28 +177,6 @@ class TestConstraintsDirectory:
         assert "stable_read" in name
 
 
-class TestLockSteppedSession:
-    def test_lock_stepped_session_matches_sequential(self):
-        def run(lock_stepped):
-            cluster = make_cluster()
-            erpi = ErPi(cluster, lock_stepped=lock_stepped)
-            erpi.start()
-            cluster.rdl("A").set_add("s", "x")
-            cluster.sync("A", "B")
-            cluster.rdl("B").set_value("s")
-            return erpi.end(
-                assertions=[assert_read_equals("e4", frozenset({"x"}))]
-            )
-
-        sequential = run(False)
-        threaded = run(True)
-        assert sequential.explored == threaded.explored
-        assert len(sequential.violations) == len(threaded.violations)
-        sequential_reads = [o.reads().get("e4") for o in sequential.outcomes]
-        threaded_reads = [o.reads().get("e4") for o in threaded.outcomes]
-        assert sequential_reads == threaded_reads
-
-
 class TestDatalogExport:
     def test_export_requires_persist(self):
         erpi = ErPi(make_cluster())

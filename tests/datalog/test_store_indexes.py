@@ -3,12 +3,10 @@
 The indexed accessors (``surviving_ids``/``pruned_ids``/``unexplored_ids``/
 ``interleaving``/``explored``) must return exactly what a linear scan over
 the underlying Datalog relations returns, and must do so without paying the
-scan.  The benchmark test builds a 10k-interleaving store and times both
-paths; the reference implementations below are the pre-index accessor
-bodies (a ``query``/``rows`` sweep per call).
+scan.  The benchmark test builds a 10k-interleaving store and counts the
+fact-table rows each path reads; the reference implementations below are
+the pre-index accessor bodies (a ``query``/``rows`` sweep per call).
 """
-
-import time
 
 from repro.datalog.store import InterleavingStore
 
@@ -88,35 +86,58 @@ class TestIndexedAccessorsMatchScans:
 
 class TestIndexedAccessorsAreFast:
     def test_10k_store_beats_linear_scan(self):
-        """Satellite benchmark: the session-loop reads stop paying O(facts).
+        """The session-loop reads stop paying O(facts).
 
-        Each accessor is timed over several calls (the session loop calls
-        them per pass); the indexed path must beat re-scanning the fact
-        tables.  The margin is asserted loosely (2x) to stay robust on slow
-        CI boxes — the real-world gap is orders of magnitude.
+        Every fact-table row a reader touches comes out of
+        ``store.db.rows``, so the test counts the rows it returns: the
+        indexed accessors must read none, and each reference scan reads a
+        whole fact table (the 10,000 interleavings' ``il_meta`` rows, or
+        for ``pruned_ids`` the third of them that is pruned).  A row count
+        does not depend on how loaded the machine is, as a timing would.
         """
         store = build_store(count=10_000)
-        calls = 5
+        rows_read = 0
+        scan = store.db.rows
 
-        def timed(fn):
-            started = time.perf_counter()
-            for _ in range(calls):
-                result = fn()
-            return time.perf_counter() - started, result
+        def counting_rows(relation):
+            nonlocal rows_read
+            rows = scan(relation)
+            rows_read += len(rows)
+            return rows
+
+        store.db.rows = counting_rows
+
+        def counted(fn):
+            nonlocal rows_read
+            rows_read = 0
+            result = fn()
+            return rows_read, result
 
         pairs = [
-            ("surviving_ids", store.surviving_ids, lambda: reference_surviving_ids(store)),
-            ("pruned_ids", store.pruned_ids, lambda: reference_pruned_ids(store)),
+            (
+                "surviving_ids",
+                store.surviving_ids,
+                lambda: reference_surviving_ids(store),
+                10_000,
+            ),
+            (
+                "pruned_ids",
+                store.pruned_ids,
+                lambda: reference_pruned_ids(store),
+                3_334,
+            ),
             (
                 "unexplored_ids",
                 store.unexplored_ids,
                 lambda: reference_unexplored_ids(store),
+                10_000,
             ),
         ]
-        for name, indexed_fn, reference_fn in pairs:
-            indexed_s, indexed_result = timed(indexed_fn)
-            reference_s, reference_result = timed(reference_fn)
+        for name, indexed_fn, reference_fn, scan_rows in pairs:
+            indexed_rows, indexed_result = counted(indexed_fn)
+            reference_rows, reference_result = counted(reference_fn)
             assert indexed_result == reference_result, name
-            assert indexed_s * 2 < reference_s, (
-                f"{name}: indexed {indexed_s:.4f}s vs scan {reference_s:.4f}s"
+            assert indexed_rows == 0, f"{name}: indexed read {indexed_rows} rows"
+            assert reference_rows >= scan_rows, (
+                f"{name}: the scan read only {reference_rows} rows"
             )

@@ -16,14 +16,14 @@ def make_cluster():
 class TestPartitionValidation:
     def test_partition_rejects_self_pair(self):
         cluster = make_cluster()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="itself"):
             cluster.partition("A", "A")
         assert not cluster.partitions
 
     def test_heal_rejects_self_pair(self):
         cluster = make_cluster()
         cluster.partition("A", "B")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct"):
             cluster.heal("A", "A")
         assert cluster.partitions == {frozenset({"A", "B"})}
 

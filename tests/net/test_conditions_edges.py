@@ -31,16 +31,6 @@ class TestHealValidation:
             cluster.heal(None, "B")
         assert cluster.partitions == {frozenset({"A", "B"})}
 
-    def test_heal_same_replica_twice_rejected(self):
-        cluster = make_cluster()
-        with pytest.raises(ValueError, match="distinct"):
-            cluster.heal("A", "A")
-
-    def test_self_partition_rejected(self):
-        cluster = make_cluster()
-        with pytest.raises(ValueError, match="itself"):
-            cluster.partition("A", "A")
-
 
 class TestPartialHeals:
     def test_partition_is_order_insensitive(self):

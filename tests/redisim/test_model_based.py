@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.redisim.server import RedisimServer
 from repro.redisim.sortedset import SortedSet
 
 MEMBERS = st.sampled_from(["m1", "m2", "m3", "m4", "m5"])
@@ -59,50 +58,6 @@ SortedSetModel.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestSortedSetModel = SortedSetModel.TestCase
-
-
-class StringFamilyModel(RuleBasedStateMachine):
-    """String commands against a dict model (no expiry in this machine)."""
-
-    def __init__(self):
-        super().__init__()
-        self.server = RedisimServer()
-        self.model = {}
-
-    keys = st.sampled_from(["k1", "k2", "k3"])
-    values = st.sampled_from(["a", "b", "c"])
-
-    @rule(key=keys, value=values)
-    def set_plain(self, key, value):
-        assert self.server.set(key, value) is True
-        self.model[key] = value
-
-    @rule(key=keys, value=values)
-    def set_nx(self, key, value):
-        created = self.server.set(key, value, nx=True)
-        assert created == (key not in self.model)
-        if created:
-            self.model[key] = value
-
-    @rule(key=keys)
-    def delete(self, key):
-        removed = self.server.delete(key)
-        assert removed == (1 if key in self.model else 0)
-        self.model.pop(key, None)
-
-    @rule(key=keys)
-    def get(self, key):
-        assert self.server.get(key) == self.model.get(key)
-
-    @invariant()
-    def sizes_agree(self):
-        assert self.server.dbsize() == len(self.model)
-
-
-StringFamilyModel.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
-)
-TestStringFamilyModel = StringFamilyModel.TestCase
 
 
 @given(

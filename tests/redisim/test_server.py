@@ -1,84 +1,10 @@
-"""Unit tests for the redisim server."""
+"""Unit tests for the redisim server and farm."""
 
 import pytest
 
-from repro.redisim.errors import InstanceDownError, WrongTypeError
+from repro.redisim.errors import InstanceDownError, RedisimError
+from repro.redisim.farm import RedisimFarm
 from repro.redisim.server import RedisimServer
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class TestStrings:
-    def test_set_get(self):
-        server = RedisimServer()
-        assert server.set("k", "v") is True
-        assert server.get("k") == "v"
-
-    def test_get_missing(self):
-        assert RedisimServer().get("nope") is None
-
-    def test_set_nx_only_if_absent(self):
-        server = RedisimServer()
-        assert server.set("k", "v1", nx=True) is True
-        assert server.set("k", "v2", nx=True) is False
-        assert server.get("k") == "v1"
-
-    def test_delete(self):
-        server = RedisimServer()
-        server.set("a", "1")
-        server.set("b", "2")
-        assert server.delete("a", "b", "ghost") == 2
-        assert not server.exists("a")
-
-    def test_compare_and_delete(self):
-        server = RedisimServer()
-        server.set("k", "token")
-        assert server.compare_and_delete("k", "wrong") is False
-        assert server.exists("k")
-        assert server.compare_and_delete("k", "token") is True
-        assert not server.exists("k")
-
-
-class TestExpiry:
-    def test_px_expires(self):
-        clock = FakeClock()
-        server = RedisimServer(clock=clock)
-        server.set("k", "v", px=1000)
-        assert server.get("k") == "v"
-        clock.advance(1.5)
-        assert server.get("k") is None
-
-    def test_ttl_ms(self):
-        clock = FakeClock()
-        server = RedisimServer(clock=clock)
-        server.set("k", "v", px=2000)
-        clock.advance(0.5)
-        assert 1400 <= server.ttl_ms("k") <= 1500
-        assert server.ttl_ms("no-expiry-key") is None
-
-    def test_overwrite_clears_expiry(self):
-        clock = FakeClock()
-        server = RedisimServer(clock=clock)
-        server.set("k", "v", px=1000)
-        server.set("k", "v2")
-        clock.advance(5)
-        assert server.get("k") == "v2"
-
-    def test_set_nx_succeeds_after_expiry(self):
-        clock = FakeClock()
-        server = RedisimServer(clock=clock)
-        server.set("k", "old", px=100)
-        clock.advance(1)
-        assert server.set("k", "new", nx=True) is True
 
 
 class TestZsetCommands:
@@ -109,28 +35,19 @@ class TestZsetCommands:
             server.zadd("z", member, score)
         assert server.zrangebyscore("z", 2.0, 3.0) == ["b", "c"]
 
-    def test_wrongtype_between_families(self):
-        server = RedisimServer()
-        server.set("k", "v")
-        with pytest.raises(WrongTypeError):
-            server.zadd("k", "m", 1.0)
-        server.zadd("z", "m", 1.0)
-        with pytest.raises(WrongTypeError):
-            server.get("z")
-
 
 class TestAdmin:
     def test_down_instance_rejects_commands(self):
         server = RedisimServer()
         server.set_down(True)
         with pytest.raises(InstanceDownError):
-            server.get("k")
+            server.zscore("z", "m")
         server.set_down(False)
-        assert server.get("k") is None
+        assert server.zscore("z", "m") is None
 
     def test_flushall_and_dbsize(self):
         server = RedisimServer()
-        server.set("a", "1")
+        server.zadd("a", "m", 1.0)
         server.zadd("z", "m", 1.0)
         assert server.dbsize() == 2
         server.flushall()
@@ -138,12 +55,12 @@ class TestAdmin:
 
     def test_snapshot_restore_round_trip(self):
         server = RedisimServer()
-        server.set("s", "v")
+        server.zadd("s", "v", 2.0)
         server.zadd("z", "m", 1.0)
         snapshot = server.snapshot()
         server.flushall()
         server.restore(snapshot)
-        assert server.get("s") == "v"
+        assert server.zrange_withscores("s") == [("v", 2.0)]
         assert server.zscore("z", "m") == 1.0
 
     def test_snapshot_is_deep(self):
@@ -157,6 +74,29 @@ class TestAdmin:
     def test_command_count_increments(self):
         server = RedisimServer()
         before = server.command_count
-        server.set("k", "v")
-        server.get("k")
+        server.zadd("z", "m", 1.0)
+        server.zscore("z", "m")
         assert server.command_count == before + 2
+
+
+class TestFarm:
+    def test_partition_and_heal(self):
+        farm = RedisimFarm(3)
+        farm.partition([0, 2])
+        assert farm.healthy_instances() == [farm[1]]
+        farm.heal()
+        assert len(farm.healthy_instances()) == 3
+
+    def test_minimum_size(self):
+        with pytest.raises(ValueError):
+            RedisimFarm(0)
+
+    def test_snapshot_restore(self):
+        farm = RedisimFarm(2)
+        farm[0].zadd("k", "v", 1.0)
+        snapshot = farm.snapshot()
+        farm[0].zadd("k", "w", 2.0)
+        farm.restore(snapshot)
+        assert farm[0].zrange("k") == ["v"]
+        with pytest.raises(RedisimError):
+            farm.restore(snapshot[:1])
