@@ -6,10 +6,12 @@ This is the engine behind Figures 8a, 8b, 9 and 10 and Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
 
-from repro.bugs.registry import BugScenario
+from repro.bugs.registry import BugScenario, scenario as registered_scenario
+from repro.core.errors import ResourceExhausted
 from repro.core.events import Event
 from repro.core.explorers import (
     DEFAULT_CAP,
@@ -23,7 +25,7 @@ from repro.core.pruning import (
     Pruner,
     ReplicaSpecificPruner,
 )
-from repro.core.replay import ReplayEngine, SequentialExecutor
+from repro.core.replay import Assertion, ReplayEngine, SequentialExecutor
 from repro.core.resources import ResourceMeter
 from repro.core.sanitizer import Sanitizer
 from repro.net.cluster import Cluster
@@ -118,25 +120,45 @@ def make_explorer(
     )
 
 
-def _open_journal(
-    journal: Optional[str],
-    resume: Optional[str],
-    recorded: RecordedScenario,
-    *,
-    mode: str,
-    seed: int,
-    cap: int,
-    workers: int,
-    faults: bool,
-    dpor: bool,
-):
-    """Create a fresh hunt journal, or load + validate one for resumption.
+@dataclass(frozen=True)
+class HuntConfig:
+    """What a hunt explores, as one picklable record.
 
-    The header pins the hunt's identity; resuming under a different
-    scenario/mode/seed/cap would silently change what the committed prefix
-    means, so any mismatch refuses instead of continuing.  Journals written
-    with the state memo on carry commits this build cannot honour, so they
-    are refused too.
+    :func:`hunt` builds exactly one.  The process pool hands it to every
+    worker, which runs :meth:`build`, and ``asdict(config)`` is the journal
+    header that a resume must match.
+    """
+
+    scenario: str
+    mode: str = "erpi"
+    seed: int = 0
+    fixed: bool = False
+    cap: int = DEFAULT_CAP
+    workers: int = 1
+    faults: bool = False
+    dpor: bool = False
+    replay_timeout_s: Optional[float] = None
+
+    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion]]:
+        """Record the scenario afresh and assemble its explorer, engine and
+        assertions: what each pool worker runs in its own process."""
+        recorded = record_scenario(registered_scenario(self.scenario), fixed=self.fixed)
+        recorded.engine.executor = SequentialExecutor(timeout_s=self.replay_timeout_s)
+        explorer = make_explorer(
+            recorded, self.mode, seed=self.seed, faults=self.faults, dpor=self.dpor,
+        )
+        return explorer, recorded.engine, recorded.scenario.make_assertions()
+
+
+def _open_journal(journal: Optional[str], resume: Optional[str], config: HuntConfig):
+    """Create a fresh hunt journal headed by ``config``, or load one for
+    resumption and check that it pins the same ``config``.
+
+    Resuming under a different configuration would silently change what
+    the committed prefix means, so any mismatch refuses instead of
+    continuing.  A header from before ``replay_timeout_s`` was pinned reads
+    it as ``None``.  Journals written with the state memo on carry commits
+    this build cannot honour, so they are refused too.
     """
     import uuid
 
@@ -144,16 +166,7 @@ def _open_journal(
 
     if journal is not None and resume is not None:
         raise ValueError("pass either journal= (fresh) or resume=, not both")
-    config = {
-        "scenario": recorded.scenario.name,
-        "mode": mode,
-        "seed": seed,
-        "cap": cap,
-        "workers": workers,
-        "faults": faults,
-        "fixed": recorded.fixed,
-        "dpor": dpor,
-    }
+    pinned = asdict(config)
     if resume is not None:
         loaded = HuntJournal.load(resume)
         if loaded.is_final:
@@ -168,7 +181,7 @@ def _open_journal(
             )
         mismatched = {
             key: (saved.get(key), value)
-            for key, value in config.items()
+            for key, value in pinned.items()
             if saved.get(key) != value
         }
         if mismatched:
@@ -180,7 +193,7 @@ def _open_journal(
                 f"{resume}: hunt configuration mismatch ({detail})"
             )
         return loaded
-    header = {"hunt": {**config, "hunt_id": uuid.uuid4().hex[:12]}}
+    header = {"hunt": {**pinned, "hunt_id": uuid.uuid4().hex[:12]}}
     return HuntJournal.create(journal, header)
 
 
@@ -194,7 +207,6 @@ def hunt(
     parallel_backend: str = "process",
     dpor: bool = False,
     sanitize: bool = False,
-    sanitize_sample_k: int = 2,
     faults: bool = False,
     replay_timeout_s: Optional[float] = None,
     stop_on_violation: bool = True,
@@ -203,8 +215,6 @@ def hunt(
     progress: Optional[object] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
-    max_releases: int = 3,
-    batch_size: int = 64,
 ) -> ExplorationResult:
     """Explore until the scenario's invariant breaks (bug reproduced).
 
@@ -217,7 +227,8 @@ def hunt(
     ``sanitize`` runs the differential soundness sanitizer alongside the
     hunt: every pruner's equivalence classes are sampled and
     differentially replayed afterwards.  The report lands on
-    ``result.sanitizer``.
+    ``result.sanitizer``.  Only this process samples, so a pool hunt
+    reports what a serial hunt reports.
 
     ``faults=True`` compiles the scenario's :meth:`BugScenario.fault_plan`
     into the schedule: the crash/recover (and partition/heal) events are
@@ -233,27 +244,33 @@ def hunt(
     :class:`~repro.obs.progress.ProgressLine` to the whole hunt (explorer,
     replay engine, pruners and — via the engine — the sanitizer).
 
-    The process pool respawns a worker that dies in its slot, up to
-    ``max_releases`` times; past that the slot's remaining positions are
-    quarantined as ``ShardAbandoned`` and the rest of the hunt completes.
+    The hunt's one :class:`HuntConfig` is the process pool's worker recipe.
+    The pool respawns a worker that dies in its slot, up to three times;
+    past that the slot's remaining positions are quarantined as
+    ``ShardAbandoned`` and the rest of the hunt completes.
     ``journal`` (a path) checkpoints every committed verdict to a
-    :class:`~repro.core.journal.HuntJournal` as it commits; a journaled hunt
-    always runs on the pool, with one worker if ``workers`` is 1.
-    ``resume`` (a path to an existing journal) continues a previously
-    killed hunt: the committed prefix is taken from the journal, workers
-    skip past it, and the final verdict map is identical to an
-    uninterrupted run's.
-
-    ``batch_size`` caps the workers' adaptive columnar IPC frames.
+    :class:`~repro.core.journal.HuntJournal`, headed by the config, as it
+    commits; a journaled hunt always runs on the pool, with one worker if
+    ``workers`` is 1.  ``resume`` (a path to an existing journal) continues
+    a previously killed hunt: the committed prefix is taken from the
+    journal, workers skip past it, and the final verdict map is identical
+    to an uninterrupted run's.  A journal that is final or corrupt, or
+    whose header differs from the config, raises
+    :class:`~repro.core.journal.JournalError`.
     """
     if parallel_backend != "process":
         raise ValueError(
             f"unknown parallel backend {parallel_backend!r}; expected 'process'"
         )
+    config = HuntConfig(
+        scenario=recorded.scenario.name, mode=mode, seed=seed, fixed=recorded.fixed,
+        cap=cap, workers=workers, faults=faults, dpor=dpor,
+        replay_timeout_s=replay_timeout_s,
+    )
     observed_tracer = tracer if tracer is not None else NULL_TRACER
     observed_metrics = metrics if metrics is not None else NULL_METRICS
     recorded.engine.executor = SequentialExecutor(timeout_s=replay_timeout_s)
-    sanitizer = Sanitizer(sample_k=sanitize_sample_k, seed=seed) if sanitize else None
+    sanitizer = Sanitizer(seed=seed) if sanitize else None
     explorer = make_explorer(
         recorded, mode, seed=seed, meter=meter, faults=faults, dpor=dpor,
         sanitizer=sanitizer, tracer=observed_tracer, metrics=observed_metrics,
@@ -264,37 +281,32 @@ def hunt(
     assertions = recorded.scenario.make_assertions()
     hunt_journal = None
     if journal is not None or resume is not None:
-        hunt_journal = _open_journal(
-            journal, resume, recorded, mode=mode, seed=seed, cap=cap,
-            workers=workers, faults=faults, dpor=dpor,
-        )
+        hunt_journal = _open_journal(journal, resume, config)
     if workers > 1 or hunt_journal is not None:
-        from repro.core.procpool import ProcessParallelExplorer, ScenarioWorkerTask
+        from repro.core.procpool import ProcessParallelExplorer
 
-        task = ScenarioWorkerTask(
-            scenario_name=recorded.scenario.name,
-            mode=mode,
-            seed=seed,
-            fixed=recorded.fixed,
-            faults=faults,
-            replay_timeout_s=replay_timeout_s,
-            dpor=dpor,
-        )
         parallel = ProcessParallelExplorer(
-            explorer,
-            task,
-            workers=workers,
-            sanitize=sanitize,
-            sanitize_sample_k=sanitize_sample_k,
-            seed=seed,
-            parent_sanitizer=sanitizer,
-            batch_size=batch_size,
-            journal=hunt_journal,
-            max_releases=max_releases,
+            explorer, config, workers=workers, journal=hunt_journal,
         )
         result = parallel.explore(
             recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation
         )
+        if sanitizer is not None and sanitizer.watched_pruners:
+            # The workers sample nothing.  This explorer pulls what the
+            # serial loop would have: one candidate per commit, plus the
+            # pull that runs the pruners over the stream's tail when
+            # neither the cap nor a stopping violation ended the hunt.  The
+            # workers' counters are merged already, so nothing observes it.
+            explorer.bind_semantic((recorded.engine,), assertions)
+            explorer.tracer, explorer.metrics = NULL_TRACER, NULL_METRICS
+            pulls = result.explored
+            if result.explored < cap and not (stop_on_violation and result.found):
+                pulls += 1
+            try:
+                for _ in islice(explorer.candidates(), pulls):
+                    pass
+            except ResourceExhausted:
+                pass  # the serial loop stops at a budget crash too
     else:
         result = explorer.explore(
             recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation

@@ -40,6 +40,7 @@ def _cmd_bugs(args: argparse.Namespace) -> int:
 def _cmd_hunt(args: argparse.Namespace) -> int:
     from repro.bench.harness import hunt, record_scenario
     from repro.bugs import scenario
+    from repro.core.journal import JournalError
 
     sc = scenario(args.bug)
     recorded = record_scenario(sc)
@@ -80,24 +81,27 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         f"{sc.name} (issue #{sc.issue}): {sc.expected_events} events recorded; "
         f"hunting with {args.mode} (cap {args.cap:,}){extra_text}..."
     )
-    result = hunt(
-        recorded,
-        args.mode,
-        cap=args.cap,
-        seed=args.seed,
-        workers=args.workers,
-        dpor=args.dpor,
-        sanitize=args.sanitize,
-        faults=args.faults,
-        replay_timeout_s=args.replay_timeout,
-        tracer=tracer,
-        metrics=metrics,
-        progress=progress,
-        journal=args.journal,
-        resume=args.resume,
-        max_releases=args.max_releases,
-        batch_size=args.batch_size,
-    )
+    try:
+        result = hunt(
+            recorded,
+            args.mode,
+            cap=args.cap,
+            seed=args.seed,
+            workers=args.workers,
+            dpor=args.dpor,
+            sanitize=args.sanitize,
+            faults=args.faults,
+            replay_timeout_s=args.replay_timeout,
+            tracer=tracer,
+            metrics=metrics,
+            progress=progress,
+            journal=args.journal,
+            resume=args.resume,
+        )
+    except JournalError as exc:
+        # The journal refused --resume: final, corrupt, or a different hunt.
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     if tracer is not None:
         tracer.write_jsonl(args.trace)
         print(
@@ -129,7 +133,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         print("coordination: " + "; ".join(parts))
     # Exit-code contract: reproduced -> 0 (even when the hunt had to recover
     # from worker crashes along the way); sanitizer divergence -> 2;
-    # unrecoverable crash without a repro -> 3; clean "not reproduced" -> 1.
+    # unrecoverable crash without a repro -> 3; clean "not reproduced" -> 1;
+    # a journal that refuses --resume -> 4 (above).
     status = 1
     if result.found:
         print(
@@ -311,7 +316,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             cap=args.cap,
             seed=args.seed,
             sanitize=True,
-            sanitize_sample_k=args.sample_k,
             faults=with_faults,
             stop_on_violation=not with_faults,
         )
@@ -481,25 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="resume a previously killed hunt from its journal: "
         "committed verdicts are replayed from the checkpoint, workers skip "
-        "past them, and the final verdict map matches an uninterrupted run",
-    )
-    hunt.add_argument(
-        "--max-releases",
-        type=int,
-        default=3,
-        metavar="N",
-        help="respawn budget per process-pool slot: a worker that dies is "
-        "respawned in its slot up to N times, then the slot's remaining "
-        "candidates are quarantined and the hunt finishes without them",
-    )
-    hunt.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="cap on the workers' adaptive columnar IPC frames (frames "
-        "start small, double under load up to this, and flush early on an "
-        "idle deadline)",
+        "past them, and the final verdict map matches an uninterrupted run; "
+        "exits 4 when the journal is final, corrupt or pins a different "
+        "hunt configuration",
     )
 
     table1 = sub.add_parser("table1", help="regenerate Table 1")
@@ -549,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument("--cap", type=int, default=200)
     sanitize.add_argument("--seed", type=int, default=0)
-    sanitize.add_argument("--sample-k", type=int, default=2)
     sanitize.add_argument(
         "--faults",
         action="store_true",

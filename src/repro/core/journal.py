@@ -6,9 +6,9 @@ parent being killed, because every committed verdict is journaled *before*
 the hunt moves past it.  The journal
 is JSONL, one record per line:
 
-* ``header``  — the hunt's identity and configuration (scenario, mode, seed,
-  cap, workers, fault flags).  Always the first line; ``--resume``
-  rebuilds the whole hunt stack from it.
+* ``header``  — the hunt's configuration (its
+  :class:`~repro.bench.harness.HuntConfig` as a dict) and id.  Always the
+  first line; ``--resume`` refuses a configuration that differs from it.
 * ``commit``  — one committed verdict, in global candidate order: index,
   verdict (``ok`` / ``violation`` / ``quarantine``), the interleaving key,
   and for violations the assertion messages (so a resumed hunt can report

@@ -3,7 +3,8 @@
 :class:`ProcessParallelExplorer` fans replays out over ``multiprocessing``
 workers that share **nothing**: each worker rebuilds its own cluster,
 :class:`~repro.core.replay.ReplayEngine`, pruner pipeline and per-worker
-metrics registries from a picklable :class:`WorkerTask` spec, so replays
+metrics registries from a picklable task (a hunt's
+:class:`~repro.bench.harness.HuntConfig`), so replays
 proceed on separate cores with zero cross-process synchronisation on the
 hot path (a thread pool would serialise pure-CPU replays on the GIL).
 
@@ -92,59 +93,14 @@ from repro.obs.metrics import MetricsRegistry
 _BOOTSTRAP_TIMEOUT_S = 120.0
 #: The longest backoff before a dead slot is respawned (seconds).
 _BACKOFF_CAP_S = 2.0
-
-# -------------------------------------------------------------- worker tasks
-
-
-class WorkerTask:
-    """A picklable recipe for rebuilding one worker's exploration stack.
-
-    ``build()`` runs **inside** the worker process and must return
-    ``(explorer, engine, assertions)`` — a fresh explorer over the recorded
-    schedule, a checkpointed :class:`ReplayEngine` over a fresh cluster, and
-    the scenario's assertions.  Implementations must not capture
-    module-level state: everything a worker needs is derived from the
-    task's own (picklable) fields, which keeps the bootstrap safe under the
-    ``spawn`` start method as well as ``fork``.
-    """
-
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion]]:
-        raise NotImplementedError
+#: How many candidates a worker pulls between checks of the shared stop
+#: flag (each check is a semaphore acquisition, too hot to pay per
+#: candidate).
+_STOP_STRIDE = 32
 
 
 @dataclass(frozen=True)
-class ScenarioWorkerTask(WorkerTask):
-    """Rebuild a registered bug scenario's hunt stack by name."""
-
-    scenario_name: str
-    mode: str = "erpi"
-    seed: int = 0
-    fixed: bool = False
-    faults: bool = False
-    replay_timeout_s: Optional[float] = None
-    dpor: bool = False
-
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion]]:
-        # Imports are deferred so pickling the task never drags the bug
-        # registry (or a half-initialised module under spawn) along with it.
-        from repro.bench.harness import make_explorer, record_scenario
-        from repro.bugs import scenario
-        from repro.core.replay import SequentialExecutor
-
-        sc = scenario(self.scenario_name)
-        recorded = record_scenario(sc, fixed=self.fixed)
-        if self.replay_timeout_s is not None:
-            recorded.engine.executor = SequentialExecutor(
-                timeout_s=self.replay_timeout_s
-            )
-        explorer = make_explorer(
-            recorded, self.mode, seed=self.seed, faults=self.faults, dpor=self.dpor,
-        )
-        return explorer, recorded.engine, sc.make_assertions()
-
-
-@dataclass(frozen=True)
-class CallableWorkerTask(WorkerTask):
+class CallableWorkerTask:
     """Rebuild from a module-level factory (the bench harness's spec).
 
     ``factory`` must be importable by reference (a plain module-level
@@ -283,12 +239,6 @@ class _WorkerConfig:
     stop_on_violation: bool
     collect_metrics: bool
     batch_size: int
-    sanitize: bool
-    sanitize_sample_k: int
-    seed: int
-    #: How many candidates between checks of the shared stop flag (each
-    #: check is a semaphore acquisition — too hot to pay per candidate).
-    stop_stride: int = 32
     #: Candidates below this global index are already committed (a resumed
     #: hunt or a respawned slot): enumerate them for stream determinism,
     #: but skip the replay — the parent already holds their verdicts.
@@ -333,22 +283,19 @@ def _worker_main(task, config, conn, stop_event, go_event) -> None:
 
 
 class _WorkerRuntime:
-    __slots__ = ("explorer", "engine", "assertions", "sanitizer",
+    __slots__ = ("explorer", "engine", "assertions",
                  "stream_metrics", "replay_metrics")
 
-    def __init__(self, explorer, engine, assertions, sanitizer,
+    def __init__(self, explorer, engine, assertions,
                  stream_metrics, replay_metrics) -> None:
         self.explorer = explorer
         self.engine = engine
         self.assertions = assertions
-        self.sanitizer = sanitizer
         self.stream_metrics = stream_metrics
         self.replay_metrics = replay_metrics
 
 
 def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
-    from repro.core.sanitizer import Sanitizer
-
     explorer, engine, assertions = task.build()
     stream_metrics = replay_metrics = None
     if config.collect_metrics:
@@ -360,15 +307,11 @@ def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
         replay_metrics = MetricsRegistry()
         explorer.metrics = stream_metrics
         engine.metrics = replay_metrics
-    sanitizer = None
-    if config.sanitize:
-        sanitizer = Sanitizer(sample_k=config.sanitize_sample_k, seed=config.seed)
-        sanitizer.watch(explorer)
     # Bind the semantic pruners exactly as a serial explore() would (the
     # worker loop pulls candidates() directly, bypassing explore()).
     explorer.bind_semantic((engine,), assertions)
     return _WorkerRuntime(
-        explorer, engine, assertions, sanitizer, stream_metrics, replay_metrics,
+        explorer, engine, assertions, stream_metrics, replay_metrics,
     )
 
 
@@ -417,7 +360,7 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
         # Mirrors the serial loop's check-before-pull cap semantics, so a
         # capped run's stream counters match a capped serial run exactly.
         while yields < config.cap:
-            if yields % config.stop_stride == 0:
+            if yields % _STOP_STRIDE == 0:
                 if stop_event.is_set():
                     break
                 if batcher.due():
@@ -514,7 +457,6 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
         "meter": dict(explorer.meter.by_category),
         "stream": None,
         "replay": None,
-        "samplers": None,
     }
     if runtime.stream_metrics is not None:
         widx = config.worker_index
@@ -524,9 +466,6 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
         flush["replay"] = runtime.replay_metrics.to_payload(
             epoch=("replay", widx, config.attempt)
         )
-    sanitizer = runtime.sanitizer
-    if sanitizer is not None:
-        flush["samplers"] = [pruner.sampler for pruner in sanitizer.watched_pruners]
     return flush
 
 
@@ -537,10 +476,18 @@ class ProcessParallelExplorer:
     """Drive a pool of shared-nothing exploration workers.
 
     ``base`` (the parent's explorer) supplies the mode label, the schedule
-    and the observability objects; the :class:`WorkerTask` is what each
-    worker uses to rebuild the whole stack in its own process.  ``explore``
-    matches the serial ``Explorer.explore`` signature and return type, and
-    its committed results are bit-for-bit those of a serial run.
+    and the observability objects.  ``explore`` matches the serial
+    ``Explorer.explore`` signature and return type, and its committed
+    results are bit-for-bit those of a serial run.
+
+    ``task`` is the recipe each worker rebuilds the whole stack from in its
+    own process: its ``build()`` returns ``(explorer, engine, assertions)``,
+    a fresh explorer over the recorded schedule, a checkpointed
+    :class:`ReplayEngine` over a fresh cluster and the scenario's
+    assertions.  Everything it needs comes from its own picklable fields,
+    never from module-level state, so the bootstrap is safe under the
+    ``spawn`` start method as well as ``fork``.  Workers sample no pruning
+    classes: a sanitized hunt samples in the parent.
 
     The one failure policy: a worker slot is *dead* when it sends an error
     frame, or when its pipe reaches EOF without a final flush.  A dead slot
@@ -567,15 +514,11 @@ class ProcessParallelExplorer:
     def __init__(
         self,
         base: Explorer,
-        task: WorkerTask,
+        task: Any,
         workers: int = 4,
-        sanitize: bool = False,
-        sanitize_sample_k: int = 2,
-        seed: int = 0,
         batch_size: int = 64,
         start_method: Optional[str] = None,
         shutdown_timeout_s: float = 10.0,
-        parent_sanitizer: Optional[object] = None,
         journal: Optional[HuntJournal] = None,
         max_releases: int = 3,
         backoff_base_s: float = 0.05,
@@ -585,13 +528,9 @@ class ProcessParallelExplorer:
         self.base = base
         self.task = task
         self.workers = workers
-        self.sanitize = sanitize
-        self.sanitize_sample_k = sanitize_sample_k
-        self.seed = seed
         self.batch_size = max(1, batch_size)
         self.start_method = start_method
         self.shutdown_timeout_s = shutdown_timeout_s
-        self.parent_sanitizer = parent_sanitizer
         self.journal = journal
         self.max_releases = max(0, max_releases)
         self.backoff_base_s = backoff_base_s
@@ -714,9 +653,6 @@ class ProcessParallelExplorer:
             stop_on_violation=self._stop_on_violation,
             collect_metrics=self.base.metrics.enabled,
             batch_size=self.batch_size,
-            sanitize=self.sanitize,
-            sanitize_sample_k=self.sanitize_sample_k,
-            seed=self.seed,
             skip_below=self._watermark,
             attempt=self._attempts[widx],
         )
@@ -800,7 +736,6 @@ class ProcessParallelExplorer:
             if metrics.enabled:
                 self._merge_metrics(metrics, finals, result.explored)
             self.base._finish_observation(root, result.explored, mode=self.mode)
-        self._merge_sanitizer(finals)
         if result.violating is None and not result.crashed:
             # A generation-side budget crash aborts a serial run too; any
             # worker that hit it reports the identical stream position.
@@ -1283,20 +1218,3 @@ class ProcessParallelExplorer:
         discarded = yields - committed
         if discarded > 0:
             metrics.inc("interleavings.discarded", discarded)
-
-    def _merge_sanitizer(self, finals) -> None:
-        """Adopt the canonical worker's class samplers into the parent's
-        sanitizer.
-
-        Its stream is the longest, so its classes subsume every other
-        worker's.  The caller then runs ``Sanitizer.finish`` against the
-        parent's reference engine exactly as a serial hunt would.
-        """
-        parent = self.parent_sanitizer
-        if parent is None:
-            return
-        canonical = self._canonical_flush(finals)
-        if canonical is None or canonical["samplers"] is None:
-            return
-        for pruner, sampler in zip(parent.watched_pruners, canonical["samplers"]):
-            pruner.adopt_sampler(sampler)

@@ -110,21 +110,6 @@ class Pruner(abc.ABC):
         self.sampler = ClassSampler(sample_k=sample_k, seed=seed)
         return self.sampler
 
-    def adopt_sampler(self, sampler: ClassSampler) -> None:
-        """Replace this pruner's sampler with one populated elsewhere.
-
-        The process-backed parallel explorer's shard merge ships each
-        worker's :class:`ClassSampler` back to the parent (it pickles
-        cleanly: plain dicts plus a ``random.Random``) and re-attaches the
-        canonical worker's sampler here, so ``Sanitizer.finish`` sees the
-        classes exactly as a serial hunt would have recorded them.
-        """
-        if not isinstance(sampler, ClassSampler):
-            raise TypeError(
-                f"adopt_sampler expects a ClassSampler, got {type(sampler).__name__}"
-            )
-        self.sampler = sampler
-
     def is_redundant(self, interleaving: Interleaving) -> bool:
         """Streaming check: True iff an equivalent interleaving was seen.
 
@@ -171,11 +156,6 @@ class PrunerPipeline:
         self.pruners: List[Pruner] = list(pruners)
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
-
-    def enable_sampling(self, sample_k: int = 2, seed: int = 0) -> None:
-        """Enable class sampling on every pruner (seeds derived per pruner)."""
-        for index, pruner in enumerate(self.pruners):
-            pruner.enable_sampling(sample_k=sample_k, seed=seed + index)
 
     def is_redundant(self, interleaving: Interleaving) -> bool:
         # Evaluate every pruner so each one's seen-set and stats stay

@@ -73,6 +73,19 @@ class TestCommands:
         assert main(["table2", "--cap", "600"]) == 0
         assert "matches the paper" in capsys.readouterr().out
 
+    def test_refused_resume_exits_four(self, tmp_path, capsys):
+        """A journal that refuses ``--resume`` is neither a repro (0) nor a
+        clean miss (1): the CLI says why on stderr and exits 4."""
+        path = str(tmp_path / "final.jsonl")
+        argv = ["hunt", "Roshi-2", "--workers", "2", "--journal", path, "--cap", "50"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["hunt", "Roshi-2", "--resume", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "journal is final (hunt completed); nothing to resume" in err
+        assert "Traceback" not in err
+
     def test_export_writes_datalog(self, tmp_path, capsys):
         out = tmp_path / "roshi1.dl"
         assert main(["export", "Roshi-1", str(out), "--cap", "50"]) == 0
@@ -111,6 +124,9 @@ class TestSanitizeCli:
         ["hunt", "Roshi-2", "--heartbeat-interval", "0.1"],
         ["hunt", "Roshi-2", "--steal-margin", "8"],
         ["hunt", "Roshi-2", "--checkpoint-every", "16"],
+        ["hunt", "Roshi-2", "--batch-size", "16"],
+        ["hunt", "Roshi-2", "--max-releases", "0"],
+        ["sanitize", "--sample-k", "3"],
     ])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit):

@@ -119,7 +119,7 @@ def baseline():
     recorded = record_scenario(scenario(NAME))
     explorer = make_explorer(recorded, "erpi")
     pool = ProcessParallelExplorer(
-        explorer, CallableWorkerTask(plain_stack), workers=1, seed=0,
+        explorer, CallableWorkerTask(plain_stack), workers=1,
     )
     return pool.explore(
         recorded.engine, recorded.scenario.make_assertions(),
@@ -134,7 +134,7 @@ def coordinated(task, journal=None, metrics=None, **kwargs):
         explorer.metrics = metrics
         recorded.engine.metrics = metrics
     pool = ProcessParallelExplorer(
-        explorer, task, workers=2, journal=journal, seed=0, **kwargs,
+        explorer, task, workers=2, journal=journal, **kwargs,
     )
     result = pool.explore(
         recorded.engine, recorded.scenario.make_assertions(),
@@ -159,13 +159,16 @@ def truncate_journal(path, keep_commits):
         handle.write('{"type": "commit", "index": %d, "verd' % keep_commits)
 
 
-def rewrite_hunt_header(path, **fields):
-    """Set ``fields`` in the journal header's hunt config, leaving every
-    other line (torn tail included) byte-for-byte as it was."""
+def rewrite_hunt_header(path, drop=(), **fields):
+    """Set ``fields`` in the journal header's hunt config and remove the
+    ``drop`` keys, leaving every other line (torn tail included)
+    byte-for-byte as it was."""
     with open(path) as handle:
         first, rest = handle.read().split("\n", 1)
     header = json.loads(first)
     header["hunt"].update(fields)
+    for key in drop:
+        del header["hunt"][key]
     with open(path, "w") as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n" + rest)
 
@@ -320,7 +323,7 @@ class TestRaisingWorker:
             CallableWorkerTask(
                 raise_once_stack, (str(tmp_path / "raise.sentinel"), 50, True)
             ),
-            workers=2, seed=0, batch_size=8, max_releases=0,
+            workers=2, batch_size=8, max_releases=0,
         )
         result = pool.explore(
             recorded.engine, recorded.scenario.make_assertions(),
@@ -498,6 +501,50 @@ class TestResume:
                 record_scenario(scenario(NAME)), "erpi", cap=CAP + 1,
                 workers=2, resume=path,
             )
+
+    def test_harness_refuses_a_different_watchdog(self, tmp_path):
+        """A watchdog quarantine in the committed prefix is part of what the
+        prefix means, so the header pins ``replay_timeout_s``."""
+        path = str(tmp_path / "watchdog.jsonl")
+        hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+            journal=path, stop_on_violation=False, replay_timeout_s=30.0,
+        )
+        assert HuntJournal.load(path).header["hunt"]["replay_timeout_s"] == 30.0
+        truncate_journal(path, keep_commits=5)
+        with pytest.raises(
+            JournalError, match="replay_timeout_s: journal=30.0 requested=None"
+        ):
+            hunt(
+                record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+                resume=path, stop_on_violation=False,
+            )
+
+    def test_header_without_a_watchdog_resumes_without_one(self, tmp_path):
+        """A header written before ``replay_timeout_s`` was pinned reads it
+        as ``None``: the journal resumes with no watchdog, and refuses one."""
+        path = str(tmp_path / "unpinned.jsonl")
+        full = hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+            journal=path, stop_on_violation=False,
+        )
+        truncate_journal(path, keep_commits=20)
+        rewrite_hunt_header(path, drop=("replay_timeout_s",))
+        assert "replay_timeout_s" not in HuntJournal.load(path).header["hunt"]
+        with pytest.raises(JournalError, match="replay_timeout_s"):
+            hunt(
+                record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+                resume=path, stop_on_violation=False, replay_timeout_s=30.0,
+            )
+        recorded = record_scenario(scenario(NAME))
+        resumed = hunt(
+            recorded, "erpi", cap=CAP, workers=2,
+            resume=path, stop_on_violation=False,
+        )
+        assert recorded.engine.executor.timeout_s is None
+        assert resumed.coordination["resumed_commits"] == 20
+        assert resumed.verdicts == full.verdicts
+        assert resumed.explored == full.explored
 
     def test_harness_refuses_a_memo_journal(self, tmp_path):
         """A journal written with the state memo on may hold ``pruned``

@@ -2,9 +2,10 @@
 
 The process pool is a pure optimisation over the serial explore loop: the
 committed results must be bit-for-bit a serial run's, regardless of how
-many workers the candidate stream is sharded across.  These tests pin
-that down, plus the failure-path contract: a worker slot that keeps dying
-mid-run is abandoned, its positions quarantined, never a hang.
+many workers the candidate stream is sharded across, and so must a
+sanitized hunt's report.  These tests pin that down, plus the failure-path
+contract: a worker slot that keeps dying mid-run is abandoned, its
+positions quarantined, never a hang.
 """
 
 import multiprocessing
@@ -12,15 +13,11 @@ import os
 
 import pytest
 
-from repro.bench.harness import hunt, make_explorer, record_scenario
+from repro.bench.harness import HuntConfig, hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
 from repro.core.explorers import Explorer
 from repro.core.interleavings import group_events, interleaving_stream
-from repro.core.procpool import (
-    CallableWorkerTask,
-    ProcessParallelExplorer,
-    ScenarioWorkerTask,
-)
+from repro.core.procpool import CallableWorkerTask, ProcessParallelExplorer
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -33,9 +30,8 @@ def run_process_hunt(name, workers, cap=60, metrics=None, start_method=None):
         recorded.engine.metrics = metrics
     pool = ProcessParallelExplorer(
         explorer,
-        ScenarioWorkerTask(scenario_name=name, mode="erpi", seed=0),
+        HuntConfig(scenario=name),
         workers=workers,
-        seed=0,
         start_method=start_method,
     )
     return pool.explore(
@@ -110,6 +106,46 @@ class TestShardMergeEquivalence:
         spawned = run_process_hunt("Roshi-1", 2, cap=30, start_method="spawn")
         assert spawned.verdicts == forked.verdicts
         assert spawned.explored == forked.explored
+
+
+# ------------------------------------------------------------ sanitizer
+
+
+#: Sanitized hunts whose two-worker report differed from the serial one
+#: while workers sampled their own classes, plus a drained fault sweep,
+#: whose stream ends inside the cap: the serial loop's last pull, which
+#: finds that end, runs the pruners over the stream's tail.
+SANITIZED_HUNTS = [
+    pytest.param(name, {"dpor": True}, id=f"{name}-dpor")
+    for name in ("Roshi-2", "Roshi-3", "OrbitDB-1", "Yorkie-1", "Yorkie-2")
+] + [
+    pytest.param(
+        "Roshi-CR2", {"faults": True, "stop_on_violation": False},
+        id="Roshi-CR2-faults-drained",
+    ),
+]
+
+
+class TestSanitizerMatchesSerial:
+    """Workers sample no pruning classes.  After a pool hunt the parent's
+    own explorer pulls the candidates the serial loop would have, so a
+    sanitized hunt reports the same on every worker count."""
+
+    @pytest.mark.parametrize("name, options", SANITIZED_HUNTS)
+    def test_two_workers_report_what_one_does(self, name, options):
+        counts = {}
+        for workers in (1, 2):
+            report = hunt(
+                record_scenario(scenario(name)), "erpi", cap=400,
+                sanitize=True, workers=workers, **options,
+            ).sanitizer
+            counts[workers] = (
+                report.classes_checked,
+                report.members_checked,
+                report.fresh_replays,
+                report.divergences,
+            )
+        assert counts[2] == counts[1]
 
 
 # ---------------------------------------------------------------- crash path
@@ -208,7 +244,7 @@ class TestShutdown:
         explorer = make_explorer(recorded, "erpi")
         pool = ProcessParallelExplorer(
             explorer,
-            ScenarioWorkerTask(scenario_name="Roshi-1"),
+            HuntConfig(scenario="Roshi-1"),
             workers=2,
             shutdown_timeout_s=5,
         )
@@ -223,7 +259,7 @@ class TestShutdown:
         explorer = make_explorer(recorded, "erpi")
         pool = ProcessParallelExplorer(
             explorer,
-            ScenarioWorkerTask(scenario_name="Roshi-1"),
+            HuntConfig(scenario="Roshi-1"),
             workers=2,
             shutdown_timeout_s=5,
         )

@@ -322,22 +322,3 @@ class TestKeyNamespacing:
         assert pruner.key((e1, e3, e2))[0] == "canon"
         assert pruner.key((e2, e1, e3))[0] == "raw"
         assert pruner.key((e2, e3))[0] == "raw"  # predecessors absent
-
-
-class TestAdoptSampler:
-    def test_adopts_populated_sampler(self):
-        from repro.core.pruning.base import ClassSampler
-
-        pruner = ReplicaSpecificPruner("A")
-        sampler = ClassSampler(sample_k=2, seed=0)
-        sampler.saw_representative("k", ())
-        pruner.adopt_sampler(sampler)
-        assert pruner.sampler is sampler
-        assert pruner.sampler.merged_classes == 0
-
-    def test_rejects_non_sampler(self):
-        import pytest
-
-        pruner = ReplicaSpecificPruner("A")
-        with pytest.raises(TypeError):
-            pruner.adopt_sampler(object())

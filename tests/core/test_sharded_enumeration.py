@@ -16,9 +16,9 @@ import itertools
 
 import pytest
 
-from repro.bench.harness import hunt, make_explorer, record_scenario
+from repro.bench.harness import HuntConfig, hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
-from repro.core.procpool import ProcessParallelExplorer, ScenarioWorkerTask
+from repro.core.procpool import ProcessParallelExplorer
 
 LIMIT = 240  # stream-prefix length compared per equivalence check
 
@@ -141,10 +141,8 @@ def process_hunt(name, workers, cap=150):
     (1 allowed, unlike the harness's serial shortcut)."""
     recorded = record_scenario(scenario(name))
     explorer = make_explorer(recorded, "erpi", faults=True, dpor=True)
-    task = ScenarioWorkerTask(
-        scenario_name=name, mode="erpi", seed=0, faults=True, dpor=True,
-    )
-    pool = ProcessParallelExplorer(explorer, task, workers=workers, seed=0)
+    task = HuntConfig(scenario=name, faults=True, dpor=True)
+    pool = ProcessParallelExplorer(explorer, task, workers=workers)
     return pool.explore(
         recorded.engine, recorded.scenario.make_assertions(),
         cap=cap, stop_on_violation=False,

@@ -1,4 +1,5 @@
-"""Partition edge cases on the cluster: heal validation and heal order (a
+"""Partition edge cases on the cluster: heal validation (healing a pair
+named in reverse and healing everything are in ``test_conditions.py``; a
 partial heal and the heal of an uncut pair are in ``test_cluster.py``)."""
 
 import pytest
@@ -15,13 +16,6 @@ def make_cluster():
 
 
 class TestHealValidation:
-    def test_heal_everything_with_no_arguments(self):
-        cluster = make_cluster()
-        cluster.partition("A", "B")
-        cluster.partition("B", "C")
-        cluster.heal()
-        assert not cluster.partitions
-
     def test_heal_with_one_argument_rejected(self):
         cluster = make_cluster()
         cluster.partition("A", "B")
@@ -30,11 +24,3 @@ class TestHealValidation:
         with pytest.raises(ValueError, match="zero or two"):
             cluster.heal(None, "B")
         assert cluster.partitions == {frozenset({"A", "B"})}
-
-
-class TestPartialHeals:
-    def test_partition_is_order_insensitive(self):
-        cluster = make_cluster()
-        cluster.partition("A", "B")
-        cluster.heal("B", "A")
-        assert not cluster.partitions
