@@ -17,6 +17,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -99,7 +100,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             resume=args.resume,
         )
     except JournalError as exc:
-        # The journal refused --resume: final, corrupt, or a different hunt.
+        # --journal could not be created, or the journal refused --resume:
+        # final, corrupt, or a different hunt.
         print(f"error: {exc}", file=sys.stderr)
         return 4
     if tracer is not None:
@@ -134,7 +136,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     # Exit-code contract: reproduced -> 0 (even when the hunt had to recover
     # from worker crashes along the way); sanitizer divergence -> 2;
     # unrecoverable crash without a repro -> 3; clean "not reproduced" -> 1;
-    # a journal that refuses --resume -> 4 (above).
+    # a --journal that cannot be created or a journal that refuses --resume
+    # -> 4 (above); an out-of-range option -> 2, from argparse.
     status = 1
     if result.found:
         print(
@@ -406,6 +409,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(kind):
+    """An argparse type: a finite ``kind`` (int or float) above zero."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {kind.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -423,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--show-interleaving", action="store_true")
     hunt.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=1,
         help="shard candidate replays across N shared-nothing worker "
         "processes (deterministic)",
@@ -448,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hunt.add_argument(
         "--replay-timeout",
-        type=float,
+        type=_positive(float),
         default=None,
         metavar="SECONDS",
         help="per-replay wall-clock watchdog; a replay exceeding it is "
@@ -477,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="checkpoint every committed verdict to this journal, so a "
         "killed hunt can --resume (the hunt runs on the process pool, with "
-        "one worker unless --workers says more)",
+        "one worker unless --workers says more); exits 4 when the journal "
+        "cannot be created",
     )
     durability.add_argument(
         "--resume",
@@ -559,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--replay-timeout",
-        type=float,
+        type=_positive(float),
         default=30.0,
         metavar="SECONDS",
         help="per-replay watchdog (default 30s); quarantines hung replays",

@@ -31,7 +31,7 @@ from repro.core.assertions import (
     is_settled,
 )
 from repro.core.explorers import ERPiExplorer
-from repro.core.replay import Assertion, ReplayEngine
+from repro.core.replay import ReplayEngine
 from repro.faults.quarantine import QuarantinedReplay
 from repro.net.cluster import Cluster
 from repro.proxy.recorder import EventRecorder
@@ -103,9 +103,9 @@ def crdt_library_op_pool() -> List[OpGenerator]:
     # interleaving) and observed-remove deletes (effect depends on which
     # concurrent adds the remover had seen) are legitimately
     # order-dependent even on a perfect library, so they would trip the
-    # cross-interleaving stability check with false positives.  To fuzz
-    # non-monotone surfaces, pass a custom pool that brings its own
-    # observed-remove op, together with workload-specific assertions.
+    # cross-interleaving stability check with false positives.  A custom
+    # pool must keep that property, because both oracles run on every
+    # workload.
     return [set_add, counter_increment, flag_enable, sync, sync]
 
 
@@ -116,18 +116,12 @@ class WorkloadFuzzer:
         self,
         cluster_factory: Callable[[], Cluster],
         op_pool: Optional[Sequence[OpGenerator]] = None,
-        assertion_factory: Optional[Callable[[], List[Assertion]]] = None,
         seed: int = 0,
-        cross_check_stability: bool = True,
     ) -> None:
         if op_pool is not None and not list(op_pool):
             raise ValueError("op pool must not be empty")
         self.cluster_factory = cluster_factory
         self.op_pool = list(op_pool) if op_pool is not None else crdt_library_op_pool()
-        self.assertion_factory = assertion_factory or (
-            lambda: [assert_convergence_when_settled()]
-        )
-        self.cross_check_stability = cross_check_stability
         self.seed = seed
 
     def _generate(self, recorder: EventRecorder, rng: random.Random, ops: int) -> None:
@@ -217,10 +211,8 @@ class WorkloadFuzzer:
                     violations.extend(outcome.violations)
                     violating_ids = ids
                     return True
-                if (
-                    self.cross_check_stability
-                    and is_settled(outcome, replica_ids)
-                    and preserves_program_order(interleaving)
+                if is_settled(outcome, replica_ids) and preserves_program_order(
+                    interleaving
                 ):
                     digest = _freeze(outcome.states)
                     if settled_reference is None:
@@ -235,7 +227,10 @@ class WorkloadFuzzer:
                 return False
 
             explored = ERPiExplorer(events).explore(
-                engine, self.assertion_factory(), cap=cap_per_run, on_commit=commit
+                engine,
+                [assert_convergence_when_settled()],
+                cap=cap_per_run,
+                on_commit=commit,
             ).explored
             report.total_interleavings += explored
             if violations:

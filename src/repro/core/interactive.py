@@ -27,7 +27,6 @@ from repro.core.errors import RecordingError
 from repro.core.events import Event
 from repro.core.explorers import ERPiExplorer
 from repro.core.interleavings import Interleaving
-from repro.core.pruning import Pruner
 from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
 from repro.net.cluster import Cluster
 from repro.proxy.recorder import EventRecorder
@@ -89,17 +88,11 @@ class InteractiveReport:
 class InteractiveSession:
     """Record once, then explore in advisor-driven rounds."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        base_constraints: Sequence[Constraint] = (),
-        pruners: Sequence[Pruner] = (),
-    ) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
         self._engine = ReplayEngine(cluster)
         self._recorder: Optional[EventRecorder] = None
-        self._constraints: List[Constraint] = list(base_constraints)
-        self._base_pruners: List[Pruner] = list(pruners)
+        self._constraints: List[Constraint] = []
 
     def start(self) -> None:
         if self._recorder is not None:
@@ -135,7 +128,7 @@ class InteractiveSession:
             explorer = ERPiExplorer(
                 events,
                 spec_groups=spec_groups_from(self._constraints),
-                pruners=self._base_pruners + pruners_from(self._constraints),
+                pruners=pruners_from(self._constraints),
             )
             round_outcomes: List[InterleavingOutcome] = []
             round_violations: List[Tuple[int, str]] = []

@@ -89,11 +89,16 @@ class HuntJournal:
 
     @classmethod
     def create(cls, path: str, header: Dict[str, Any]) -> "HuntJournal":
-        """Start a fresh journal (atomically replacing any previous file)."""
+        """Start a fresh journal (atomically replacing any previous file).
+
+        A path that cannot be written raises :class:`JournalError`."""
         journal = cls(path)
         journal.records = [{"type": "header", "version": VERSION, **header}]
-        journal._rewrite()
-        journal._open_append()
+        try:
+            journal._rewrite()
+            journal._open_append()
+        except OSError as exc:
+            raise JournalError(f"cannot create journal {path!r}: {exc}") from exc
         return journal
 
     @classmethod

@@ -142,6 +142,10 @@ def _send_counted(conn, obj: Any) -> int:
     return len(data)
 
 
+#: The frame size an :class:`AdaptiveBatcher` starts at (capped at its cap).
+_MIN_BATCH = 8
+
+
 class AdaptiveBatcher:
     """Columnar verdict buffer with adaptive sizing and an idle deadline.
 
@@ -168,10 +172,9 @@ class AdaptiveBatcher:
         cap: int,
         idle_flush_s: float = 0.05,
         clock: Optional[Callable[[], float]] = None,
-        min_batch: int = 8,
     ) -> None:
         self.cap = max(1, cap)
-        self.size = min(max(1, min_batch), self.cap)
+        self.size = min(_MIN_BATCH, self.cap)
         self.idle_flush_s = idle_flush_s
         self._clock = clock or time.monotonic
         self._last_flush = self._clock()

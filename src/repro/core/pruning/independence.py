@@ -7,22 +7,20 @@ events — with no interfering event between the first and last of them — are
 equivalent, so ER-pi canonicalises the independent events' order and keeps
 one representative per class.
 
-Interference is developer-parameterisable.  The default predicate is
-conservative: an in-between event interferes if it executes at the same
-replica as any independent event or is a sync event (sync can carry any
-update's effect across replicas).
+Interference is conservative (:func:`default_interference`): an in-between
+event interferes if it executes at the same replica as any independent
+event or is a sync event (sync can carry any update's effect across
+replicas).
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Hashable, Iterable
 
 from repro.core.errors import ConstraintError
 from repro.core.events import Event
 from repro.core.interleavings import Interleaving
 from repro.core.pruning.base import Pruner
-
-InterferencePredicate = Callable[[Event, FrozenSet[str]], bool]
 
 
 def default_interference(event: Event, independent_replicas: FrozenSet[str]) -> bool:
@@ -47,16 +45,11 @@ class EventIndependencePruner(Pruner):
 
     name = "event_independence"
 
-    def __init__(
-        self,
-        independent_event_ids: Iterable[str],
-        interference: Optional[InterferencePredicate] = None,
-    ) -> None:
+    def __init__(self, independent_event_ids: Iterable[str]) -> None:
         super().__init__()
         self.independent_ids = frozenset(independent_event_ids)
         if len(self.independent_ids) < 2:
             raise ConstraintError("independence needs at least two events")
-        self._interference = interference or default_interference
 
     def key(self, interleaving: Interleaving) -> Hashable:
         # The two key kinds are namespaced: a non-exchangeable interleaving's
@@ -86,7 +79,7 @@ class EventIndependencePruner(Pruner):
             event = interleaving[index]
             if event.event_id in self.independent_ids:
                 continue
-            if event.is_fault or self._interference(event, independent_replicas):
+            if default_interference(event, independent_replicas):
                 # An interfering event sits inside the span: orders are not
                 # exchangeable here, keep the interleaving as its own class.
                 return ("raw", tuple(event.event_id for event in interleaving))

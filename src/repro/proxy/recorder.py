@@ -71,11 +71,9 @@ class EventRecorder:
         self,
         cluster: Cluster,
         read_methods: Optional[Iterable[str]] = None,
-        ignored_methods: Optional[Iterable[str]] = None,
     ) -> None:
         self.cluster = cluster
         self.read_methods: Set[str] = set(read_methods or DEFAULT_READ_METHODS)
-        self.ignored: Set[str] = set(ignored_methods or DEFAULT_IGNORED_METHODS)
         self.events: List[Event] = []
         self._counter = itertools.count(1)
         self._recording = False
@@ -93,7 +91,7 @@ class EventRecorder:
             methods = [
                 name
                 for name in interceptor.instrumentable_methods(rdl)
-                if name not in self.ignored
+                if name not in DEFAULT_IGNORED_METHODS
             ]
             interceptor.instrument(rdl, self._on_rdl_call, methods=methods)
         interceptor.instrument(

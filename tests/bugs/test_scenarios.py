@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench.harness import hunt, record_scenario
 from repro.bugs import all_scenarios, scenario, scenario_names
+from tests.decisions import committed
 
 ALL_NAMES = scenario_names()
 
@@ -30,22 +31,12 @@ TABLE_1 = {
 }
 
 
-#: Replays ER-pi's production order takes to reproduce each bug.  Pinned
-#: exactly: any change to the stream's order, the pruners or a subject's
-#: behaviour that moves a first violation shows here.
+#: Replays ER-pi's production order takes to reproduce each bug, read from
+#: the decision record (``tests/decisions.json``).  Pinned exactly: any
+#: change to the stream's order, the pruners or a subject's behaviour that
+#: moves a first violation shows here.
 REPLAYS_TO_REPRODUCE = {
-    "Roshi-1": 17,
-    "Roshi-2": 2,
-    "Roshi-3": 2,
-    "OrbitDB-1": 2,
-    "OrbitDB-2": 4,
-    "OrbitDB-3": 33,
-    "OrbitDB-4": 3_812,
-    "OrbitDB-5": 86,
-    "ReplicaDB-1": 29,
-    "ReplicaDB-2": 2_763,
-    "Yorkie-1": 52,
-    "Yorkie-2": 46,
+    name: committed(f"hunt/{name}/serial")["replays"] for name in ALL_NAMES
 }
 
 class TestRegistry:

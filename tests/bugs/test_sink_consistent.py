@@ -2,8 +2,8 @@
 
 The four-pass predicate (``reads()``, a positions dict and two ``max``
 scans) is kept here as the reference.  The one-pass predicate must give its
-verdict on every candidate of the buggy hunt (2,763 replays to the first
-violation) and on as many of the fixed build's.
+verdict on every candidate of the buggy hunt (its replays to the first
+violation, from the decision record) and on as many of the fixed build's.
 """
 
 import itertools
@@ -12,8 +12,9 @@ import pytest
 
 from repro.bench.harness import make_explorer, record_scenario
 from repro.bugs import scenario
+from tests.decisions import committed
 
-CANDIDATES = 2_763
+CANDIDATES = committed("hunt/ReplicaDB-2/serial")["replays"]
 
 
 def reference_sink_consistent(outcome):

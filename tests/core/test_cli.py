@@ -19,6 +19,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["hunt", "Roshi-2", "--mode", "bfs"])
 
+    @pytest.mark.parametrize("argv", [
+        ["hunt", "Roshi-2", "--replay-timeout", "0"],
+        ["faults", "--replay-timeout", "0"],
+        ["hunt", "Roshi-2", "--workers", "0", "--journal", "j.jsonl"],
+        ["hunt", "Roshi-2", "--workers", "-2"],
+    ], ids=["hunt-timeout-0", "faults-timeout-0", "workers-0-journal",
+            "workers-negative"])
+    def test_out_of_range_values_are_usage_errors(self, argv, capsys):
+        """A non-positive watchdog or worker count is refused at parse
+        time (usage, exit 2), not by a traceback or by running serially."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_bugs_lists_all_twelve(self, capsys):
@@ -84,6 +101,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "journal is final (hunt completed); nothing to resume" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_journal_exits_four(self, tmp_path, capsys):
+        """A ``--journal`` path that cannot be created is not a clean miss
+        (1): the CLI says why on stderr and exits 4."""
+        path = str(tmp_path / "no-such-dir" / "j.jsonl")
+        assert main(["hunt", "Roshi-2", "--journal", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create journal ")
         assert "Traceback" not in err
 
     def test_export_writes_datalog(self, tmp_path, capsys):

@@ -34,6 +34,7 @@ from repro.core.replay import ReplayEngine, SequentialExecutor
 from repro.net.cluster import Cluster
 from repro.rdl.crdts_lib import CRDTLibrary
 from repro.statehash import canonical_repr, combine_digests, state_digest
+from tests.decisions import committed, serial_hunt_with_verdicts
 
 CR_SCENARIOS = ("Roshi-CR", "Roshi-CR2", "OrbitDB-CR", "ReplicaDB-CR", "Yorkie-CR")
 
@@ -324,20 +325,17 @@ class TestDPORKeyMatchesNormalForm:
         assert classes(candidates) == classes(shuffled)
 
 
+def _dpor_hunt(name):
+    row = committed(f"hunt/{name}/dpor")
+    return row["replays"], row["pruned"]["dpor"], "|".join(row["witness"])
+
+
 #: The benchmark's ``dpor`` hunts as the normal-form key ran them: replays,
-#: DPOR prunes and the witness each hunt stops on.  The bitmask key must
-#: reproduce all three.
+#: DPOR prunes and the witness each hunt stops on, from the decision record
+#: (``tests/decisions.json``).  The bitmask key must reproduce all three.
 DPOR_HUNTS = {
-    "OrbitDB-4": (866, 2946, "e12|e1|e2|e3|e4|e5|e6|e7|e9|e8|e10|e11|e13"
-                  "|e14|e15|e16|e17|e18"),
-    "ReplicaDB-2": (1632, 1131, "e1|e2|e3|e4|e5|e8|e6|e7|e9|e11|e12|e10"
-                    "|e13|e14"),
-    "OrbitDB-5": (36, 50, "e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e13|e11|e12|e14"
-                  "|e15|e16|e17|e18|e19|e20|e21|e22|e23|e24"),
-    "Yorkie-1": (46, 6, "e1|e2|e3|e4|e5|e6|e7|e8|e10|e11|e9|e12|e13|e14"
-                 "|e15|e16|e17"),
-    "Yorkie-2": (24, 22, "e1|e2|e3|e4|e5|e7|e8|e9|e10|e11|e12|e13|e14|e15"
-                 "|e16|e6|e17|e18|e19|e20|e21|e22"),
+    name: _dpor_hunt(name)
+    for name in ("OrbitDB-4", "ReplicaDB-2", "OrbitDB-5", "Yorkie-1", "Yorkie-2")
 }
 
 
@@ -353,22 +351,6 @@ def test_dpor_hunt_keeps_replays_prunes_and_witness(name):
     assert result.explored == replayed
     assert result.pruning_stats["dpor"] == pruned
     assert witness_ids(result) == witness
-
-
-def serial_hunt_with_verdicts(name, **options):
-    """A serial hunt plus the verdict map serial explorers do not report."""
-    recorded = record_scenario(scenario(name))
-    replay = recorded.engine.replay
-    verdicts = {}
-
-    def recording_replay(interleaving, assertions=()):
-        outcome = replay(interleaving, assertions)
-        key = "|".join(event.event_id for event in interleaving)
-        verdicts[key] = "violation" if outcome.violated else "ok"
-        return outcome
-
-    recorded.engine.replay = recording_replay
-    return hunt(recorded, "erpi", **options), verdicts
 
 
 class TestProcessPruningStats:

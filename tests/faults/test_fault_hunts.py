@@ -11,28 +11,24 @@ import pytest
 from repro.bench.harness import hunt, record_scenario
 from repro.bugs import fault_scenario_names, fault_scenarios, scenario
 from repro.core.events import EventKind
+from tests.decisions import committed
 
 CR_NAMES = ["Roshi-CR", "Roshi-CR2", "OrbitDB-CR", "ReplicaDB-CR", "Yorkie-CR"]
 
 #: Replays to the first violation and the violating schedule's event ids,
-#: per scenario, with its fault plan compiled in.
+#: per scenario, with its fault plan compiled in (from the decision record,
+#: ``tests/decisions.json``).
 FIRST_VIOLATION = {
-    "Roshi-CR": (5, "e1 e2 e3 f1 f2 e4 e5"),
-    "Roshi-CR2": (10, "e1 e2 e3 e4 f1 f2 e5 e6"),
-    "OrbitDB-CR": (22, "e1 e2 e3 e4 e5 f1 f2 e6 e7 e8"),
-    "ReplicaDB-CR": (
-        498, "e1 e4 e5 e6 e2 e3 f1 f2 e7 e8 e9 e10 e11 e12 e13 e14"
-    ),
-    "Yorkie-CR": (86, "e1 e2 e3 e4 e5 e6 f1 f2 e7 e8"),
+    name: (
+        committed(f"hunt/{name}/faults")["replays"],
+        " ".join(committed(f"hunt/{name}/faults")["witness"]),
+    )
+    for name in CR_NAMES
 }
 
 #: Fixed-build sweeps at cap 700: the three small spaces are exhausted.
 FIXED_SWEEP = {
-    "Roshi-CR": 20,
-    "Roshi-CR2": 100,
-    "OrbitDB-CR": 700,
-    "ReplicaDB-CR": 700,
-    "Yorkie-CR": 210,
+    name: committed(f"hunt/{name}/faults+fixed")["replays"] for name in CR_NAMES
 }
 
 
