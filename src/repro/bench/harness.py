@@ -29,7 +29,6 @@ from repro.core.replay import Assertion, ReplayEngine, SequentialExecutor
 from repro.core.resources import ResourceMeter
 from repro.core.sanitizer import Sanitizer
 from repro.net.cluster import Cluster
-from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.proxy.recorder import EventRecorder
 
 
@@ -88,8 +87,8 @@ def make_explorer(
     faults: bool = False,
     dpor: bool = False,
     sanitizer: Optional[Sanitizer] = None,
-    tracer: object = NULL_TRACER,
-    metrics: object = NULL_METRICS,
+    tracer: Optional[object] = None,
+    metrics: Optional[object] = None,
 ) -> Explorer:
     """Build the exploration stack for one recorded scenario.
 
@@ -242,7 +241,9 @@ def hunt(
     :class:`~repro.obs.tracer.Tracer`, a
     :class:`~repro.obs.metrics.MetricsRegistry` and a
     :class:`~repro.obs.progress.ProgressLine` to the whole hunt (explorer,
-    replay engine, pruners and — via the engine — the sanitizer).
+    replay engine, pruners and — via the engine — the sanitizer).  ``None``
+    leaves that part unobserved.  The progress line paints the registry's
+    counts, so without ``metrics`` it paints nothing.
 
     The hunt's one :class:`HuntConfig` is the process pool's worker recipe.
     The pool respawns a worker that dies in its slot, up to three times;
@@ -267,17 +268,15 @@ def hunt(
         cap=cap, workers=workers, faults=faults, dpor=dpor,
         replay_timeout_s=replay_timeout_s,
     )
-    observed_tracer = tracer if tracer is not None else NULL_TRACER
-    observed_metrics = metrics if metrics is not None else NULL_METRICS
     recorded.engine.executor = SequentialExecutor(timeout_s=replay_timeout_s)
     sanitizer = Sanitizer(seed=seed) if sanitize else None
     explorer = make_explorer(
         recorded, mode, seed=seed, meter=meter, faults=faults, dpor=dpor,
-        sanitizer=sanitizer, tracer=observed_tracer, metrics=observed_metrics,
+        sanitizer=sanitizer, tracer=tracer, metrics=metrics,
     )
     explorer.progress = progress
-    recorded.engine.tracer = observed_tracer
-    recorded.engine.metrics = observed_metrics
+    recorded.engine.tracer = tracer
+    recorded.engine.metrics = metrics
     assertions = recorded.scenario.make_assertions()
     hunt_journal = None
     if journal is not None or resume is not None:
@@ -298,7 +297,7 @@ def hunt(
             # neither the cap nor a stopping violation ended the hunt.  The
             # workers' counters are merged already, so nothing observes it.
             explorer.bind_semantic((recorded.engine,), assertions)
-            explorer.tracer, explorer.metrics = NULL_TRACER, NULL_METRICS
+            explorer.tracer = explorer.metrics = None
             pulls = result.explored
             if result.explored < cap and not (stop_on_violation and result.found):
                 pulls += 1

@@ -115,7 +115,7 @@ def scenario(name: str) -> BugScenario:
         return _REGISTRY[name]()
     except KeyError:
         raise KeyError(
-            f"unknown bug scenario {name!r}; known: {sorted(_REGISTRY)}"
+            f"unknown bug scenario {name!r}; known: {', '.join(sorted(_REGISTRY))}"
         ) from None
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def _cmd_bugs(args: argparse.Namespace) -> int:
@@ -39,6 +39,16 @@ def _cmd_bugs(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
+    if args.trace is None:
+        return _run_hunt(args, None)
+    trace_file = _open_output(args.trace)
+    if trace_file is None:
+        return 4
+    with trace_file:
+        return _run_hunt(args, trace_file)
+
+
+def _run_hunt(args: argparse.Namespace, trace_file) -> int:
     from repro.bench.harness import hunt, record_scenario
     from repro.bugs import scenario
     from repro.core.journal import JournalError
@@ -53,10 +63,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     if args.sanitize:
         extras.append("sanitize")
     if args.faults:
-        plan = sc.fault_plan()
-        extras.append(
-            f"faults: {plan.describe() if plan is not None else '(none declared)'}"
-        )
+        extras.append(f"faults: {sc.fault_plan().describe()}")
     if args.replay_timeout is not None:
         extras.append(f"watchdog {args.replay_timeout:g}s")
     if args.journal is not None:
@@ -105,7 +112,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     if tracer is not None:
-        tracer.write_jsonl(args.trace)
+        tracer.write_jsonl(trace_file)
         print(
             f"trace: {len(tracer.spans)} span(s) "
             f"({', '.join(sorted(tracer.kinds()))}) -> {args.trace}"
@@ -136,8 +143,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     # Exit-code contract: reproduced -> 0 (even when the hunt had to recover
     # from worker crashes along the way); sanitizer divergence -> 2;
     # unrecoverable crash without a repro -> 3; clean "not reproduced" -> 1;
-    # a --journal that cannot be created or a journal that refuses --resume
-    # -> 4 (above); an out-of-range option -> 2, from argparse.
+    # a --trace path that cannot be written (_cmd_hunt), a --journal that
+    # cannot be created or a journal that refuses --resume -> 4 (above); a
+    # usage error -> 2, from argparse.
     status = 1
     if result.found:
         print(
@@ -278,18 +286,22 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.bugs import scenario
     from repro.core import ErPi
+    from repro.core.constraints import GroupConstraint
 
-    sc = scenario(args.bug)
-    cluster = sc.build_cluster()
-    erpi = ErPi(cluster, persist=True, dpor=args.dpor)
-    erpi.start()
-    sc.workload(cluster)
-    for pair in sc.spec_groups():
-        from repro.core.constraints import GroupConstraint
-
-        erpi.add_constraint(GroupConstraint(pairs=(tuple(pair),)))
-    report = erpi.end(assertions=sc.make_assertions(), cap=args.cap)
-    text = erpi.export_datalog(args.output)
+    output = _open_output(args.output)
+    if output is None:
+        return 4
+    with output:
+        sc = scenario(args.bug)
+        cluster = sc.build_cluster()
+        erpi = ErPi(cluster, persist=True, dpor=args.dpor)
+        erpi.start()
+        sc.workload(cluster)
+        for pair in sc.spec_groups():
+            erpi.add_constraint(GroupConstraint(pairs=(tuple(pair),)))
+        report = erpi.end(assertions=sc.make_assertions(), cap=args.cap)
+        text = erpi.export_datalog()
+        output.write(text)
     print(
         f"exported {report.explored} explored interleavings "
         f"({len(text.encode()):,} bytes of Datalog) to {args.output}"
@@ -409,21 +421,72 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive(kind):
-    """An argparse type: a finite ``kind`` (int or float) above zero."""
+def _open_output(path: str):
+    """Open ``path`` for writing before any work is done, so an unwritable
+    path fails fast; None, after saying why on stderr, when it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return None
+
+
+def _positive(kind, zero: bool = False):
+    """An argparse type: a finite ``kind`` (int or float) above zero, or
+    at least zero with ``zero``."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
-            value = 0
-        if not (math.isfinite(value) and value > 0):
+            value = math.nan
+        if not (math.isfinite(value) and (value >= 0 if zero else value > 0)):
             raise argparse.ArgumentTypeError(
-                f"expected a positive {kind.__name__}, got {text!r}"
+                f"expected a {'non-negative' if zero else 'positive'} "
+                f"{kind.__name__}, got {text!r}"
             )
         return value
 
     return parse
+
+
+def _bug_name(text: str) -> str:
+    """An argparse type: the name of a registered bug scenario."""
+    from repro.bugs import scenario
+
+    try:
+        scenario(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
+def _defect_flag(text: str) -> str:
+    """An argparse type: a defect flag the fuzzed CRDT library understands."""
+    from repro.rdl import CRDTLibrary
+
+    known = sorted(CRDTLibrary.KNOWN_DEFECTS)
+    if text not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown defect flag {text!r}; known: {', '.join(known)}"
+        )
+    return text
+
+
+def _refuse_conflicts(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Usage errors that span two arguments: ``--dpor`` outside the erpi
+    mode, and ``hunt --faults`` on a scenario that declares no fault plan."""
+    if getattr(args, "dpor", False) and getattr(args, "mode", "erpi") != "erpi":
+        parser.error(f"--dpor requires --mode erpi, not {args.mode!r}")
+    if args.command == "hunt" and args.faults:
+        from repro.bugs import fault_scenario_names, scenario
+
+        plan = scenario(args.bug).fault_plan()
+        if plan is None or plan.is_empty():
+            parser.error(
+                f"{args.bug} declares no fault plan; --faults needs one of: "
+                f"{', '.join(fault_scenario_names())}"
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("bugs", help="list the Table-1 bug scenarios")
 
     hunt = sub.add_parser("hunt", help="hunt one bug scenario")
-    hunt.add_argument("bug", help="scenario name, e.g. Roshi-2")
+    hunt.add_argument("bug", type=_bug_name, help="scenario name, e.g. Roshi-2")
     hunt.add_argument("--mode", choices=("erpi", "dfs", "rand"), default="erpi")
-    hunt.add_argument("--cap", type=int, default=10_000)
+    hunt.add_argument("--cap", type=_positive(int), default=10_000)
     hunt.add_argument("--seed", type=int, default=0)
     hunt.add_argument("--show-interleaving", action="store_true")
     hunt.add_argument(
@@ -452,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dpor",
         action="store_true",
         help="sleep-set/happens-before pruning: skip permutations that only "
-        "reorder independent events (per-replica read/write footprints)",
+        "reorder independent events (per-replica read/write footprints); "
+        "erpi mode only",
     )
     hunt.add_argument(
         "--sanitize",
@@ -464,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         action="store_true",
         help="compile the scenario's fault plan into the schedule and "
-        "interleave the crash/recover events exhaustively",
+        "interleave the crash/recover events exhaustively (scenarios with a "
+        "fault plan only: see the faults command)",
     )
     hunt.add_argument(
         "--replay-timeout",
@@ -482,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record spans for every pipeline stage and write them as a "
         "Chrome-trace-compatible JSONL file (default: erpi-trace.jsonl); "
-        "implies --metrics",
+        "implies --metrics; the file is opened before the hunt, which exits "
+        "4 when it cannot be written",
     )
     hunt.add_argument(
         "--metrics",
@@ -512,38 +578,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     table1 = sub.add_parser("table1", help="regenerate Table 1")
-    table1.add_argument("--cap", type=int, default=10_000)
+    table1.add_argument("--cap", type=_positive(int), default=10_000)
 
     table2 = sub.add_parser("table2", help="regenerate Table 2")
-    table2.add_argument("--cap", type=int, default=600)
+    table2.add_argument("--cap", type=_positive(int), default=600)
 
     fig8a = sub.add_parser("fig8a", help="the full Figure-8a sweep (slow)")
-    fig8a.add_argument("--cap", type=int, default=10_000)
+    fig8a.add_argument("--cap", type=_positive(int), default=10_000)
 
     sub.add_parser("motivating", help="the town-reports motivating example")
 
     fuzz = sub.add_parser("fuzz", help="fuzz the CRDT-collection subject")
-    fuzz.add_argument("--runs", type=int, default=10)
-    fuzz.add_argument("--ops", type=int, default=5)
-    fuzz.add_argument("--cap", type=int, default=200)
+    fuzz.add_argument("--runs", type=_positive(int), default=10)
+    fuzz.add_argument("--ops", type=_positive(int), default=5)
+    fuzz.add_argument("--cap", type=_positive(int), default=200)
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--show", type=int, default=3)
+    fuzz.add_argument(
+        "--show",
+        type=_positive(int, zero=True),
+        default=3,
+        help="print the first N findings",
+    )
     fuzz.add_argument(
         "--defect",
         action="append",
+        type=_defect_flag,
         help="seed a library defect flag (repeatable), e.g. no_conflict_resolution",
     )
 
     profile = sub.add_parser("profile", help="resource-profile a bug workload")
-    profile.add_argument("bug")
-    profile.add_argument("--cap", type=int, default=300)
+    profile.add_argument("bug", type=_bug_name)
+    profile.add_argument("--cap", type=_positive(int), default=300)
 
     export = sub.add_parser(
         "export", help="export a bug workload's session as a Datalog program"
     )
-    export.add_argument("bug")
-    export.add_argument("output")
-    export.add_argument("--cap", type=int, default=200)
+    export.add_argument("bug", type=_bug_name)
+    export.add_argument(
+        "output",
+        help="the Datalog file to write; it is opened before the session "
+        "runs, and the command exits 4 when it cannot be written",
+    )
+    export.add_argument("--cap", type=_positive(int), default=200)
     export.add_argument(
         "--dpor",
         action="store_true",
@@ -556,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential soundness sweep: sample every pruner class "
         "across all bug scenarios",
     )
-    sanitize.add_argument("--cap", type=int, default=200)
+    sanitize.add_argument("--cap", type=_positive(int), default=200)
     sanitize.add_argument("--seed", type=int, default=0)
     sanitize.add_argument(
         "--faults",
@@ -570,13 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="hunt every seeded crash-recovery scenario with its fault plan",
     )
     faults.add_argument("--mode", choices=("erpi", "dfs", "rand"), default="erpi")
-    faults.add_argument("--cap", type=int, default=10_000)
+    faults.add_argument("--cap", type=_positive(int), default=10_000)
     faults.add_argument("--seed", type=int, default=0)
     faults.add_argument(
         "--dpor",
         action="store_true",
         help="enable sleep-set pruning (fault events are barriers: nothing "
-        "commutes across a crash, recover or partition)",
+        "commutes across a crash, recover or partition); erpi mode only",
     )
     faults.add_argument(
         "--replay-timeout",
@@ -605,7 +681,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _refuse_conflicts(parser, args)
     return _COMMANDS[args.command](args)
 
 

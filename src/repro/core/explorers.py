@@ -62,10 +62,13 @@ from repro.core.pruning.base import Pruner, PrunerPipeline
 from repro.core.pruning.semantic import DPORPruner
 from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
 from repro.core.resources import ResourceMeter, interleaving_footprint
-from repro.obs import NULL_METRICS, NULL_TRACER
 
 #: The paper's exploration cap.
 DEFAULT_CAP = 10_000
+
+#: Rand gives up after this many shuffles in a row that compose an
+#: interleaving it has already cached: the space is effectively exhausted.
+_MAX_RESHUFFLES = 1_000
 
 #: A commit sink: called once per committed replay with the interleaving and
 #: its outcome (the :class:`QuarantinedReplay` when the replay raised);
@@ -144,11 +147,11 @@ class Explorer(abc.ABC):
         self.fault_plan_description: Optional[str] = None
         #: The fault events the compiled plan added, in plan order.
         self.fault_events: Tuple[Event, ...] = ()
-        #: Observability (see repro.obs) — the shared null objects unless an
-        #: observed run swaps real ones in.  ``progress`` may hold a
+        #: Observability (see repro.obs): ``None`` unless an observed run
+        #: attaches a tracer and a registry.  ``progress`` may hold a
         #: :class:`~repro.obs.progress.ProgressLine` for live hunts.
-        self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
+        self.tracer: Optional[Any] = None
+        self.metrics: Optional[Any] = None
         self.progress: Optional[object] = None
 
     @abc.abstractmethod
@@ -209,7 +212,7 @@ class Explorer(abc.ABC):
         crashed = False
         crash_reason: Optional[str] = None
         quarantined: List[QuarantinedReplay] = []
-        root = tracer.begin("explore") if tracer.enabled else None
+        root = tracer.begin("explore") if tracer is not None else None
         self.bind_semantic((engine,), assertions)
         candidates = self.candidates()
         try:
@@ -219,7 +222,7 @@ class Explorer(abc.ABC):
             # ``generated == pruned + replayed + quarantined + discarded``
             # exact.
             while explored < cap:
-                if tracer.enabled:
+                if tracer is not None:
                     gspan = tracer.begin("generate")
                     try:
                         interleaving = next(candidates, None)
@@ -239,12 +242,12 @@ class Explorer(abc.ABC):
                     # Quarantine: an injected fault wedged or blew up the
                     # subject (watchdog timeout, unexpected exception).
                     # Capture the wreckage and keep hunting.
-                    qspan = tracer.begin("quarantine") if tracer.enabled else None
+                    qspan = tracer.begin("quarantine") if tracer is not None else None
                     quarantine = self._quarantine(interleaving, exc)
                     if qspan is not None:
                         tracer.end(qspan, error_type=type(exc).__name__)
                     quarantined.append(quarantine)
-                    if metrics.enabled:
+                    if metrics is not None:
                         metrics.inc("interleavings.quarantined")
                     explored += 1
                     if progress is not None:
@@ -254,7 +257,7 @@ class Explorer(abc.ABC):
                         break
                     continue
                 explored += 1
-                if metrics.enabled:
+                if metrics is not None:
                     metrics.inc("interleavings.replayed")
                 if progress is not None:
                     progress.tick(metrics)
@@ -306,14 +309,14 @@ class Explorer(abc.ABC):
         mode: Optional[str] = None,
     ) -> None:
         """End-of-run observability: gauges, the final progress repaint, and
-        the root ``explore`` span.  A no-op with the null objects attached."""
+        the root ``explore`` span.  A no-op when nothing observes the run."""
         metrics = self.metrics
-        if metrics.enabled:
+        if metrics is not None:
             for category, nbytes in self.meter.by_category.items():
                 metrics.set_gauge("resource.bytes." + category, nbytes)
         progress = self.progress
         if progress is not None:
-            progress.close(metrics if metrics.enabled else None)
+            progress.close(metrics)
         if root_span is not None:
             self.tracer.end(root_span, mode=mode or self.mode, explored=explored)
 
@@ -330,7 +333,7 @@ class DFSExplorer(Explorer):
         for interleaving in interleaving_stream(units, "lexicographic", masks=masks):
             # The checker server persists every explored interleaving.
             self.meter.charge("dfs_ledger", interleaving_footprint(len(self.events)))
-            if metrics.enabled:
+            if metrics is not None:
                 metrics.inc("interleavings.generated")
             yield interleaving
 
@@ -345,11 +348,9 @@ class RandomExplorer(Explorer):
         events: Sequence[Event],
         meter: Optional[ResourceMeter] = None,
         seed: int = 0,
-        max_reshuffles: int = 1_000,
     ) -> None:
         super().__init__(events, meter)
         self.seed = seed
-        self.max_reshuffles = max_reshuffles
         self.reshuffles = 0
 
     def candidates(self) -> Iterator[Interleaving]:
@@ -368,17 +369,17 @@ class RandomExplorer(Explorer):
                 # Re-shuffling is not free: the composer burns time (visible
                 # in Figure 8b) and scratch space finding a fresh ordering.
                 self.meter.charge("rand_reshuffle", 8)
-                if attempts >= self.max_reshuffles:
+                if attempts >= _MAX_RESHUFFLES:
                     return  # space effectively exhausted for this seed
             cache.add(key)
             self.meter.charge("rand_cache", interleaving_footprint(len(self.events)))
             candidate = tuple(order)
             # Rand composes flat event orders, so it checks them flat.
             if not satisfies_order_constraints(candidate, self.order_constraints):
-                if self.metrics.enabled:
+                if self.metrics is not None:
                     self.metrics.inc("interleavings.invalid")
                 continue
-            if self.metrics.enabled:
+            if self.metrics is not None:
                 self.metrics.inc("interleavings.generated")
             yield candidate
 
@@ -434,12 +435,12 @@ class ERPiExplorer(Explorer):
                 self.meter.charge("erpi_seen", 16)
                 # Counted as generated *after* the charge, so a budget crash
                 # mid-charge does not break the exploration identity.
-                if metrics.enabled:
+                if metrics is not None:
                     metrics.inc("interleavings.generated")
                     metrics.inc("interleavings.pruned")
                 continue
             self.meter.charge("erpi_seen", interleaving_footprint(len(self.events)))
-            if metrics.enabled:
+            if metrics is not None:
                 metrics.inc("interleavings.generated")
             yield interleaving
 
@@ -481,7 +482,7 @@ class ERPiExplorer(Explorer):
             masks=unit_order_masks(units, self.order_constraints),
         ):
             self.meter.charge("erpi_seen", footprint)
-            if metrics.enabled:
+            if metrics is not None:
                 metrics.inc("interleavings.generated")
             owner = stream_owner(position, workers)
             position += 1
@@ -501,9 +502,9 @@ class ERPiExplorer(Explorer):
     def _enumeration_degraded(self, reason: str) -> None:
         """The relocation order's dedup set ran out of budget and the stream
         fell back to exact SJT minimal-change order — loud, not silent."""
-        if self.metrics.enabled:
+        if self.metrics is not None:
             self.metrics.inc("enumeration.degraded")
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.end(
                 self.tracer.begin("enumeration-degraded"), reason=reason
             )
@@ -523,14 +524,13 @@ def build_explorer(
     *,
     spec_groups: Sequence[Tuple[str, str]] = (),
     pruners: Iterable[Pruner] = (),
-    order: str = "relocation",
     faults: Optional[FaultPlan] = None,
     dpor: bool = False,
     sanitizer: Optional[Any] = None,
     seed: int = 0,
     meter: Optional[ResourceMeter] = None,
-    tracer: Any = NULL_TRACER,
-    metrics: Any = NULL_METRICS,
+    tracer: Optional[Any] = None,
+    metrics: Optional[Any] = None,
 ) -> Explorer:
     """Assemble the exploration stack over recorded ``events``.
 
@@ -543,10 +543,11 @@ def build_explorer(
       constraints make schedules that break them invalid, and its
       description is attached to quarantines.  An empty plan changes
       nothing.
-    * ``mode`` picks the explorer.  ER-pi takes ``spec_groups``,
-      ``pruners`` and ``order``, plus the DPOR pruner with ``dpor``.  DFS
-      and Rand (seeded by ``seed``) are the paper's unpruned baselines:
-      they ignore those three and refuse ``dpor``.
+    * ``mode`` picks the explorer.  ER-pi takes ``spec_groups`` and
+      ``pruners``, plus the DPOR pruner with ``dpor``, and enumerates in
+      the relocation order.  DFS and Rand (seeded by ``seed``) are the
+      paper's unpruned baselines: they ignore those two and refuse
+      ``dpor``.
     * ``tracer`` and ``metrics`` are attached.
     * ``sanitizer`` (a :class:`~repro.core.sanitizer.Sanitizer`) watches
       the explorer's pruning classes.
@@ -554,7 +555,7 @@ def build_explorer(
     schedule = tuple(events)
     compiled = None
     if faults is not None and not faults.is_empty():
-        span = tracer.begin("fault-compile") if tracer.enabled else None
+        span = tracer.begin("fault-compile") if tracer is not None else None
         compiled = faults.compile(schedule)
         if span is not None:
             tracer.end(span, fault_events=len(compiled.fault_events))
@@ -569,7 +570,6 @@ def build_explorer(
             meter=meter,
             spec_groups=spec_groups,
             pruners=pipeline,
-            order=order,
         )
     elif dpor:
         raise ValueError(f"--dpor requires the erpi mode, not {mode!r}")

@@ -654,7 +654,7 @@ class ProcessParallelExplorer:
             workers=self.workers,
             cap=self._cap,
             stop_on_violation=self._stop_on_violation,
-            collect_metrics=self.base.metrics.enabled,
+            collect_metrics=self.base.metrics is not None,
             batch_size=self.batch_size,
             skip_below=self._watermark,
             attempt=self._attempts[widx],
@@ -706,7 +706,7 @@ class ProcessParallelExplorer:
             self._record_lease(widx, "acquired")
         tracer = self.base.tracer
         metrics = self.base.metrics
-        root = tracer.begin("explore") if tracer.enabled else None
+        root = tracer.begin("explore") if tracer is not None else None
         pending: Dict[int, Tuple[int, str, Any]] = {}
         finals: Dict[int, Dict[str, Any]] = {}
         errors: Dict[int, str] = {}
@@ -736,7 +736,7 @@ class ProcessParallelExplorer:
                     break
         finally:
             self._shutdown(drain_finals=finals)
-            if metrics.enabled:
+            if metrics is not None:
                 self._merge_metrics(metrics, finals, result.explored)
             self.base._finish_observation(root, result.explored, mode=self.mode)
         if result.violating is None and not result.crashed:
@@ -853,7 +853,7 @@ class ProcessParallelExplorer:
         elif verdict == "violation":
             result.violating = detail
         metrics = self.base.metrics
-        if metrics.enabled:
+        if metrics is not None:
             if journaled:
                 metrics.inc("coordinator.commits.resumed")
             if verdict == "quarantine":
@@ -919,7 +919,7 @@ class ProcessParallelExplorer:
 
     def _metric(self, name: str) -> None:
         metrics = self.base.metrics
-        if metrics.enabled:
+        if metrics is not None:
             metrics.inc(name)
 
     def _record_lease(self, slot: int, status: str) -> None:
@@ -976,7 +976,7 @@ class ProcessParallelExplorer:
         for widx in [w for w, at in self._respawn_at.items() if now >= at]:
             del self._respawn_at[widx]
             tracer = self.base.tracer
-            span = tracer.begin("re-lease") if tracer.enabled else None
+            span = tracer.begin("re-lease") if tracer is not None else None
             self._procs[widx] = self._spawn_worker(widx)
             self._metric("coordinator.releases")
             if span is not None:
@@ -999,7 +999,7 @@ class ProcessParallelExplorer:
             # The owner stream must make byte-identical pruning decisions to
             # the workers' streams, so its pruners are bound the same way.
             explorer.bind_semantic((engine,), assertions)
-            if self.base.metrics.enabled:
+            if self.base.metrics is not None:
                 self._owner_metrics = MetricsRegistry()
                 explorer.metrics = self._owner_metrics
             self._owner_stream = explorer.candidates()

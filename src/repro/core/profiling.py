@@ -20,6 +20,7 @@ from repro.core.replay import ReplayEngine
 from repro.core.resources import state_footprint
 from repro.faults.quarantine import QuarantinedReplay
 from repro.net.cluster import Cluster
+from repro.obs.metrics import quantile
 from repro.proxy.recorder import EventRecorder
 
 
@@ -56,17 +57,8 @@ class Percentiles:
         if not n:
             return cls(0.0, 0.0, 0.0, 0.0, n=0)
         ordered = sorted(values)
-
-        def pick(fraction: float) -> float:
-            # Linear interpolation between the bracketing order statistics
-            # (numpy's default): nearest-rank truncation biases the median
-            # and p95 downward on small n.
-            rank = fraction * (n - 1)
-            low = int(rank)
-            high = min(low + 1, n - 1)
-            return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
-
-        return cls(float(ordered[0]), pick(0.5), pick(0.95), float(ordered[-1]), n=n)
+        median, p95 = quantile(ordered, 0.5), quantile(ordered, 0.95)
+        return cls(float(ordered[0]), median, p95, float(ordered[-1]), n=n)
 
 
 @dataclass

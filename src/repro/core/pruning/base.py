@@ -18,10 +18,9 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.interleavings import Interleaving
-from repro.obs import NULL_METRICS, NULL_TRACER
 
 
 @dataclass
@@ -146,16 +145,16 @@ class PrunerPipeline:
     """A set of pruners applied jointly: an interleaving is redundant when
     *any* pruner has already seen its class (greedy union of equivalences).
 
-    ``tracer``/``metrics`` (see :mod:`repro.obs`) default to the shared
-    null objects; an observed explorer swaps its own in, after which each
-    pruner verdict emits a ``prune:<algorithm>`` span (with the class key
-    as an attribute) and each merge bumps ``pruned.<algorithm>``.
+    ``tracer``/``metrics`` (see :mod:`repro.obs`) are ``None`` until an
+    observed explorer hands its own over, after which each pruner verdict
+    emits a ``prune:<algorithm>`` span (with the class key as an
+    attribute) and each merge bumps ``pruned.<algorithm>``.
     """
 
     def __init__(self, pruners: Iterable[Pruner]) -> None:
         self.pruners: List[Pruner] = list(pruners)
-        self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
+        self.tracer: Optional[Any] = None
+        self.metrics: Optional[Any] = None
 
     def is_redundant(self, interleaving: Interleaving) -> bool:
         # Evaluate every pruner so each one's seen-set and stats stay
@@ -164,7 +163,7 @@ class PrunerPipeline:
         metrics = self.metrics
         redundant = False
         for pruner in self.pruners:
-            if tracer.enabled:
+            if tracer is not None:
                 span = tracer.begin("prune:" + pruner.name)
                 verdict = pruner.is_redundant(interleaving)
                 tracer.end(span, pruned=verdict, class_key=repr(pruner.last_key))
@@ -172,7 +171,7 @@ class PrunerPipeline:
                 verdict = pruner.is_redundant(interleaving)
             if verdict:
                 redundant = True
-                if metrics.enabled:
+                if metrics is not None:
                     metrics.inc("pruned." + pruner.name)
         return redundant
 

@@ -30,7 +30,6 @@ from repro.core.interleavings import Interleaving
 from repro.crdt.base import CRDTError
 from repro.faults.errors import ReplayTimeout
 from repro.net.cluster import Cluster, ClusterCheckpoint
-from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.rdl.base import RDLError
 
 
@@ -237,10 +236,10 @@ class ReplayEngine:
         self.cluster = cluster
         self.executor = executor or SequentialExecutor()
         self._checkpoint: Optional[ClusterCheckpoint] = None
-        #: Observability (see repro.obs): the shared null objects unless an
-        #: observed run swaps real ones in.
-        self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
+        #: Observability (see repro.obs): ``None`` unless an observed run
+        #: attaches a tracer and a registry.
+        self.tracer: Optional[Any] = None
+        self.metrics: Optional[Any] = None
 
     def checkpoint(self) -> None:
         """Snapshot the cluster's current state as the replay baseline."""
@@ -264,10 +263,9 @@ class ReplayEngine:
 
         When a tracer/metrics registry is attached this emits one ``replay``
         span (with the violation verdict) and updates the replay counters;
-        with the null objects attached the observed wrapper is a single
-        boolean check.
+        an unobserved run pays two ``is None`` checks.
         """
-        if not (self.tracer.enabled or self.metrics.enabled):
+        if self.tracer is None and self.metrics is None:
             return self._replay_checked(interleaving, assertions)
         return self._replay_observed("replay", interleaving, assertions)
 
@@ -283,7 +281,7 @@ class ReplayEngine:
         stay distinguishable from pipeline replays.  The sanitizer reuses
         these outcomes after later replays, so their states are read here.
         """
-        if not (self.tracer.enabled or self.metrics.enabled):
+        if self.tracer is None and self.metrics is None:
             outcome = self._replay_checked(interleaving, assertions)
         else:
             outcome = self._replay_observed("replay:fresh", interleaving, assertions)
@@ -304,14 +302,14 @@ class ReplayEngine:
     ) -> InterleavingOutcome:
         tracer = self.tracer
         metrics = self.metrics
-        span = tracer.begin(span_kind) if tracer.enabled else None
+        span = tracer.begin(span_kind) if tracer is not None else None
         try:
             outcome = self._replay_checked(interleaving, assertions)
         except BaseException as exc:
             if span is not None:
                 tracer.end(span, error=type(exc).__name__)
             raise
-        if metrics.enabled:
+        if metrics is not None:
             # restore() zeroed the cluster's counters, so they hold this
             # replay's sends and partition drops.
             cluster = self.cluster

@@ -338,7 +338,7 @@ class Sanitizer:
         ``replay:fresh`` child spans) and a ``sanitizer.divergences`` gauge.
         """
         tracer = engine.tracer
-        span = tracer.begin("sanitize") if tracer.enabled else None
+        span = tracer.begin("sanitize") if tracer is not None else None
         started = time.perf_counter()
         memo: Dict[Tuple[str, ...], Dict[str, Any]] = {}
         fresh_replays = 0
@@ -391,7 +391,7 @@ class Sanitizer:
             fresh_replays=fresh_replays,
             overhead_s=elapsed,
         )
-        if engine.metrics.enabled:
+        if engine.metrics is not None:
             engine.metrics.set_gauge("sanitizer.divergences", len(report.divergences))
         if span is not None:
             tracer.end(

@@ -51,7 +51,6 @@ from repro.datalog.store import InterleavingStore
 from repro.faults.plan import FaultPlan
 from repro.faults.quarantine import QuarantinedReplay
 from repro.net.cluster import Cluster
-from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.proxy.recorder import EventRecorder
 
 
@@ -147,9 +146,9 @@ def persist_exploration(
             else:
                 store.mark_explored(il_id, verdict)
                 counts[verdict] = counts.get(verdict, 0) + 1
-    if metrics is not None and getattr(metrics, "enabled", False):
+    if metrics is not None:
         metrics.persist(store)
-    if tracer is not None and getattr(tracer, "enabled", False):
+    if tracer is not None:
         tracer.persist(store)
     return counts
 
@@ -216,8 +215,8 @@ class ErPi:
         self._read_methods = read_methods
         self.faults = faults
         self.replay_timeout_s = replay_timeout_s
-        self.tracer = trace if trace is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.tracer = trace
+        self.metrics = metrics
         self._engine = ReplayEngine(
             cluster, SequentialExecutor(timeout_s=replay_timeout_s)
         )
@@ -278,7 +277,6 @@ class ErPi:
         assertions: Sequence[Assertion] = (),
         cross_checks: Sequence[CrossInterleavingCheck] = (),
         cap: int = DEFAULT_CAP,
-        order: str = "relocation",
         stop_on_violation: bool = False,
         keep_outcomes: bool = True,
     ) -> SessionReport:
@@ -306,7 +304,6 @@ class ErPi:
             events,
             spec_groups=spec_groups_from(constraints),
             pruners=pruners,
-            order=order,
             faults=self.faults,
             dpor=self.dpor,
             sanitizer=self._sanitizer,
@@ -397,9 +394,9 @@ class ErPi:
                             )
             # Observability telemetry becomes queryable alongside the
             # interleavings it describes (span/metric facts).
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.persist(self.store)
-            if self.metrics.enabled:
+            if self.metrics is not None:
                 self.metrics.persist(self.store)
 
         return SessionReport(

@@ -28,8 +28,8 @@ Schema (all facts):
   of independent events (:class:`~repro.core.pruning.semantic.DPORPruner`;
   mode is ``r``/``w``/``b``, key a ``replica:``/``chan:`` location).
 
-ER-pi's runtime uses this store as its persistence layer; the exploration
-loop reads back only interleavings that are neither pruned nor explored.
+No exploration loop reads this store: a ``persist=True`` session only
+writes to it, and :mod:`repro.datalog.queries` and the export read it.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class InterleavingStore:
 
     Alongside the relations themselves the facade maintains per-relation
     hash indexes (interleaving contents, pruned-by-algorithm, explored
-    verdicts), so the hot session reads — ``surviving_ids``,
-    ``pruned_ids``, ``unexplored_ids``, ``interleaving`` — are dictionary
-    lookups instead of linear scans over every fact.  The facade is the
-    write path: facts added straight to ``self.db`` are still queryable via
-    Datalog but invisible to the indexed accessors.
+    verdicts), so its accessors — ``surviving_ids``, ``pruned_ids``,
+    ``unexplored_ids``, ``interleaving``, which only tests call — are
+    dictionary lookups instead of linear scans over every fact.  The facade
+    is the write path: facts added straight to ``self.db`` are still
+    queryable via Datalog but invisible to the indexed accessors.
     """
 
     def __init__(self) -> None:

@@ -11,33 +11,18 @@ Three pieces (see DESIGN.md §9):
   exploration pipeline reports into; persisted as ``metric(...)`` facts.
 * :class:`ProgressLine` — a live single-line hunt progress renderer.
 
-The shared :data:`NULL_TRACER` / :data:`NULL_METRICS` singletons make
-instrumentation free when observability is off: every instrumented call
-site holds a valid object and guards its hot path on ``.enabled``.
+``None`` is the one way to be unobserved: a run without a tracer or a
+registry holds ``None`` in its place, and every call site checks
+``is not None`` before it records.
 """
 
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.progress import ProgressLine
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    parse_jsonl,
-)
+from repro.obs.tracer import Span, Tracer, parse_jsonl
 
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_TRACER",
-    "NullMetrics",
-    "NullTracer",
     "ProgressLine",
     "Span",
     "Tracer",

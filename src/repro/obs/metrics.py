@@ -4,7 +4,9 @@ A :class:`MetricsRegistry` is the quantitative side of ``repro.obs``: the
 explorers count interleavings generated / pruned-per-algorithm / replayed /
 quarantined / discarded, the replay engine counts sync messages sent and
 dropped by partitions and observes per-replay durations, and the resource
-meter's per-category byte totals land as gauges.
+meter's per-category byte totals land as gauges.  A run that is not
+observed holds ``None`` instead of a registry, and every call site checks
+``metrics is not None`` before it counts.
 
 The canonical metric names (asserted by the trace-smoke check and queried
 in the docs) are:
@@ -38,8 +40,9 @@ import threading
 from typing import Any, Dict, List, Optional
 
 
-def _quantile(ordered: List[float], fraction: float) -> float:
-    """Linear-interpolated quantile of a pre-sorted non-empty sample."""
+def quantile(ordered: List[float], fraction: float) -> float:
+    """Linear-interpolated quantile of a pre-sorted non-empty sample
+    (numpy's default: nearest-rank truncation biases small samples down)."""
     rank = fraction * (len(ordered) - 1)
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
@@ -82,7 +85,7 @@ class Histogram:
         """Linear-interpolated percentile of the retained sample (0 if empty)."""
         if not self.sample:
             return 0.0
-        return _quantile(sorted(self.sample), fraction)
+        return quantile(sorted(self.sample), fraction)
 
     def merge(self, other: "Histogram") -> None:
         self.count += other.count
@@ -125,8 +128,6 @@ class Histogram:
 
 class MetricsRegistry:
     """Counters, gauges and histograms; shardable for parallel writers."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
@@ -243,19 +244,6 @@ class MetricsRegistry:
             lines.append(f"  {name}: {self.histograms[name].describe()}")
         return "\n".join(lines)
 
-    def as_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        out.update(self.counters)
-        out.update(self.gauges)
-        for name, histogram in self.histograms.items():
-            out[name] = {
-                "count": histogram.count,
-                "mean": histogram.mean,
-                "p95": histogram.percentile(0.95),
-                "max": histogram.maximum if histogram.count else 0.0,
-            }
-        return out
-
     def persist(self, store) -> int:
         """Mirror current totals as ``metric(name, value)`` Datalog facts.
 
@@ -277,64 +265,3 @@ class MetricsRegistry:
                 added += 1
             added += 2
         return added
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-        self._merged_epochs.clear()
-
-
-class NullMetrics:
-    """A disabled registry: every operation is a cheap no-op (shared as
-    :data:`NULL_METRICS`)."""
-
-    enabled = False
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Histogram] = {}
-
-    def inc(self, name: str, value: int = 1) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def counter(self, name: str) -> int:
-        return 0
-
-    def gauge(self, name: str) -> Optional[float]:
-        return None
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        return None
-
-    def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
-        return {}
-
-    def consistent(self) -> bool:
-        return True
-
-    def to_payload(self, epoch: Any = None) -> Dict[str, Any]:
-        return {}
-
-    def merge_payload(self, payload: Dict[str, Any]) -> None:
-        pass
-
-    def summary(self) -> str:
-        return "metrics: (disabled)"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def persist(self, store) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_METRICS = NullMetrics()

@@ -3,15 +3,15 @@
 Repaints one ``\\r``-terminated status line from the run's
 :class:`~repro.obs.metrics.MetricsRegistry` — replayed / pruned /
 quarantined — rate-limited so a 10k-replay hunt repaints a few
-times a second, not once per replay.  The CLI attaches one when stderr is
-a terminal; non-interactive runs (tests, CI, pipes) never see it.
+times a second, not once per replay; without a registry it paints nothing.
+The CLI attaches one when stderr is a terminal; non-interactive runs
+(tests, CI, pipes) never see it.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Optional
 
 
 class ProgressLine:
@@ -31,7 +31,9 @@ class ProgressLine:
         self.painted = 0
 
     def tick(self, metrics, force: bool = False) -> bool:
-        """Repaint if the rate limit allows; returns True when painted."""
+        """Repaint ``metrics`` if the rate limit allows; True when painted."""
+        if metrics is None:
+            return False
         now = self._clock()
         if not force and now - self._last < self.interval_s:
             return False
@@ -53,8 +55,7 @@ class ProgressLine:
 
     def close(self, metrics=None) -> None:
         """Final repaint (when ``metrics`` given), then release the line."""
-        if metrics is not None:
-            self.tick(metrics, force=True)
+        self.tick(metrics, force=True)
         if self.painted:
             self.stream.write("\n")
             self.stream.flush()

@@ -10,11 +10,10 @@ blown-up replay) and ``fault-compile`` (compiling a FaultPlan into the
 schedule).  Spans nest through a per-thread stack, so a ``replay`` emitted
 inside an ``explore`` records that parent automatically.
 
-Zero dependencies, and cheap enough to leave on: the hot path is
-:meth:`Tracer.begin` / :meth:`Tracer.end` (no generator-based context
-manager, one lock acquisition per finished span).  Call sites guard on
-:attr:`Tracer.enabled` so a disabled run (the shared :data:`NULL_TRACER`)
-pays one attribute load per stage.
+Zero dependencies: the hot path is the :meth:`Tracer.begin` /
+:meth:`Tracer.end` token pair, and committing a finished span takes no
+lock.  A run that is not traced holds ``None`` where the tracer would be,
+so each call site pays one ``is not None`` check per stage.
 
 Export targets:
 
@@ -31,7 +30,7 @@ import itertools
 import json
 import threading
 import time
-from typing import Any, Dict, IO, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 class Span:
@@ -89,8 +88,6 @@ class Span:
 class Tracer:
     """Collects spans; thread-safe; one instance per observed run."""
 
-    enabled = True
-
     def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
         self._ids = itertools.count(1)
@@ -139,14 +136,10 @@ class Tracer:
             except ValueError:
                 pass
         # list.append is atomic under the GIL, so committing a finished span
-        # needs no lock; readers (spans/persist/clear) still lock to get a
+        # needs no lock; readers (spans/persist) still lock to get a
         # consistent snapshot against concurrent appends.
         self._spans.append(span)
         return span
-
-    def span(self, name: str, **attrs: Any) -> "_SpanContext":
-        """Context-manager sugar over :meth:`begin`/:meth:`end`."""
-        return _SpanContext(self, name, attrs)
 
     # --------------------------------------------------------------- reading
 
@@ -154,10 +147,6 @@ class Tracer:
     def spans(self) -> List[Span]:
         with self._lock:
             return list(self._spans)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
 
     def counts(self) -> Dict[str, int]:
         """Span name -> how many spans of that name were recorded."""
@@ -186,16 +175,13 @@ class Tracer:
         ``target`` is a path or a writable file object; returns the number
         of spans written.
         """
+        if not hasattr(target, "write"):
+            with open(target, "w") as handle:
+                return self.write_jsonl(handle)
         count = 0
-        if hasattr(target, "write"):
-            for line in self.iter_jsonl():
-                target.write(line + "\n")
-                count += 1
-            return count
-        with open(target, "w") as handle:
-            for line in self.iter_jsonl():
-                handle.write(line + "\n")
-                count += 1
+        for line in self.iter_jsonl():
+            target.write(line + "\n")
+            count += 1
         return count
 
     def persist(self, store) -> int:
@@ -215,93 +201,6 @@ class Tracer:
                 int(span.duration_s * 1e6),
             )
         return len(fresh)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self._persisted_upto = 0
-
-
-class _SpanContext:
-    __slots__ = ("_tracer", "_name", "_attrs", "_span")
-
-    def __init__(self, tracer: Tracer, name: str, attrs: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        self._span = self._tracer.begin(self._name)
-        if self._attrs:
-            self._span.attrs = dict(self._attrs)
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        span = self._span
-        if span is not None:
-            if exc_type is not None:
-                self._tracer.end(span, error=exc_type.__name__)
-            else:
-                self._tracer.end(span)
-
-
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-_NULL_SPAN = Span(0, 0, "null", 0.0)
-
-
-class NullTracer:
-    """A disabled tracer: every operation is a cheap no-op.
-
-    Shared as :data:`NULL_TRACER` so call sites can hold an always-valid
-    tracer and guard hot paths with one ``tracer.enabled`` check.
-    """
-
-    enabled = False
-
-    def begin(self, name: str) -> Span:
-        return _NULL_SPAN
-
-    def end(self, span: Span, **attrs: Any) -> Span:
-        return span
-
-    def span(self, name: str, **attrs: Any) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
-
-    @property
-    def spans(self) -> List[Span]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def counts(self) -> Dict[str, int]:
-        return {}
-
-    def kinds(self) -> Dict[str, int]:
-        return {}
-
-    def write_jsonl(self, target) -> int:
-        return 0
-
-    def persist(self, store) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
 
 
 def parse_jsonl(text: str) -> List[Dict[str, Any]]:

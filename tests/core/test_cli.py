@@ -24,17 +24,63 @@ class TestParser:
         ["faults", "--replay-timeout", "0"],
         ["hunt", "Roshi-2", "--workers", "0", "--journal", "j.jsonl"],
         ["hunt", "Roshi-2", "--workers", "-2"],
+        ["sanitize", "--cap", "0"],
+        ["hunt", "Roshi-2", "--cap", "-3"],
+        ["fuzz", "--runs", "-1"],
+        ["fuzz", "--ops", "-2"],
+        ["fuzz", "--show", "-1"],
+        ["table1", "--cap", "0"],
+        ["table2", "--cap", "0"],
+        ["fig8a", "--cap", "0"],
+        ["fuzz", "--cap", "0"],
+        ["profile", "Roshi-1", "--cap", "0"],
+        ["export", "Roshi-1", "out.dl", "--cap", "0"],
+        ["faults", "--cap", "0"],
     ], ids=["hunt-timeout-0", "faults-timeout-0", "workers-0-journal",
-            "workers-negative"])
+            "workers-negative", "sanitize-cap-0", "hunt-cap-negative",
+            "fuzz-runs-negative", "fuzz-ops-negative", "fuzz-show-negative",
+            "table1-cap-0", "table2-cap-0", "fig8a-cap-0", "fuzz-cap-0",
+            "profile-cap-0", "export-cap-0", "faults-cap-0"])
     def test_out_of_range_values_are_usage_errors(self, argv, capsys):
-        """A non-positive watchdog or worker count is refused at parse
-        time (usage, exit 2), not by a traceback or by running serially."""
+        """A non-positive watchdog, worker count, cap, run or op count, or a
+        negative ``--show``, is refused at parse time (usage, exit 2), not
+        by a traceback, a silent serial run or an empty sweep."""
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
         assert "Traceback" not in err
+
+    def test_show_zero_is_accepted(self):
+        assert build_parser().parse_args(["fuzz", "--show", "0"]).show == 0
+
+    @pytest.mark.parametrize("argv, names", [
+        (["hunt", "NoSuchBug"], "known: OrbitDB-1, "),
+        (["profile", "NoSuchBug"], "known: OrbitDB-1, "),
+        (["export", "NoSuchBug", "out.dl"], "known: OrbitDB-1, "),
+        (["hunt", "Roshi-1", "--mode", "dfs", "--dpor"], "requires --mode erpi"),
+        (["faults", "--mode", "rand", "--dpor"], "requires --mode erpi"),
+        (["hunt", "Roshi-1", "--faults"], "needs one of: Roshi-CR, "),
+        (["fuzz", "--defect", "bogus"], "known: no_conflict_resolution, "),
+    ], ids=["hunt-unknown-bug", "profile-unknown-bug", "export-unknown-bug",
+            "hunt-dpor-dfs", "faults-dpor-rand", "hunt-faults-without-plan",
+            "fuzz-unknown-defect"])
+    def test_user_errors_are_usage_errors(self, argv, names, capsys):
+        """An unknown scenario or defect flag, ``--dpor`` outside the erpi
+        mode and ``--faults`` on a scenario without a fault plan are usage
+        errors (exit 2) with a one-line message that names the valid
+        values, not a traceback with exit 1 ("not reproduced")."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "Traceback" not in captured.err
+        message = captured.err.splitlines()[-1]
+        assert " error: " in message
+        assert names in message
 
 
 class TestCommands:
@@ -111,6 +157,25 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create journal ")
         assert "Traceback" not in err
+
+    def test_unwritable_trace_exits_four(self, tmp_path, capsys):
+        """A ``--trace`` path that cannot be written is found before the
+        hunt runs: ``error: cannot write ...`` on stderr and exit 4, not a
+        traceback and exit 1 after a hunt that reproduced the bug."""
+        path = str(tmp_path / "no-such-dir" / "t.jsonl")
+        assert main(["hunt", "Roshi-2", "--trace", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the hunt never started
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_export_exits_four(self, tmp_path, capsys):
+        path = str(tmp_path / "no-such-dir" / "out.dl")
+        assert main(["export", "Roshi-1", path, "--cap", "50"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the session never ran
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in captured.err
 
     def test_export_writes_datalog(self, tmp_path, capsys):
         out = tmp_path / "roshi1.dl"

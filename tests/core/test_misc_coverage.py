@@ -6,11 +6,13 @@ import pytest
 from repro.core import ErPi, assert_read_equals
 from repro.core.explorers import ERPiExplorer, RandomExplorer
 from repro.core.events import make_read, make_sync_pair, make_update
+from repro.core.replay import ReplayEngine
 from repro.crdt.base import rehome
 from repro.crdt.ormap import ORMap
 from repro.crdt.orset import ORSet
 from repro.net.cluster import Cluster
 from repro.net.replica import ReplicaHost
+from repro.proxy.recorder import EventRecorder
 from repro.rdl.crdts_lib import CRDTLibrary
 
 
@@ -65,32 +67,43 @@ def small_workload(cluster):
     cluster.rdl("B").set_value("s")
 
 
+def explore_small_workload(order):
+    """Record ``small_workload`` and explore it with ER-pi in ``order``;
+    returns the result and every violation message, in commit order."""
+    cluster = make_cluster()
+    engine = ReplayEngine(cluster)
+    engine.checkpoint()
+    recorder = EventRecorder(cluster)
+    recorder.start()
+    small_workload(cluster)
+    events = recorder.stop()
+    messages = []
+
+    def commit(interleaving, outcome):
+        messages.extend(outcome.violations)
+        return False
+
+    result = ERPiExplorer(events, order=order).explore(
+        engine,
+        [assert_read_equals("e4", frozenset({"x"}))],
+        stop_on_violation=False,
+        on_commit=commit,
+    )
+    return result, messages
+
+
 class TestSessionEnumerationOrders:
     @pytest.mark.parametrize("order", ["relocation", "sjt", "lexicographic"])
     def test_all_orders_cover_the_space(self, order):
-        cluster = make_cluster()
-        erpi = ErPi(cluster)
-        erpi.start()
-        small_workload(cluster)
-        report = erpi.end(
-            assertions=[assert_read_equals("e4", frozenset({"x"}))],
-            order=order,
-        )
-        assert report.explored == 6
-        assert report.violated
+        result, _ = explore_small_workload(order)
+        assert result.explored == 6
+        assert result.found
 
     def test_orders_agree_on_violation_count(self):
         counts = set()
         for order in ("relocation", "sjt", "lexicographic"):
-            cluster = make_cluster()
-            erpi = ErPi(cluster)
-            erpi.start()
-            small_workload(cluster)
-            report = erpi.end(
-                assertions=[assert_read_equals("e4", frozenset({"x"}))],
-                order=order,
-            )
-            counts.add(len(report.violations))
+            _, messages = explore_small_workload(order)
+            counts.add(len(messages))
         assert len(counts) == 1
 
     def test_keep_outcomes_false_retains_violators_only(self):
@@ -128,7 +141,7 @@ class TestExplorerOptions:
             assert len(list(explorer.candidates())) == 6
 
     def test_random_max_reshuffles_bounds_termination(self):
-        explorer = RandomExplorer(self.events()[:2], max_reshuffles=3, seed=0)
+        explorer = RandomExplorer(self.events()[:2], seed=0)
         out = list(explorer.candidates())
         assert len(out) == 2            # the whole 2! space, then it gives up
         assert explorer.reshuffles >= 3  # the final exhaustion round

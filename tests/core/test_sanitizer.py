@@ -53,8 +53,8 @@ def sanitize(events, pruners, engine, spec_groups=(), cap=300, **sanitizer_kwarg
         spec_groups=spec_groups,
         pruners=pruners,
         sanitizer=sanitizer,
-        order="lexicographic",
     )
+    explorer.order = "lexicographic"
     explorer.explore(engine, (), cap=cap)
     return sanitizer.finish(engine)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog.store import InterleavingStore
-from repro.obs.metrics import NULL_METRICS, Histogram, MetricsRegistry, NullMetrics
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class TestHistogram:
@@ -96,9 +96,8 @@ class TestMetricsRegistry:
         assert "interleavings.replayed = 1,234" in text
         assert "cache.entries = 5" in text
         assert "replay.duration_us" in text
-        as_dict = metrics.as_dict()
-        assert as_dict["interleavings.replayed"] == 1234
-        assert as_dict["replay.duration_us"]["count"] == 1
+        assert metrics.counter("interleavings.replayed") == 1234
+        assert metrics.histogram("replay.duration_us").count == 1
 
     def test_persist_lands_datalog_facts(self):
         metrics = MetricsRegistry()
@@ -112,31 +111,6 @@ class TestMetricsRegistry:
         assert facts["cache.entries"] == 3
         assert facts["replay.duration_us.count"] == 1
         assert facts["replay.duration_us.max"] == 55
-
-    def test_clear(self):
-        metrics = MetricsRegistry()
-        metrics.inc("a")
-        metrics.set_gauge("b", 1)
-        metrics.observe("c", 1.0)
-        metrics.clear()
-        assert metrics.counter("a") == 0
-        assert metrics.gauge("b") is None
-        assert metrics.histogram("c") is None
-
-
-class TestNullMetrics:
-    def test_is_disabled_and_inert(self):
-        assert NULL_METRICS.enabled is False
-        NULL_METRICS.inc("x", 5)
-        NULL_METRICS.set_gauge("y", 1.0)
-        NULL_METRICS.observe("z", 2.0)
-        assert NULL_METRICS.counter("x") == 0
-        assert NULL_METRICS.gauge("y") is None
-        assert NULL_METRICS.histogram("z") is None
-        assert NULL_METRICS.consistent()
-        assert NULL_METRICS.as_dict() == {}
-        assert NULL_METRICS.persist(InterleavingStore()) == 0
-        assert isinstance(NULL_METRICS, NullMetrics)
 
 
 class TestEpochIdempotentMerge:
@@ -181,11 +155,3 @@ class TestEpochIdempotentMerge:
         parent.merge_payload(payload)
         parent.merge_payload(payload)
         assert parent.counter("interleavings.replayed") == 3
-
-    def test_clear_forgets_merged_epochs(self):
-        parent = MetricsRegistry()
-        payload = self.snapshot(5, ("replay", 2, 1))
-        parent.merge_payload(payload)
-        parent.clear()
-        parent.merge_payload(payload)
-        assert parent.counter("interleavings.replayed") == 5

@@ -76,3 +76,18 @@ class TestProgressLine:
         stream = io.StringIO()
         ProgressLine(stream=stream, clock=FakeClock()).close()
         assert stream.getvalue() == ""  # never painted -> no stray newline
+
+    def test_hunt_without_registry_paints_nothing(self):
+        """The line paints a registry's counts; a hunt given a progress line
+        but no ``metrics`` has none, so it paints nothing (not a
+        ``replayed 0`` on every commit)."""
+        from repro.bench.harness import hunt, record_scenario
+        from repro.bugs import scenario
+
+        stream = io.StringIO()
+        progress = ProgressLine(stream=stream, interval_s=0.0, clock=FakeClock())
+        assert not progress.tick(None, force=True)
+        result = hunt(record_scenario(scenario("Roshi-1")), "erpi", progress=progress)
+        assert result.found
+        assert progress.painted == 0
+        assert stream.getvalue() == ""

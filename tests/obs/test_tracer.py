@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.datalog.store import InterleavingStore
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, parse_jsonl
+from repro.obs.tracer import Span, Tracer, parse_jsonl
 
 
 def fake_clock(ticks):
@@ -76,17 +76,9 @@ class TestTracer:
         third = tracer.begin("c")
         tracer.end(third)
         tracer.end(second)
-        assert len(tracer) == 3
+        assert len(tracer.spans) == 3
         # The stack survived: c's parent is b (the innermost open span).
         assert third.parent_id == second.span_id
-
-    def test_span_context_manager_records_error(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("sanitize"):
-                raise RuntimeError("boom")
-        (span,) = tracer.spans
-        assert span.attrs["error"] == "RuntimeError"
 
     def test_counts_and_kinds(self):
         tracer = Tracer()
@@ -117,9 +109,9 @@ class TestTracer:
 
     def test_jsonl_round_trip(self):
         tracer = Tracer()
-        with tracer.span("explore"):
-            with tracer.span("replay"):
-                pass
+        explore = tracer.begin("explore")
+        tracer.end(tracer.begin("replay"))
+        tracer.end(explore)
         buffer = io.StringIO()
         written = tracer.write_jsonl(buffer)
         assert written == 2
@@ -150,16 +142,6 @@ class TestTracer:
             ("replay", 500_000),
         ]
 
-    def test_clear_resets_persistence_cursor(self):
-        tracer = Tracer()
-        tracer.end(tracer.begin("explore"))
-        tracer.persist(InterleavingStore())
-        tracer.clear()
-        assert len(tracer) == 0
-        tracer.end(tracer.begin("replay"))
-        store = InterleavingStore()
-        assert tracer.persist(store) == 1
-
 
 class TestParseJsonl:
     def test_rejects_malformed_json(self):
@@ -173,20 +155,3 @@ class TestParseJsonl:
     def test_skips_blank_lines(self):
         events = parse_jsonl('\n{"name": "a", "ph": "X"}\n\n')
         assert len(events) == 1
-
-
-class TestNullTracer:
-    def test_is_disabled_and_inert(self):
-        assert NULL_TRACER.enabled is False
-        span = NULL_TRACER.begin("replay")
-        NULL_TRACER.end(span, anything="goes")
-        with NULL_TRACER.span("explore"):
-            pass
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.spans == []
-        assert NULL_TRACER.counts() == {}
-        assert NULL_TRACER.write_jsonl(io.StringIO()) == 0
-        assert NULL_TRACER.persist(InterleavingStore()) == 0
-
-    def test_singleton_is_shared(self):
-        assert isinstance(NULL_TRACER, NullTracer)
