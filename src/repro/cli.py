@@ -495,6 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="ER-pi: exhaustive interleaving replay (Middleware 2025 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's own parser: errors spanning two arguments print its usage.
+    parser.commands = sub.choices  # type: ignore[attr-defined]
 
     sub.add_parser("bugs", help="list the Table-1 bug scenarios")
 
@@ -683,7 +685,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _refuse_conflicts(parser, args)
+    _refuse_conflicts(parser.commands[args.command], args)
     return _COMMANDS[args.command](args)
 
 

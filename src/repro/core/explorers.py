@@ -28,6 +28,7 @@ candidate streams on shared-nothing worker processes
 from __future__ import annotations
 
 import abc
+import functools
 import random
 import time
 import traceback
@@ -408,29 +409,54 @@ class ERPiExplorer(Explorer):
         self.audit_pruners: List[Pruner] = []
 
     def candidates(self) -> Iterator[Interleaving]:
-        self.pipeline.reset()
+        return self._stream(1, 0)
+
+    def sharded_candidates(
+        self, workers: int, worker_index: int
+    ) -> Iterator[Optional[Interleaving]]:
+        """:meth:`candidates`' loop, yielding ``None`` for other workers'
+        survivors; pruning and accounting match it at every position."""
+        if "candidates" in self.__dict__:
+            # Instance-level candidates() instrumentation (crash-injection
+            # wrappers, tracing shims) must keep seeing the stream.
+            return super().sharded_candidates(workers, worker_index)
+        return self._stream(workers, worker_index)
+
+    def _stream(self, workers: int, worker_index: int) -> Iterator[Optional[Interleaving]]:
+        """The one ER-pi loop: a candidate stays unit indices until judged, and
+        its events are built once, if read or owned by ``worker_index``."""
         # The pipeline traces/counts through the explorer's observability
         # objects (prune:<algorithm> spans, pruned.<algorithm> counters).
-        self.pipeline.tracer = self.tracer
-        self.pipeline.metrics = self.metrics
-        metrics = self.metrics
-        for pruner in self.audit_pruners:
+        pipeline = self.pipeline
+        pipeline.tracer = self.tracer
+        pipeline.metrics = metrics = self.metrics
+        audits = self.audit_pruners
+        for pruner in audits:
             pruner.reset()
+        units = self.grouping.units
+
+        @functools.lru_cache(maxsize=1)  # one build per candidate, however many readers
+        def events_of(perm: Tuple[int, ...]) -> Interleaving:
+            return flatten([units[i] for i in perm])
+
+        eager = pipeline.start_stream(units, events_of) or bool(audits)
+        footprint = interleaving_footprint(len(self.events))
+        position = 0
         # Masks are compiled per stream: callers set the constraints after
         # construction.  The stream drops an invalid schedule (a recover
         # before its crash) before any pruner sees it; as a class's seen
         # representative it would mask the valid members pruned in its favour.
-        units = self.grouping.units
-        for interleaving in interleaving_stream(
+        for perm in unit_permutation_stream(
             units,
             order=self.order,
             meter=self.meter,
             on_degrade=self._enumeration_degraded,
             masks=unit_order_masks(units, self.order_constraints),
         ):
-            for pruner in self.audit_pruners:
+            interleaving = events_of(perm) if eager else None
+            for pruner in audits:
                 pruner.is_redundant(interleaving)
-            if self.pipeline.is_redundant(interleaving):
+            if pipeline.is_redundant(interleaving, perm):
                 # Pruned: never replayed, but the seen-set entry costs memory.
                 self.meter.charge("erpi_seen", 16)
                 # Counted as generated *after* the charge, so a budget crash
@@ -439,57 +465,12 @@ class ERPiExplorer(Explorer):
                     metrics.inc("interleavings.generated")
                     metrics.inc("interleavings.pruned")
                 continue
-            self.meter.charge("erpi_seen", interleaving_footprint(len(self.events)))
-            if metrics is not None:
-                metrics.inc("interleavings.generated")
-            yield interleaving
-
-    def sharded_candidates(
-        self, workers: int, worker_index: int
-    ) -> Iterator[Optional[Interleaving]]:
-        """Enumerate the stream, flattening only this worker's positions.
-
-        Ownership follows from the stream position alone, so a foreign
-        unit permutation is skipped without being flattened; invalid ones
-        never reach a position.  Pruners disqualify the fast path: a pruner
-        sees (and may learn from) every candidate, so with pruners attached
-        the stream falls back to the generate-then-filter default.
-
-        Meter charges and generated-counts are identical to
-        :meth:`candidates` for every stream position, so a budget crash or
-        the parent's merge identity (``generated == pruned + replayed +
-        quarantined + discarded``) cannot tell the two apart.
-        """
-        if (
-            self.pipeline.pruners
-            or self.audit_pruners
-            # Instance-level candidates() instrumentation (crash-injection
-            # wrappers, tracing shims) must keep seeing the stream; only an
-            # unwrapped explorer may skip it.
-            or "candidates" in self.__dict__
-        ):
-            yield from super().sharded_candidates(workers, worker_index)
-            return
-        metrics = self.metrics
-        footprint = interleaving_footprint(len(self.events))
-        units = self.grouping.units
-        position = 0
-        for perm in unit_permutation_stream(
-            units,
-            order=self.order,
-            meter=self.meter,
-            on_degrade=self._enumeration_degraded,
-            masks=unit_order_masks(units, self.order_constraints),
-        ):
             self.meter.charge("erpi_seen", footprint)
             if metrics is not None:
                 metrics.inc("interleavings.generated")
-            owner = stream_owner(position, workers)
+            owned = stream_owner(position, workers) == worker_index
             position += 1
-            if owner != worker_index:
-                yield None
-                continue
-            yield flatten([units[i] for i in perm])
+            yield events_of(perm) if owned else None
 
     def bind_semantic(
         self, engines: Sequence[ReplayEngine], assertions: Sequence[Assertion]

@@ -179,14 +179,11 @@ def sjt_permutations(units: Sequence[Unit]) -> Iterator[Tuple[Unit, ...]]:
     therefore stays in the neighbourhood of the recorded interleaving, which
     is where ER-pi expects integration bugs to surface first.
     """
-    return (tuple(units[i] for i in p) for _, p in _sjt(len(units)))
+    return (tuple(units[i] for i in p) for p in _sjt(len(units)))
 
 
-def _sjt(
-    n: int, masks: Optional[Sequence[int]] = None
-) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """The permutations ``masks`` admits, in SJT order, each as
-    ``(lehmer_rank(perm), perm)``."""
+def _sjt(n: int, masks: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, ...]]:
+    """The permutations ``masks`` admits, in SJT order."""
     # Knuth's Algorithm P ("plain changes", TAOCP 7.2.1.2): SJT order in
     # amortised O(1) per step.  Level ``j`` is ``count[j]`` moves into its
     # current sweep, in direction ``step[j]``.
@@ -196,14 +193,8 @@ def _sjt(
     # Constraints the current order breaks (in the identity, predecessors
     # at or after their unit); a step swaps two adjacent units, so O(1).
     broken = sum((m >> u).bit_count() for u, m in enumerate(masks)) if masks else 0
-    # The Lehmer digits and rank, carried on every step: swapping the
-    # adjacent values ``a, b`` changes only their two digits ``(d0, d1)``,
-    # to ``(d1 + 1, d0)`` if ``a < b`` and to ``(d1, d0 - 1)`` otherwise.
-    digits = [0] * n
-    weight = [math.factorial(n - 1 - i) for i in range(n)]
-    rank = 0
     if not broken:
-        yield rank, tuple(perm)
+        yield tuple(perm)
     if n < 2:
         return
     while True:
@@ -225,20 +216,15 @@ def _sjt(
         if masks is not None:
             # The swap put ``b`` in front of ``a``.
             broken += (masks[b] >> a & 1) - (masks[a] >> b & 1)
-        d0, d1 = digits[low], digits[low + 1]
-        e0, e1 = (d1 + 1, d0) if a < b else (d1, d0 - 1)
-        rank += (e0 - d0) * weight[low] + (e1 - d1) * weight[low + 1]
-        digits[low], digits[low + 1] = e0, e1
         if not broken:
-            yield rank, tuple(perm)
+            yield tuple(perm)
 
 
 def lehmer_rank(perm: Sequence[int]) -> int:
     """The Lehmer-code rank of a permutation of ``0..n-1`` (0-based).
 
-    A bijection onto ``0..n!-1``: remembering a permutation costs one int
-    instead of an n-tuple, which is what keeps the ``seen`` bookkeeping of
-    :func:`relocation_permutations` compact.
+    A bijection onto ``0..n!-1``, kept as the tests' reference numbering of
+    permutations; the enumeration itself keys permutations by their bytes.
 
     Each digit counts the smaller values still unused, as the popcount of
     a mask of unused values below the current one: O(n) big-int ops
@@ -254,9 +240,10 @@ def lehmer_rank(perm: Sequence[int]) -> int:
     return rank
 
 
-#: Retained bytes charged per Lehmer rank in the relocation seen-set (the
-#: set slot plus the rank's int object; ranks are bignums past 20 units).
-SEEN_RANK_COST = 64
+#: Retained bytes charged per key in the relocation seen-set.  A key is the
+#: permutation's bytes (45 B at 12 units, plus its set slot); the charge is
+#: the one budgeted runs degrade against, so it stays fixed at 64 B.
+SEEN_KEY_COST = 64
 SEEN_CATEGORY = "relocation_seen"
 
 
@@ -280,18 +267,18 @@ def relocation_permutations(
     near-recorded neighbourhood first, which is where replay finds
     integration bugs in practice.
 
-    Deduplication stores one Lehmer-code rank (an int) per permutation seen
-    in the relocation phases — O(n^4) ints at most — and nothing during the
-    SJT tail, whose membership checks only consult the relocation-phase set.
-    O(n^4) is "at most" in permutations but unbounded in bytes as the unit
-    count grows (the ranks are bignums), so when a ``meter`` is supplied
-    every new rank is charged to it *before* it is remembered.  If the
-    budget runs out the curated phases are abandoned — the stream degrades,
-    loudly via ``on_degrade`` (called once with the reason), to exact SJT
-    minimal-change order over everything not already yielded.  The retained
-    (fully charged) seen-set keeps the degraded stream duplicate-free and
-    complete: every yielded permutation was recorded before yielding, and
-    the SJT tail skips exactly that set.
+    Deduplication stores one key per permutation seen in the relocation
+    phases — the permutation's bytes, built in C in O(n); O(n^4) keys at
+    most — and nothing during the SJT tail, whose membership checks only
+    consult the relocation-phase set.  O(n^4) is "at most" in permutations
+    but unbounded in bytes as the unit count grows, so when a ``meter`` is
+    supplied every new key is charged to it *before* it is remembered.  If
+    the budget runs out the curated phases are abandoned — the stream
+    degrades, loudly via ``on_degrade`` (called once with the reason), to
+    exact SJT minimal-change order over everything not already yielded.  The
+    retained (fully charged) seen-set keeps the degraded stream
+    duplicate-free and complete: every yielded permutation was recorded
+    before yielding, and the SJT tail skips exactly that set.
     """
     return (tuple(units[i] for i in p) for p in _relocation(len(units), meter, on_degrade))
 
@@ -300,32 +287,34 @@ def _relocation(
     n: int, meter: Optional[object], on_degrade: Optional[Callable[[str], None]],
     masks: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[int, ...]]:
+    # A unit index fits a byte below 257 units; past that, tuples key.
+    key = bytes if n <= 256 else tuple
     seen: set = set()
     for perm in _neighbourhood(n):
-        # An invalid permutation is never ranked, charged or remembered; the
+        # An invalid permutation is never keyed, charged or remembered; the
         # SJT tail rejects it again, so the stream stays duplicate-free.
         if masks is not None and not _admits(perm, masks):
             continue
-        rank = lehmer_rank(perm)
-        if rank in seen:
+        perm_key = key(perm)
+        if perm_key in seen:
             continue
         if meter is not None:
             try:
-                meter.charge(SEEN_CATEGORY, SEEN_RANK_COST)
+                meter.charge(SEEN_CATEGORY, SEEN_KEY_COST)
             except ResourceExhausted as exc:
                 # The failed charge was recorded before raising; give it
-                # back so the meter reflects only ranks actually retained.
-                meter.release(SEEN_CATEGORY, SEEN_RANK_COST)
+                # back so the meter reflects only keys actually retained.
+                meter.release(SEEN_CATEGORY, SEEN_KEY_COST)
                 if on_degrade is not None:
                     on_degrade(str(exc))
                 break
-        seen.add(rank)
+        seen.add(perm_key)
         yield tuple(perm)
     # Everything else: SJT over the remaining permutations.  SJT visits each
     # permutation exactly once, so only the relocation-phase set needs
     # consulting — nothing new is remembered here.
-    for rank, perm in _sjt(n, masks):
-        if rank not in seen:
+    for perm in _sjt(n, masks):
+        if key(perm) not in seen:
             yield perm
 
 
@@ -344,11 +333,12 @@ def _neighbourhood(n: int) -> Iterator[List[int]]:
 
     base = list(range(n))
     moves = [(src, dst) for src in range(n) for dst in range(n) if src not in (dst, dst + 1)]
-    singles = [(dst, relocate(base, src, dst)) for src, dst in moves]
     yield base
-    for _, moved in singles:
-        yield moved
-    for placed, moved in singles:
+    for src, dst in moves:
+        yield relocate(base, src, dst)
+    # Each single is rebuilt here rather than held: (n-1)^2 of them, O(n) each.
+    for placed_src, placed in moves:
+        moved = relocate(base, placed_src, placed)
         for src, dst in moves:
             if src != placed:
                 yield relocate(moved, src, dst)
@@ -369,14 +359,14 @@ def unit_permutation_stream(
     unit indices.
 
     ``masks`` (from :func:`unit_order_masks`) drops each permutation that
-    breaks an order constraint before it is ranked, charged or yielded; the
+    breaks an order constraint before it is keyed, charged or yielded; the
     valid ones keep their unconstrained order.  ``meter`` / ``on_degrade``
     pass through to :func:`relocation_permutations` (the only order with
     retained deduplication state worth charging)."""
     if order == "relocation":
         return _relocation(len(units), meter, on_degrade, masks)
     if order == "sjt":
-        return (perm for _, perm in _sjt(len(units), masks))
+        return _sjt(len(units), masks)
     if order != "lexicographic":
         raise ErPiError(f"unknown enumeration order {order!r}")
     perms = itertools.permutations(range(len(units)))

@@ -20,11 +20,11 @@ Determinism is preserved without shipping candidates at all:
   same rule the parent uses for an abandoned slot's positions).  Ownership
   follows from the index alone, so every worker's share is within one
   candidate of every other's.
-  With no pruners attached, the explorer's *sharded* fast path
+  The ER-pi explorer's *sharded* stream
   (:meth:`~repro.core.explorers.Explorer.sharded_candidates`) skips
-  foreign positions without ever flattening them, while stream accounting
-  (meter charges, generated counts, budget-crash positions) stays
-  identical to the full stream;
+  foreign positions and pruned candidates without ever flattening them,
+  while stream accounting (meter charges, generated counts, budget-crash
+  positions) stays identical to the full stream;
 * verdicts stream back as **columnar frames** (:class:`AdaptiveBatcher`):
   event ids are interned as positions into the shared schedule — both
   sides derive the identical table independently — verdict records are
@@ -325,9 +325,9 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
     engine = runtime.engine
     assertions = runtime.assertions
     # Sharded enumeration: the explorer yields owned candidates and ``None``
-    # for foreign stream positions (which still consume an index).  The
-    # ER-pi fast path skips flattening foreign permutations entirely; the
-    # default falls back to generate-then-filter.
+    # for foreign stream positions (which still consume an index).  ER-pi
+    # flattens only this worker's survivors; the default generates the
+    # full stream and filters.
     candidates = explorer.sharded_candidates(config.workers, widx)
     # Event-id interning table: both sides derive positions into the shared
     # schedule independently, so frames carry small ints instead of strings.

@@ -18,9 +18,9 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.interleavings import Interleaving
+from repro.core.interleavings import Interleaving, Unit
 
 
 @dataclass
@@ -90,6 +90,8 @@ class Pruner(abc.ABC):
     """One pruning algorithm: a canonical-class-key function plus stats."""
 
     name: str = "pruner"
+    #: True if it keys a stream's unit permutations (DPOR); the rest key events.
+    keys_units: bool = False
 
     def __init__(self) -> None:
         self._seen: Set[Hashable] = set()
@@ -115,8 +117,11 @@ class Pruner(abc.ABC):
         Records the key as a side effect, so call it at most once per
         candidate.
         """
+        return self._record(self.key(interleaving), interleaving)
+
+    def _record(self, class_key: Hashable, interleaving: Optional[Interleaving]) -> bool:
+        """Count and remember ``class_key``; the sampler gets ``interleaving``."""
         self.stats.examined += 1
-        class_key = self.key(interleaving)
         self.last_key = class_key
         sampler = self.sampler
         if class_key in self._seen:
@@ -156,19 +161,32 @@ class PrunerPipeline:
         self.tracer: Optional[Any] = None
         self.metrics: Optional[Any] = None
 
-    def is_redundant(self, interleaving: Interleaving) -> bool:
+    def start_stream(self, units: Sequence[Unit], events_of: Callable[..., Interleaving]) -> bool:
+        """Reset every pruner for a stream of permutations of ``units``, whose
+        events ``events_of`` builds.  True iff some pruner reads events."""
+        self.reset()
+        for pruner in self.pruners:
+            if pruner.keys_units:
+                pruner.start_stream(units, events_of)
+        return any(not p.keys_units or p.sampler is not None for p in self.pruners)
+
+    def is_redundant(self, interleaving: Optional[Interleaving], perm: Any = None) -> bool:
+        """True iff some pruner has seen the candidate's class.  In a stream,
+        pruners that key units get its unit permutation ``perm``, the rest
+        ``interleaving`` (``None`` when none of them reads events)."""
         # Evaluate every pruner so each one's seen-set and stats stay
         # complete; redundancy is the OR across pruners.
         tracer = self.tracer
         metrics = self.metrics
         redundant = False
         for pruner in self.pruners:
+            candidate = perm if perm is not None and pruner.keys_units else interleaving
             if tracer is not None:
                 span = tracer.begin("prune:" + pruner.name)
-                verdict = pruner.is_redundant(interleaving)
+                verdict = pruner.is_redundant(candidate)
                 tracer.end(span, pruned=verdict, class_key=repr(pruner.last_key))
             else:
-                verdict = pruner.is_redundant(interleaving)
+                verdict = pruner.is_redundant(candidate)
             if verdict:
                 redundant = True
                 if metrics is not None:
@@ -176,8 +194,7 @@ class PrunerPipeline:
         return redundant
 
     def apply(self, interleavings: Sequence[Interleaving]) -> List[Interleaving]:
-        for pruner in self.pruners:
-            pruner.reset()
+        self.reset()
         return [il for il in interleavings if not self.is_redundant(il)]
 
     def reset(self) -> None:

@@ -7,7 +7,7 @@ a conservative read/write footprint model over replicas and sync channels.
 Its class key records, for every event, which conflicting events precede
 it, as interned bitmasks; that partitions candidates exactly as the trace
 normal form (the lexicographically minimal linear extension of the
-happens-before order) does.
+happens-before order) does; in an ER-pi stream it keys unit permutations.
 
 The pruner is sound-or-off: it binds to an engine only when replay is a
 pure function of the event sequence (a checkpoint taken, the sequential
@@ -20,10 +20,10 @@ other pruner's.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.events import Event, EventKind
-from repro.core.interleavings import Interleaving
+from repro.core.interleavings import Interleaving, Unit
 from repro.core.pruning.base import Pruner
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "event_footprint",
     "footprints_conflict",
     "trace_normal_form",
+    "unit_conflict_masks",
 ]
 
 
@@ -87,6 +88,17 @@ def footprints_conflict(left: Footprint, right: Footprint) -> bool:
     return False
 
 
+def unit_conflict_masks(units: Sequence[Unit]) -> List[int]:
+    """Bit ``b`` of ``masks[a]`` says units ``a`` and ``b`` conflict: some
+    event of one conflicts with some event of the other."""
+    fps = [[event_footprint(event) for event in unit] for unit in units]
+    return [
+        sum(1 << b for b, theirs in enumerate(fps) if b != a and any(
+            footprints_conflict(x, y) for x in mine for y in theirs))
+        for a, mine in enumerate(fps)
+    ]
+
+
 def trace_normal_form(interleaving: Sequence[Event]) -> Tuple[str, ...]:
     """The canonical representative of the interleaving's Mazurkiewicz trace.
 
@@ -140,6 +152,7 @@ class DPORPruner(Pruner):
     :func:`event_footprint` / :func:`footprints_conflict`), so the key is
     one O(n) pass of mask operations packed into a single int.  It
     partitions interleavings exactly as :func:`trace_normal_form` does.
+    After :meth:`start_stream` it takes unit permutations (:meth:`unit_key`).
 
     Sound-or-off: :meth:`bind` only arms the pruner when every bound engine
     supports semantic reduction (pure deterministic replay).  Under
@@ -148,6 +161,7 @@ class DPORPruner(Pruner):
     """
 
     name = "dpor"
+    keys_units = True
 
     #: At most this many pruned interleavings are kept for the Datalog
     #: ``footprint`` relation.
@@ -157,6 +171,10 @@ class DPORPruner(Pruner):
         super().__init__()
         self.enabled = False
         self.disabled_reason: Optional[str] = "not bound to an engine"
+        self.reset()
+
+    def reset(self) -> None:
+        super().reset()
         #: Event id -> bit position, assigned in first-sight order.
         self._bits: Dict[str, int] = {}
         #: Per bit: the mask of interned events it conflicts with, and its
@@ -165,6 +183,12 @@ class DPORPruner(Pruner):
         self._footprints: List[Footprint] = []
         #: ``"a|b|c"`` keys of pruned interleavings, for Datalog export.
         self.prune_log: List[str] = []
+        #: Set by :meth:`start_stream`: the units, each one's conflict mask in
+        #: its key field and its bit in every field, and the events builder.
+        self._units: Sequence[Unit] = ()
+        self._unit_fields: List[int] = []
+        self._unit_bits: List[int] = []
+        self._events_of: Optional[Callable[[Tuple[int, ...]], Interleaving]] = None
 
     def bind(
         self,
@@ -220,19 +244,44 @@ class DPORPruner(Pruner):
                 key |= preds << (width * (bit + 1))
         return key
 
-    def is_redundant(self, interleaving: Interleaving) -> bool:
+    def start_stream(self, units: Sequence[Unit], events_of: Callable[..., Interleaving]) -> None:
+        """Take permutations of ``units`` until :meth:`reset`; ``events_of``
+        builds their events, for the sampler.  A unit's events are always
+        contiguous, so two permutations order every conflicting event pair
+        alike exactly when they order every conflicting unit pair
+        (:func:`unit_conflict_masks`) alike: the classes are the same."""
+        count = len(units)
+        every_field = sum(1 << (count * unit) for unit in range(count))
+        for unit, mask in enumerate(unit_conflict_masks(units)):
+            self._unit_fields.append(mask << (count * unit))
+            self._unit_bits.append(every_field << unit)
+        self._units, self._events_of = units, events_of
+
+    def unit_key(self, perm: Tuple[int, ...]) -> int:
+        """Every unit's conflicting-predecessor mask, unit ``u``'s in the
+        ``n``-bit field at ``n * u``.  ``placed`` repeats the units placed
+        so far in every field, so one AND reads a unit's field."""
+        fields = self._unit_fields
+        bits = self._unit_bits
+        key = placed = 0
+        for unit in perm:
+            key |= fields[unit] & placed
+            placed |= bits[unit]
+        return key
+
+    def is_redundant(self, candidate: Any) -> bool:
+        """Judge a flat interleaving, or a unit permutation while a stream
+        runs; the sampler always records events."""
         if not self.enabled:
             return False
-        redundant = super().is_redundant(interleaving)
+        events_of = self._events_of
+        if events_of is None:
+            redundant = super().is_redundant(candidate)
+        else:
+            sampled = events_of(candidate) if self.sampler is not None else None
+            redundant = self._record(self.unit_key(candidate), sampled)
         if redundant and len(self.prune_log) < self.PRUNE_LOG_CAP:
-            self.prune_log.append(
-                "|".join(event.event_id for event in interleaving)
-            )
+            if events_of is not None:
+                candidate = [event for unit in candidate for event in self._units[unit]]
+            self.prune_log.append("|".join(event.event_id for event in candidate))
         return redundant
-
-    def reset(self) -> None:
-        super().reset()
-        self._bits.clear()
-        self._masks.clear()
-        self._footprints.clear()
-        self.prune_log = []

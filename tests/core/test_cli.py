@@ -82,6 +82,20 @@ class TestParser:
         assert " error: " in message
         assert names in message
 
+    @pytest.mark.parametrize("argv", [
+        ["hunt", "Roshi-1", "--mode", "dfs", "--dpor"],
+        ["hunt", "Roshi-1", "--faults"],
+    ], ids=["dpor-dfs", "faults-without-plan"])
+    def test_two_argument_errors_print_the_command_usage(self, argv, capsys):
+        """An error that spans two arguments prints the subcommand's usage
+        and ``repro hunt: error:``, as every one-argument error does."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro hunt ")
+        assert err.splitlines()[-1].startswith("repro hunt: error: ")
+
 
 class TestCommands:
     def test_bugs_lists_all_twelve(self, capsys):

@@ -14,10 +14,9 @@ from repro.core.events import make_sync_pair, make_update
 from repro.core.explorers import ERPiExplorer
 from repro.core.interleavings import (
     SEEN_CATEGORY,
-    SEEN_RANK_COST,
+    SEEN_KEY_COST,
     _admits,
     _neighbourhood,
-    _sjt,
     flatten,
     group_events,
     interleaving_stream,
@@ -195,9 +194,8 @@ def reference_lehmer_rank(perm):
 
 
 class TestLehmerRank:
-    """The popcount rank must equal the compare loop exactly: the relocation
-    stream's dedup set, its meter charges and the point where it falls back
-    to SJT order all key off these ranks."""
+    """The popcount rank must equal the compare loop exactly: it is the
+    numbering the relocation references below deduplicate by."""
 
     def test_matches_reference_exhaustively_up_to_seven(self):
         for n in range(8):
@@ -217,17 +215,17 @@ class TestLehmerRank:
 
 
 class TestRelocationSeenSetMetering:
-    """Regression: the relocation order's Lehmer-rank seen-set grew without
-    bound or accounting.  With a meter attached every retained rank is
+    """Regression: the relocation order's seen-set grew without
+    bound or accounting.  With a meter attached every retained key is
     charged, and on exhaustion the curated phases degrade — loudly, once —
     to exact SJT order while staying complete and duplicate-free."""
 
     def test_degrade_fires_once_and_stream_stays_complete(self):
-        from repro.core.interleavings import SEEN_RANK_COST
+        from repro.core.interleavings import SEEN_KEY_COST
         from repro.core.resources import ResourceMeter
 
         units = [(f"u{i}",) for i in range(5)]
-        meter = ResourceMeter(budget_bytes=SEEN_RANK_COST * 7)
+        meter = ResourceMeter(budget_bytes=SEEN_KEY_COST * 7)
         reasons = []
         out = list(
             relocation_permutations(
@@ -240,21 +238,21 @@ class TestRelocationSeenSetMetering:
         assert len(set(out)) == math.factorial(5)
 
     def test_retained_bytes_stay_within_budget(self):
-        from repro.core.interleavings import SEEN_CATEGORY, SEEN_RANK_COST
+        from repro.core.interleavings import SEEN_CATEGORY, SEEN_KEY_COST
         from repro.core.resources import ResourceMeter
 
         units = [(f"u{i}",) for i in range(5)]
-        budget = SEEN_RANK_COST * 7
+        budget = SEEN_KEY_COST * 7
         meter = ResourceMeter(budget_bytes=budget)
         list(relocation_permutations(units, meter=meter, on_degrade=lambda r: None))
         assert meter.by_category[SEEN_CATEGORY] <= budget
 
     def test_generous_budget_never_degrades(self):
-        from repro.core.interleavings import SEEN_RANK_COST
+        from repro.core.interleavings import SEEN_KEY_COST
         from repro.core.resources import ResourceMeter
 
         units = [(f"u{i}",) for i in range(4)]
-        meter = ResourceMeter(budget_bytes=SEEN_RANK_COST * 10_000)
+        meter = ResourceMeter(budget_bytes=SEEN_KEY_COST * 10_000)
         reasons = []
         out = list(
             relocation_permutations(
@@ -417,8 +415,8 @@ def relocation_phase(n):
 
 @pytest.mark.parametrize("name", CR_SCENARIOS)
 def test_faulted_relocation_charges_only_valid_permutations(name):
-    """Invalid permutations are rejected before they are ranked or charged:
-    the relocation seen-set holds one rank per *valid* relocation-phase
+    """Invalid permutations are rejected before they are keyed or charged:
+    the relocation seen-set holds one key per *valid* relocation-phase
     permutation."""
     sc, events, constraints = faulted_schedule(name)
     meter = ResourceMeter()
@@ -434,7 +432,7 @@ def test_faulted_relocation_charges_only_valid_permutations(name):
     # drives the stream into its SJT tail, after which nothing is charged.
     list(islice(explorer.candidates(), valid + 1))
     assert 0 < valid < len(relocation_phase(len(units)))
-    assert meter.by_category[SEEN_CATEGORY] == SEEN_RANK_COST * valid
+    assert meter.by_category[SEEN_CATEGORY] == SEEN_KEY_COST * valid
 
 
 def random_masks(rng, n):
@@ -448,8 +446,8 @@ def random_masks(rng, n):
 
 
 def reference_relocation(n, masks=None):
-    """The relocation order with every SJT-tail permutation Lehmer-ranked
-    afresh, kept as the reference for the rank the SJT steps carry."""
+    """The relocation order deduplicated by Lehmer rank, kept as the
+    reference for the stream's byte keys."""
     seen = set()
     for perm in _neighbourhood(n):
         if masks is not None and not _admits(perm, masks):
@@ -525,17 +523,18 @@ class TestNeighbourhood:
         ]
         assert len(built) < len(list(reference_neighbourhood(n))) * 0.8
 
+    @pytest.mark.parametrize("n", (256, 257))
+    def test_streams_past_a_byte_of_units(self, n):
+        """Past 256 units an index no longer fits a byte key; the stream
+        still opens with the recorded order and its distinct singles."""
+        prefix = list(islice(unit_permutation_stream(range(n), "relocation"), 500))
+        assert prefix == [tuple(perm) for perm in islice(_neighbourhood(n), 500)]
+        assert len(set(prefix)) == 500
+
 
 class TestCarriedRank:
-    """An SJT step swaps two adjacent values and so changes two Lehmer
-    digits; the rank carried across the steps must equal a fresh rank."""
-
-    def test_every_carried_rank_equals_lehmer_rank(self):
-        rng = random.Random(20)
-        for n in range(9):
-            for masks in [None] + [random_masks(rng, n) for _ in range(4) if n]:
-                for rank, perm in _sjt(n, masks):
-                    assert rank == lehmer_rank(perm)
+    """The whole relocation stream, byte-keyed, equals the reference that
+    deduplicates by Lehmer rank, with and without order masks."""
 
     def test_relocation_stream_equals_the_reference_tail(self):
         rng = random.Random(21)

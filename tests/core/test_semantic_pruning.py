@@ -28,6 +28,12 @@ from repro.core.events import (
 )
 from repro.core import ErPi, assert_read_equals
 from repro.core.explorers import ERPiExplorer
+from repro.core.interleavings import (
+    flatten,
+    group_events,
+    unit_order_masks,
+    unit_permutation_stream,
+)
 from repro.core.pruning import DPORPruner, event_footprint, trace_normal_form
 from repro.core.pruning.semantic import footprints_conflict
 from repro.core.replay import ReplayEngine, SequentialExecutor
@@ -226,8 +232,8 @@ class TestDPORPruner:
 # ------------------------------------------- DPOR key vs the normal form
 
 
-def candidate_stream(name, fixed, limit):
-    """The first ``limit`` valid candidates of a hunt's stream, unpruned.
+def stream_explorer(name, fixed):
+    """An unpruned explorer over a hunt's schedule.
 
     Crash-recovery scenarios get their fault plan compiled, exactly as
     ``hunt(faults=True)`` does."""
@@ -241,30 +247,68 @@ def candidate_stream(name, fixed, limit):
         constraints = compiled.order_constraints
     explorer = ERPiExplorer(events, spec_groups=sc.spec_groups())
     explorer.order_constraints = constraints
-    return list(itertools.islice(explorer.candidates(), limit))
+    return explorer
 
 
-def assert_same_partition(pruner, candidates):
-    """The pruner's keys and the trace normal forms induce one partition."""
-    by_key = {}
-    by_form = {}
-    for interleaving in candidates:
-        key = pruner.key(interleaving)
-        form = trace_normal_form(interleaving)
-        assert by_key.setdefault(key, form) == form
-        assert by_form.setdefault(form, key) == key
+def candidate_stream(name, fixed, limit):
+    """The first ``limit`` valid candidates of a hunt's stream, unpruned."""
+    return list(itertools.islice(stream_explorer(name, fixed).candidates(), limit))
+
+
+def unit_keys(units, perms):
+    """DPOR's unit key of each permutation of ``units``."""
+    pruner = DPORPruner()
+    pruner.start_stream(units, None)
+    return [pruner.unit_key(perm) for perm in perms]
+
+
+def assert_same_classes(left, right):
+    """``left[i] == left[j]`` exactly when ``right[i] == right[j]``."""
+    by_left, by_right = {}, {}
+    for a, b in zip(left, right, strict=True):
+        assert by_left.setdefault(a, b) == b
+        assert by_right.setdefault(b, a) == a
+
+
+def assert_same_partition(pruner, candidates, keys=None):
+    """The pruner's event keys, the given unit ``keys`` and the trace
+    normal forms induce one partition."""
+    forms = [trace_normal_form(interleaving) for interleaving in candidates]
+    assert_same_classes([pruner.key(interleaving) for interleaving in candidates], forms)
+    if keys is not None:
+        assert_same_classes(keys, forms)
 
 
 class TestDPORKeyMatchesNormalForm:
-    """The bitmask key must split candidates into exactly the classes the
+    """The bitmask keys must split candidates into exactly the classes the
     lexicographic normal form does: same prunes, same replays."""
 
     @pytest.mark.parametrize("name", scenario_names() + fault_scenario_names())
     def test_registered_scenarios(self, name):
         for fixed in (False, True):
-            candidates = candidate_stream(name, fixed, 1000)
+            explorer = stream_explorer(name, fixed)
+            units = explorer.grouping.units
+            masks = unit_order_masks(units, explorer.order_constraints)
+            perms = list(itertools.islice(
+                unit_permutation_stream(units, "relocation", masks=masks), 1000
+            ))
+            candidates = list(itertools.islice(explorer.candidates(), 1000))
             assert candidates
-            assert_same_partition(DPORPruner(), candidates)
+            assert candidates == [flatten([units[i] for i in perm]) for perm in perms]
+            assert_same_partition(DPORPruner(), candidates, unit_keys(units, perms))
+
+    @pytest.mark.parametrize("name, classes", [
+        ("Roshi-1", 360), ("OrbitDB-2", 360), ("Roshi-2", 2_400),
+    ])
+    def test_complete_spaces(self, name, classes):
+        """Over every unit order both keys count the acyclic orientations
+        of the unit conflict graph, as brute force over the orders does."""
+        sc = scenario(name)
+        units = group_events(record_scenario(sc).events, sc.spec_groups()).units
+        perms = list(itertools.permutations(range(len(units))))
+        events = DPORPruner()
+        assert len({events.key(flatten([units[i] for i in p])) for p in perms}) == classes
+        assert len(set(unit_keys(units, perms))) == classes
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

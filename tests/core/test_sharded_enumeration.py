@@ -4,12 +4,13 @@ Sharded enumeration lets each worker flatten only its own positions of the
 candidate stream (foreign positions are yielded as ``None`` placeholders
 that consume an index but no flattening work).  The contract pinned here:
 the sharded streams are a partition of ``candidates()`` — same length,
-every position owned by exactly one worker, owned values identical — for
-the ERPi fast path with and without fault order constraints (whose invalid
-permutations the stream drops on unit indices, unflattened) and the generic
-fallback wrapper alike; and full process hunts (DPOR + faults) commit the
-same verdicts regardless of worker count, with every worker replaying
-within one candidate of every other's share.
+every position owned by exactly one worker, owned values identical — with
+and without fault order constraints (whose invalid permutations the stream
+drops on unit indices, unflattened) and with DPOR pruning (which keys unit
+indices, so a pruned candidate is never flattened either); and full
+process hunts (DPOR + faults) commit the same verdicts regardless of
+worker count, with every worker replaying within one candidate of every
+other's share.
 """
 
 import itertools
@@ -19,6 +20,7 @@ import pytest
 from repro.bench.harness import HuntConfig, hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
 from repro.core.procpool import ProcessParallelExplorer
+from tests.decisions import committed
 
 LIMIT = 240  # stream-prefix length compared per equivalence check
 
@@ -38,18 +40,36 @@ def faulted_stack(name="Roshi-CR"):
 
 
 def dpor_stack(name="Roshi-1"):
-    """Stream-time pruners force the generic fallback wrapper."""
+    """A bound DPOR pruner judges every candidate of every shard."""
     recorded = record_scenario(scenario(name))
     explorer = make_explorer(recorded, "erpi", dpor=True)
-    assert explorer.pipeline.pruners
+    explorer.bind_semantic((recorded.engine,), ())
+    assert [pruner.name for pruner in explorer.pipeline.pruners] == ["dpor"]
     return recorded, explorer
 
 
 STACKS = {
     "fast-path": plain_stack,
     "fault-constraints": faulted_stack,
-    "fallback-pruners": dpor_stack,
+    "dpor-pruner": dpor_stack,
 }
+
+
+def count_flattens(monkeypatch):
+    """Every unit permutation turned into events, by the explorers or by
+    ``interleaving_stream``, as its unit count."""
+    from repro.core import explorers, interleavings
+
+    flattened = []
+    flatten = interleavings.flatten
+
+    def counting_flatten(units):
+        flattened.append(len(units))
+        return flatten(units)
+
+    for module in (explorers, interleavings):
+        monkeypatch.setattr(module, "flatten", counting_flatten)
+    return flattened
 
 
 def ids(interleaving):
@@ -119,21 +139,36 @@ class TestShardPartitionEquivalence:
     def test_fault_constrained_shard_flattens_only_its_positions(self, monkeypatch):
         """Validity is decided on unit indices, so a worker flattens its own
         valid positions and nothing else, even with constraints armed."""
-        from repro.core import explorers
-
         _, explorer = faulted_stack()
         assert not explorer.pipeline.pruners
-        flattened = []
-        flatten = explorers.flatten
-
-        def counting_flatten(units):
-            flattened.append(len(units))
-            return flatten(units)
-
-        monkeypatch.setattr(explorers, "flatten", counting_flatten)
+        flattened = count_flattens(monkeypatch)
         owned = [il for il in explorer.sharded_candidates(4, 0) if il is not None]
         assert owned
         assert len(flattened) == len(owned)
+
+
+class TestPrunedCandidatesStayUnflattened:
+    """DPOR keys unit permutations, so only survivors become events."""
+
+    def test_dpor_hunt_flattens_only_its_replays(self, monkeypatch):
+        flattened = count_flattens(monkeypatch)
+        result = hunt(record_scenario(scenario("OrbitDB-4")), "erpi", dpor=True)
+        assert result.found
+        assert result.explored == committed("hunt/OrbitDB-4/dpor")["replays"]
+        assert result.pruning_stats["dpor"] > 0
+        assert len(flattened) == result.explored
+
+    def test_dpor_shard_flattens_only_its_own_survivors(self, monkeypatch):
+        _, reference_explorer = dpor_stack()
+        survivors = sum(1 for _ in reference_explorer.candidates())
+        dpor = reference_explorer.pipeline.pruners[0]
+        assert dpor.stats.pruned > 0
+        _, explorer = dpor_stack()
+        flattened = count_flattens(monkeypatch)
+        owned = [il for il in explorer.sharded_candidates(2, 0) if il is not None]
+        assert len(owned) == (survivors + 1) // 2
+        assert len(flattened) == len(owned)
+        assert explorer.pipeline.pruners[0].stats.pruned == dpor.stats.pruned
 
 
 def process_hunt(name, workers, cap=150):
